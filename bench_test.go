@@ -277,6 +277,24 @@ func BenchmarkBundleSaveRestore64Views(b *testing.B) {
 	}
 }
 
+// BenchmarkBundleTransferChecksum64Views is one guard.Transfer attempt's
+// bundle work: save a 64-view tree, then checksum it on both sides of the
+// transport.
+func BenchmarkBundleTransferChecksum64Views(b *testing.B) {
+	root := view.NewDecorView(1)
+	for i := 0; i < 64; i++ {
+		root.AddChild(view.NewEditText(view.ID(10+i), "content"))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		state := bundle.New()
+		root.SaveState(state)
+		if state.Checksum() != state.Checksum() {
+			b.Fatal("checksum differs between the two sides of one transfer")
+		}
+	}
+}
+
 func BenchmarkSimulatedRuntimeChange(b *testing.B) {
 	// End-to-end: one full coin-flip handling per iteration.
 	rig := experiments.NewRig(benchapp.New(benchapp.Config{Images: 8, TaskDelay: time.Hour}), experiments.ModeRCHDroid)

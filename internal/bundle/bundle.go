@@ -7,9 +7,9 @@
 package bundle
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"math"
+	"slices"
+	"strconv"
 )
 
 // Kind identifies the dynamic type of a stored value.
@@ -50,38 +50,82 @@ func (k Kind) String() string {
 	}
 }
 
+// entry is one key and its value. Scalars share the num word; slices and
+// nested bundles sit behind ref, so every kind fits one 64-byte entry.
 type entry struct {
-	kind    Kind
-	str     string
-	num     int64
-	flt     float64
-	boolean bool
-	strs    []string
-	ints    []int64
-	nested  *Bundle
+	key  string
+	str  string // KindString
+	num  int64  // KindInt; KindFloat as math.Float64bits; KindBool as 0 or 1
+	ref  any    // KindStringSlice []string, KindIntSlice []int64, KindBundle *Bundle
+	kind Kind
 }
 
-// Bundle is a typed key/value map. The zero value is not usable; call New.
+func (e *entry) float() float64 { return math.Float64frombits(uint64(e.num)) }
+
+func (e *entry) strs() []string { v, _ := e.ref.([]string); return v }
+
+func (e *entry) ints() []int64 { v, _ := e.ref.([]int64); return v }
+
+func (e *entry) nested() *Bundle { v, _ := e.ref.(*Bundle); return v }
+
+// Bundle is a typed key/value map. Create one with New.
 // Reads on a nil *Bundle are safe and see an empty bundle (a missing
 // nested section reads as all-defaults, like a corrupted parcel).
 // Bundles are not safe for concurrent use — like the Android original they
 // live on a single (virtual) UI thread.
 type Bundle struct {
-	m map[string]entry
+	// entries is sorted by key with no duplicates, so iteration,
+	// rendering and equality need no sort and no map.
+	entries []entry
 }
 
-// New returns an empty Bundle.
+// New returns an empty Bundle. The bundle and room for its first two
+// entries share one allocation, which is all a one- or two-key view
+// section ever needs.
 func New() *Bundle {
-	return &Bundle{m: make(map[string]entry)}
+	s := new(struct {
+		b Bundle
+		e [2]entry
+	})
+	s.b.entries = s.e[:0]
+	return &s.b
 }
 
-// lookup returns the entry under key; safe on a nil receiver.
-func (b *Bundle) lookup(key string) (entry, bool) {
+// find returns the index of key, or the index it would be inserted at,
+// and whether it is present. Safe on a nil receiver.
+func (b *Bundle) find(key string) (int, bool) {
 	if b == nil {
-		return entry{}, false
+		return 0, false
 	}
-	e, ok := b.m[key]
-	return e, ok
+	lo, hi := 0, len(b.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.entries[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(b.entries) && b.entries[lo].key == key
+}
+
+// lookup returns the entry under key if it holds kind, else nil; safe on
+// a nil receiver.
+func (b *Bundle) lookup(key string, kind Kind) *entry {
+	if i, ok := b.find(key); ok && b.entries[i].kind == kind {
+		return &b.entries[i]
+	}
+	return nil
+}
+
+// put stores e under e.key, replacing any value already there.
+func (b *Bundle) put(e entry) {
+	i, ok := b.find(e.key)
+	if !ok {
+		b.entries = append(b.entries, entry{})
+		copy(b.entries[i+1:], b.entries[i:])
+	}
+	b.entries[i] = e
 }
 
 // Len returns the number of keys, not counting keys inside nested bundles.
@@ -89,7 +133,7 @@ func (b *Bundle) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.m)
+	return len(b.entries)
 }
 
 // IsEmpty reports whether the bundle holds no keys.
@@ -100,180 +144,200 @@ func (b *Bundle) Keys() []string {
 	if b == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(b.m))
-	for k := range b.m {
-		keys = append(keys, k)
+	keys := make([]string, len(b.entries))
+	for i := range b.entries {
+		keys[i] = b.entries[i].key
 	}
-	sort.Strings(keys)
 	return keys
 }
 
 // Has reports whether key is present with any kind.
 func (b *Bundle) Has(key string) bool {
-	_, ok := b.lookup(key)
+	_, ok := b.find(key)
 	return ok
 }
 
 // KindOf returns the kind stored under key, or KindInvalid if absent.
 func (b *Bundle) KindOf(key string) Kind {
-	e, _ := b.lookup(key)
-	return e.kind
+	if i, ok := b.find(key); ok {
+		return b.entries[i].kind
+	}
+	return KindInvalid
 }
 
-// Remove deletes key if present.
-func (b *Bundle) Remove(key string) { delete(b.m, key) }
+// Remove deletes key if present. Removing from a nil bundle is a no-op.
+func (b *Bundle) Remove(key string) {
+	if i, ok := b.find(key); ok {
+		b.entries = slices.Delete(b.entries, i, i+1)
+	}
+}
 
 // Clear removes all keys.
-func (b *Bundle) Clear() { b.m = make(map[string]entry) }
+func (b *Bundle) Clear() { b.entries = nil }
 
 // PutString stores a string value.
-func (b *Bundle) PutString(key, v string) { b.m[key] = entry{kind: KindString, str: v} }
+func (b *Bundle) PutString(key, v string) { b.put(entry{key: key, kind: KindString, str: v}) }
 
 // GetString returns the string under key, or def if absent or mistyped.
 func (b *Bundle) GetString(key, def string) string {
-	if e, ok := b.lookup(key); ok && e.kind == KindString {
+	if e := b.lookup(key, KindString); e != nil {
 		return e.str
 	}
 	return def
 }
 
 // PutInt stores an integer value.
-func (b *Bundle) PutInt(key string, v int64) { b.m[key] = entry{kind: KindInt, num: v} }
+func (b *Bundle) PutInt(key string, v int64) { b.put(entry{key: key, kind: KindInt, num: v}) }
 
 // GetInt returns the integer under key, or def if absent or mistyped.
 func (b *Bundle) GetInt(key string, def int64) int64 {
-	if e, ok := b.lookup(key); ok && e.kind == KindInt {
+	if e := b.lookup(key, KindInt); e != nil {
 		return e.num
 	}
 	return def
 }
 
 // PutFloat stores a float value.
-func (b *Bundle) PutFloat(key string, v float64) { b.m[key] = entry{kind: KindFloat, flt: v} }
+func (b *Bundle) PutFloat(key string, v float64) {
+	b.put(entry{key: key, kind: KindFloat, num: int64(math.Float64bits(v))})
+}
 
 // GetFloat returns the float under key, or def if absent or mistyped.
 func (b *Bundle) GetFloat(key string, def float64) float64 {
-	if e, ok := b.lookup(key); ok && e.kind == KindFloat {
-		return e.flt
+	if e := b.lookup(key, KindFloat); e != nil {
+		return e.float()
 	}
 	return def
 }
 
 // PutBool stores a boolean value.
-func (b *Bundle) PutBool(key string, v bool) { b.m[key] = entry{kind: KindBool, boolean: v} }
+func (b *Bundle) PutBool(key string, v bool) {
+	e := entry{key: key, kind: KindBool}
+	if v {
+		e.num = 1
+	}
+	b.put(e)
+}
 
 // GetBool returns the boolean under key, or def if absent or mistyped.
 func (b *Bundle) GetBool(key string, def bool) bool {
-	if e, ok := b.lookup(key); ok && e.kind == KindBool {
-		return e.boolean
+	if e := b.lookup(key, KindBool); e != nil {
+		return e.num != 0
 	}
 	return def
 }
 
 // PutStringSlice stores a copy of a string slice.
 func (b *Bundle) PutStringSlice(key string, v []string) {
-	cp := make([]string, len(v))
-	copy(cp, v)
-	b.m[key] = entry{kind: KindStringSlice, strs: cp}
+	b.put(entry{key: key, kind: KindStringSlice, ref: copyOf(v)})
 }
 
 // GetStringSlice returns a copy of the slice under key, or nil if absent.
 func (b *Bundle) GetStringSlice(key string) []string {
-	if e, ok := b.lookup(key); ok && e.kind == KindStringSlice {
-		cp := make([]string, len(e.strs))
-		copy(cp, e.strs)
-		return cp
+	if e := b.lookup(key, KindStringSlice); e != nil {
+		return copyOf(e.strs())
 	}
 	return nil
 }
 
 // PutIntSlice stores a copy of an int64 slice.
 func (b *Bundle) PutIntSlice(key string, v []int64) {
-	cp := make([]int64, len(v))
-	copy(cp, v)
-	b.m[key] = entry{kind: KindIntSlice, ints: cp}
+	b.put(entry{key: key, kind: KindIntSlice, ref: copyOf(v)})
 }
 
 // GetIntSlice returns a copy of the slice under key, or nil if absent.
 func (b *Bundle) GetIntSlice(key string) []int64 {
-	if e, ok := b.lookup(key); ok && e.kind == KindIntSlice {
-		cp := make([]int64, len(e.ints))
-		copy(cp, e.ints)
-		return cp
+	if e := b.lookup(key, KindIntSlice); e != nil {
+		return copyOf(e.ints())
 	}
 	return nil
+}
+
+// copyOf returns a non-nil copy of s: a stored slice, even an empty one,
+// always reads back as present.
+func copyOf[T any](s []T) []T {
+	cp := make([]T, len(s))
+	copy(cp, s)
+	return cp
 }
 
 // PutBundle stores a nested bundle. The nested bundle is stored by
 // reference, matching Android; callers that need isolation should store a
 // Clone.
-func (b *Bundle) PutBundle(key string, v *Bundle) { b.m[key] = entry{kind: KindBundle, nested: v} }
+func (b *Bundle) PutBundle(key string, v *Bundle) {
+	b.put(entry{key: key, kind: KindBundle, ref: v})
+}
 
 // GetBundle returns the nested bundle under key, or nil if absent.
 func (b *Bundle) GetBundle(key string) *Bundle {
-	if e, ok := b.lookup(key); ok && e.kind == KindBundle {
-		return e.nested
+	if e := b.lookup(key, KindBundle); e != nil {
+		return e.nested()
+	}
+	return nil
+}
+
+// cloneRef deep-copies an entry's reference value: slices are copied and
+// nested bundles cloned recursively (a nil section stays nil).
+func cloneRef(e *entry) any {
+	switch e.kind {
+	case KindStringSlice:
+		return copyOf(e.strs())
+	case KindIntSlice:
+		return copyOf(e.ints())
+	case KindBundle:
+		return e.nested().Clone()
 	}
 	return nil
 }
 
 // Clone returns a deep copy of the bundle; nested bundles and slices are
-// copied recursively.
+// copied recursively. The clone of a nil bundle is nil.
 func (b *Bundle) Clone() *Bundle {
+	if b == nil {
+		return nil
+	}
 	out := New()
-	for k, e := range b.m {
-		switch e.kind {
-		case KindStringSlice:
-			out.PutStringSlice(k, e.strs)
-		case KindIntSlice:
-			out.PutIntSlice(k, e.ints)
-		case KindBundle:
-			out.PutBundle(k, e.nested.Clone())
-		default:
-			out.m[k] = e
-		}
+	out.entries = append(out.entries, b.entries...)
+	for i := range out.entries {
+		out.entries[i].ref = cloneRef(&out.entries[i])
 	}
 	return out
 }
 
 // Merge copies every key of other into b, overwriting duplicates. Nested
-// bundles are deep-copied.
+// bundles are deep-copied; a nil nested section is carried over as nil.
 func (b *Bundle) Merge(other *Bundle) {
 	if other == nil {
 		return
 	}
-	for k, e := range other.m {
-		switch e.kind {
-		case KindStringSlice:
-			b.PutStringSlice(k, e.strs)
-		case KindIntSlice:
-			b.PutIntSlice(k, e.ints)
-		case KindBundle:
-			b.PutBundle(k, e.nested.Clone())
-		default:
-			b.m[k] = e
-		}
+	for _, e := range other.entries {
+		e.ref = cloneRef(&e)
+		b.put(e)
 	}
 }
 
 // SizeBytes estimates the serialized footprint of the bundle, used by the
-// memory model to charge the shadow-state snapshot.
+// memory model to charge the shadow-state snapshot. A nil bundle is 0.
 func (b *Bundle) SizeBytes() int {
+	if b == nil {
+		return 0
+	}
 	const entryOverhead = 16
 	total := 0
-	for k, e := range b.m {
-		total += len(k) + entryOverhead
+	for i := range b.entries {
+		e := &b.entries[i]
+		total += len(e.key) + entryOverhead
 		switch e.kind {
 		case KindString:
 			total += len(e.str)
 		case KindStringSlice:
-			for _, s := range e.strs {
+			for _, s := range e.strs() {
 				total += len(s) + 8
 			}
 		case KindIntSlice:
-			total += 8 * len(e.ints)
+			total += 8 * len(e.ints())
 		case KindBundle:
-			total += e.nested.SizeBytes()
+			total += e.nested().SizeBytes()
 		default:
 			total += 8
 		}
@@ -282,89 +346,105 @@ func (b *Bundle) SizeBytes() int {
 }
 
 // Equal reports whether two bundles hold the same keys with the same kinds
-// and values, recursively.
+// and values, recursively. Floats compare as float64: NaN equals nothing
+// and -0 equals 0.
 func (b *Bundle) Equal(other *Bundle) bool {
 	if b == nil || other == nil {
 		return b == other
 	}
-	if len(b.m) != len(other.m) {
+	if len(b.entries) != len(other.entries) {
 		return false
 	}
-	for k, e := range b.m {
-		o, ok := other.m[k]
-		if !ok || o.kind != e.kind {
+	for i := range b.entries {
+		if !b.entries[i].equal(&other.entries[i]) {
 			return false
-		}
-		switch e.kind {
-		case KindString:
-			if e.str != o.str {
-				return false
-			}
-		case KindInt:
-			if e.num != o.num {
-				return false
-			}
-		case KindFloat:
-			if e.flt != o.flt {
-				return false
-			}
-		case KindBool:
-			if e.boolean != o.boolean {
-				return false
-			}
-		case KindStringSlice:
-			if len(e.strs) != len(o.strs) {
-				return false
-			}
-			for i := range e.strs {
-				if e.strs[i] != o.strs[i] {
-					return false
-				}
-			}
-		case KindIntSlice:
-			if len(e.ints) != len(o.ints) {
-				return false
-			}
-			for i := range e.ints {
-				if e.ints[i] != o.ints[i] {
-					return false
-				}
-			}
-		case KindBundle:
-			if !e.nested.Equal(o.nested) {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// String renders the bundle deterministically for logs and golden tests.
-func (b *Bundle) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, k := range b.Keys() {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		e := b.m[k]
-		switch e.kind {
-		case KindString:
-			fmt.Fprintf(&sb, "%s=%q", k, e.str)
-		case KindInt:
-			fmt.Fprintf(&sb, "%s=%d", k, e.num)
-		case KindFloat:
-			fmt.Fprintf(&sb, "%s=%g", k, e.flt)
-		case KindBool:
-			fmt.Fprintf(&sb, "%s=%t", k, e.boolean)
-		case KindStringSlice:
-			fmt.Fprintf(&sb, "%s=%q", k, e.strs)
-		case KindIntSlice:
-			fmt.Fprintf(&sb, "%s=%v", k, e.ints)
-		case KindBundle:
-			fmt.Fprintf(&sb, "%s=%s", k, e.nested.String())
+func (e *entry) equal(o *entry) bool {
+	if e.key != o.key || e.kind != o.kind {
+		return false
+	}
+	switch e.kind {
+	case KindString:
+		return e.str == o.str
+	case KindFloat:
+		return e.float() == o.float()
+	case KindStringSlice:
+		return slices.Equal(e.strs(), o.strs())
+	case KindIntSlice:
+		return slices.Equal(e.ints(), o.ints())
+	case KindBundle:
+		return e.nested().Equal(o.nested())
+	default:
+		return e.num == o.num
+	}
+}
+
+// String renders the bundle deterministically for logs and golden tests:
+// keys in sorted order, strings quoted, floats in shortest %g form. A nil
+// bundle renders as "{}".
+func (b *Bundle) String() string { return string(b.appendTo(nil)) }
+
+// appendTo appends the canonical rendering of b to dst. Checksum's hash
+// walks the same shape through the same leaf renderers, appendKey and
+// appendValue, so the two agree byte for byte.
+func (b *Bundle) appendTo(dst []byte) []byte {
+	dst = append(dst, '{')
+	for i := range b.Len() {
+		dst = b.appendKey(dst, i)
+		if e := &b.entries[i]; e.kind == KindBundle {
+			dst = e.nested().appendTo(dst)
+		} else {
+			dst = e.appendValue(dst)
 		}
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return append(dst, '}')
+}
+
+// appendKey appends entry i's "key=", preceded by a ", " separator unless
+// it is the first.
+func (b *Bundle) appendKey(dst []byte, i int) []byte {
+	if i > 0 {
+		dst = append(dst, ", "...)
+	}
+	dst = append(dst, b.entries[i].key...)
+	return append(dst, '=')
+}
+
+// appendValue appends the rendering of a scalar or slice value. Nested
+// bundles are walked by the caller, which keeps this function a
+// non-recursive leaf: a stack buffer passed to it stays on the stack.
+func (e *entry) appendValue(dst []byte) []byte {
+	switch e.kind {
+	case KindString:
+		dst = strconv.AppendQuote(dst, e.str)
+	case KindInt:
+		dst = strconv.AppendInt(dst, e.num, 10)
+	case KindFloat:
+		dst = strconv.AppendFloat(dst, e.float(), 'g', -1, 64)
+	case KindBool:
+		dst = strconv.AppendBool(dst, e.num != 0)
+	case KindStringSlice:
+		dst = append(dst, '[')
+		for j, s := range e.strs() {
+			if j > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = strconv.AppendQuote(dst, s)
+		}
+		dst = append(dst, ']')
+	case KindIntSlice:
+		dst = append(dst, '[')
+		for j, n := range e.ints() {
+			if j > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = strconv.AppendInt(dst, n, 10)
+		}
+		dst = append(dst, ']')
+	}
+	return dst
 }

@@ -267,3 +267,36 @@ func TestLastPutWinsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A nil nested section reads as all-defaults, so every operation over a
+// bundle holding one — and over a nil bundle itself — must succeed.
+func TestNilSections(t *testing.T) {
+	b := New()
+	b.PutBundle("sec", nil)
+	b.PutInt("n", 1)
+	if got, want := b.SizeBytes(), len("sec")+16+len("n")+16+8; got != want {
+		t.Errorf("SizeBytes with a nil section = %d, want %d", got, want)
+	}
+	c := b.Clone()
+	if !c.Equal(b) || c.KindOf("sec") != KindBundle || c.GetBundle("sec") != nil {
+		t.Errorf("Clone = %s, want a nil section carried over", c)
+	}
+	m := New()
+	m.PutBundle("sec", New())
+	m.Merge(b)
+	if !m.Equal(b) || m.GetBundle("sec") != nil {
+		t.Errorf("Merge = %s, want the nil section carried over as nil", m)
+	}
+	if got := b.String(); got != "{n=1, sec={}}" {
+		t.Errorf("String = %s", got)
+	}
+
+	var nilB *Bundle
+	if nilB.SizeBytes() != 0 {
+		t.Error("nil SizeBytes != 0")
+	}
+	if nilB.Clone() != nil || !nilB.Clone().Equal(nilB) {
+		t.Error("nil Clone is not nil")
+	}
+	nilB.Remove("k") // must not panic
+}

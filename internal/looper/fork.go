@@ -29,12 +29,14 @@ func (l *Looper) Fork(sched *sim.Scheduler) (*Looper, error) {
 	case l.fault != nil:
 		return nil, fmt.Errorf("looper %s: fork with fault injector armed", l.name)
 	}
-	return &Looper{
+	f := &Looper{
 		name:      l.name,
 		sched:     sched,
 		seq:       l.seq,
 		busyUntil: l.busyUntil,
 		totalBusy: l.totalBusy,
 		processed: l.processed,
-	}, nil
+	}
+	f.bindPump() // the callback must dispatch the fork, not l
+	return f, nil
 }

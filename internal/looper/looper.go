@@ -89,6 +89,11 @@ type Looper struct {
 	current   *Message
 	fault     FaultInjector
 
+	// pumpName and pumpFn are the pump event's name and callback, built
+	// once per looper so re-arming the pump allocates neither.
+	pumpName string
+	pumpFn   func()
+
 	// onDispatch, if set, observes every completed dispatch with its
 	// total occupancy (cost plus charges plus stalls). The guard's
 	// ANR-style watchdog hangs off this seam.
@@ -106,7 +111,15 @@ type Looper struct {
 
 // New returns a looper named name driving its messages on sched.
 func New(sched *sim.Scheduler, name string) *Looper {
-	return &Looper{name: name, sched: sched}
+	l := &Looper{name: name, sched: sched}
+	l.bindPump()
+	return l
+}
+
+// bindPump builds the pump's event name and binds its callback to l.
+func (l *Looper) bindPump() {
+	l.pumpName = l.name + ":pump"
+	l.pumpFn = l.dispatch
 }
 
 // Name returns the looper's label.
@@ -243,7 +256,7 @@ func (l *Looper) schedulePump() {
 		}
 		l.sched.Cancel(l.pump)
 	}
-	l.pump = l.sched.At(at, l.name+":pump", l.dispatch)
+	l.pump = l.sched.At(at, l.pumpName, l.pumpFn)
 }
 
 // dispatch runs the first eligible message at the current instant and

@@ -302,3 +302,44 @@ func TestChargeIgnoredWhenQuitOrNonPositive(t *testing.T) {
 		t.Fatal("charge after quit recorded")
 	}
 }
+
+// Re-arming the pump allocates only the scheduler event: the event name
+// and the dispatch callback are built once per looper.
+func TestPumpRearmAllocatesOnlyTheEvent(t *testing.T) {
+	s, l := newTestLooper()
+	l.Post("m", time.Millisecond, func() {})
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Cancel(l.pump)
+		l.schedulePump()
+	})
+	if allocs != 1 {
+		t.Fatalf("pump re-arm made %.0f allocations, want 1 (the event)", allocs)
+	}
+}
+
+// A forked looper's pump keeps the event name and dispatches the fork's
+// own queue, never the looper it was forked from.
+func TestForkPumpDispatchesFork(t *testing.T) {
+	s, l := newTestLooper()
+	l.Post("warm", time.Millisecond, func() {})
+	s.Run()
+	fs, err := s.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := l.Fork(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &sim.RecordingTracer{}
+	fs.SetTracer(rec)
+	ran := false
+	f.Post("m", time.Millisecond, func() { ran = true })
+	fs.Run()
+	if !ran || f.Processed() != 2 || l.Processed() != 1 {
+		t.Fatalf("ran=%v fork processed=%d original processed=%d, want true/2/1", ran, f.Processed(), l.Processed())
+	}
+	if names := rec.Names(); len(names) != 1 || names[0] != "ui:pump" {
+		t.Fatalf("fork fired %v, want [ui:pump]", names)
+	}
+}

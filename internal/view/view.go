@@ -11,6 +11,7 @@ package view
 
 import (
 	"fmt"
+	"strconv"
 
 	"rchdroid/internal/bundle"
 )
@@ -75,6 +76,7 @@ type View interface {
 type BaseView struct {
 	id       ID
 	typeName string
+	key      string // saved-state section key, "view:<id>"; "" for NoID
 	parent   *ViewGroup
 	attach   *AttachInfo
 	self     View // the embedding widget, for callbacks and peers
@@ -93,6 +95,9 @@ func (b *BaseView) init(self View, typeName string, id ID) {
 	b.self = self
 	b.typeName = typeName
 	b.id = id
+	if id != NoID {
+		b.key = "view:" + strconv.Itoa(int(id))
+	}
 	b.visible = true
 }
 
@@ -184,21 +189,16 @@ func (b *BaseView) release() {
 	b.sunnyPeer = nil
 }
 
-// stateKey returns the bundle section key for this view's saved state.
-func (b *BaseView) stateKey() string {
-	return fmt.Sprintf("view:%d", b.id)
-}
-
 // saveSection allocates (or reuses) this view's nested bundle in out.
 // Views without an ID save nothing, matching Android.
 func (b *BaseView) saveSection(out *bundle.Bundle) *bundle.Bundle {
 	if b.id == NoID {
 		return nil
 	}
-	sec := out.GetBundle(b.stateKey())
+	sec := out.GetBundle(b.key)
 	if sec == nil {
 		sec = bundle.New()
-		out.PutBundle(b.stateKey(), sec)
+		out.PutBundle(b.key, sec)
 	}
 	return sec
 }
@@ -208,7 +208,7 @@ func (b *BaseView) restoreSection(in *bundle.Bundle) *bundle.Bundle {
 	if b.id == NoID || in == nil {
 		return nil
 	}
-	return in.GetBundle(b.stateKey())
+	return in.GetBundle(b.key)
 }
 
 // SaveState implements View for widgets with no extra state.

@@ -15,47 +15,52 @@
 #                      zero virtual-time drift with tracing enabled
 #   6. guard idle    — same anchor with the supervision guard armed but
 #                      idle: the watchdog must be tick-for-tick free
-#   7. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
+#   7. allocs gate   — bundle save/restore, a guard-transfer-shaped
+#                      save + two checksums, and one simulated runtime
+#                      change, each run 200x with -benchmem: allocs/op
+#                      (deterministic, unlike ns/op) must stay at or
+#                      under its ceiling in ALLOC_CEILINGS below
+#   8. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
 #                      the parallel sweep engine (GOMAXPROCS workers)
 #                      with the metrics registry armed: the canonical
 #                      dump lands in ./artifacts/ and the run enforces
 #                      the seeds/sec floor (RCH_SEEDS_FLOOR, default
 #                      250 — ~10× headroom under the measured ~2–3k)
-#   8. fork gate     — the same 512-seed oracle sweep through the device
+#   9. fork gate     — the same 512-seed oracle sweep through the device
 #                      fork path (-fork: every per-seed world forked from
 #                      one settled pre-chaos template): merged report AND
 #                      canonical metrics dump must be byte-identical to
-#                      stage 7's fresh-build run
-#   9. determinism   — 64-seed sequential cross-check: -workers=1 and
+#                      stage 8's fresh-build run
+#  10. determinism   — 64-seed sequential cross-check: -workers=1 and
 #                      -workers=N merged reports AND canonical metric
 #                      dumps must be byte-identical
-#  10. guarded sweep — 1024-seed guarded-chaos run on the engine: zero
+#  11. guarded sweep — 1024-seed guarded-chaos run on the engine: zero
 #                      invariant violations, no quarantine/breaker
 #                      decision without a preceding injected fault, and
 #                      every activity either RCHDroid-equivalent or
 #                      exactly stock-equivalent (never a hybrid)
-#  11. explore gate  — exhaustive depth-2 schedule-space exploration of
+#  12. explore gate  — exhaustive depth-2 schedule-space exploration of
 #                      the data-loss corpus (cmd/rchexplore), metrics on
-#  12. counterfactual — guard-off runs must reproduce the raw failures
+#  13. counterfactual — guard-off runs must reproduce the raw failures
 #                      the guard recovers, and guarded verdicts replay
 #                      bit-identically
-#  13. profile smoke — a 32-seed sweep under -profile-cpu/-profile-heap
+#  14. profile smoke — a 32-seed sweep under -profile-cpu/-profile-heap
 #                      must produce non-empty pprof artifacts
-#  14. fleet stage   — the real rchserve binary: boot a small fleet over
+#  15. fleet stage   — the real rchserve binary: boot a small fleet over
 #                      TCP, storm one device with the panic-on-relaunch
 #                      spec (every panic contained + respawned, counters
 #                      exact, shards all serving), provoke a deadline
 #                      shed, then SIGTERM → clean drain (exit 0) with a
 #                      non-empty metrics flush (scripts/fleetprobe is
 #                      the wire client)
-#  15. replay stage  — trace-driven load: rchreplay generates a seeded
+#  16. replay stage  — trace-driven load: rchreplay generates a seeded
 #                      diurnal workload log and replays it through the
 #                      real rchserve binary over TCP at 200×, then the
 #                      SLO report must carry the production surface
 #                      (p50/p95/p99 per op class, machine-readable shed
 #                      map + rate, breaker/guard counters) and the
 #                      replay's canonical metrics dump must be non-empty
-#  16. bench         — scripts/bench.sh -quick (CI-sized scaling curve +
+#  17. bench         — scripts/bench.sh -quick (CI-sized scaling curve +
 #                      determinism byte-compare of reports and metrics;
 #                      written to ./artifacts/ so the committed 512-seed
 #                      BENCH_sweep.json and BENCH_replay.json stay
@@ -90,6 +95,30 @@ go test ./internal/experiments -run TestTraceOverheadGuard -count=1
 
 echo "==> guard idle anchor"
 go test ./internal/experiments -run TestGuardIdleAnchor -count=1
+
+echo "==> allocs/op gate (bundle save/restore, transfer checksum, runtime change)"
+# Ceilings are the allocs/op measured when the sorted-slice bundle landed;
+# lower one when a change saves allocations, never raise one to pass.
+ALLOC_CEILINGS="BenchmarkBundleSaveRestore64Views=135
+BenchmarkBundleTransferChecksum64Views=135
+BenchmarkSimulatedRuntimeChange=123"
+mkdir -p artifacts
+go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|SimulatedRuntimeChange)$' \
+    -benchtime=200x -benchmem . > artifacts/bench.allocs.txt
+cat artifacts/bench.allocs.txt
+for pair in $ALLOC_CEILINGS; do
+    name=${pair%=*} ceiling=${pair#*=}
+    got=$(awk -v n="$name" '$1 == n || index($1, n "-") == 1 { for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/op") print $i }' artifacts/bench.allocs.txt)
+    if [ -z "$got" ]; then
+        echo "ci: $name reported no allocs/op" >&2
+        exit 1
+    fi
+    if [ "$got" -gt "$ceiling" ]; then
+        echo "ci: $name makes $got allocs/op, over its ceiling of $ceiling" >&2
+        exit 1
+    fi
+    echo "$name: $got allocs/op (ceiling $ceiling)"
+done
 
 echo "==> oracle sweep (512 seeds, parallel engine, metrics + seeds/sec floor)"
 go run ./cmd/rchsweep -mode=oracle -seeds=512 -trace-on-fail \
