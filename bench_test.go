@@ -14,6 +14,7 @@ import (
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/core"
 	"rchdroid/internal/experiments"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/view"
 )
 
@@ -298,6 +299,27 @@ func BenchmarkBundleTransferChecksum64Views(b *testing.B) {
 func BenchmarkSimulatedRuntimeChange(b *testing.B) {
 	// End-to-end: one full coin-flip handling per iteration.
 	rig := experiments.NewRig(benchapp.New(benchapp.Config{Images: 8, TaskDelay: time.Hour}), experiments.ModeRCHDroid)
+	rig.Rotate() // warm: create the shadow/sunny pair
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rig.Rotate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGuardedRuntimeChange(b *testing.B) {
+	// BenchmarkSimulatedRuntimeChange with the supervision guard armed
+	// at its defaults and tracing off: the arm/disarm/self-check
+	// bookkeeping on a healthy handling.
+	cfg := guard.DefaultConfig()
+	opts := core.DefaultOptions()
+	opts.Guard = &cfg
+	rig := experiments.BootRig(experiments.RigSpec{
+		App:  benchapp.New(benchapp.Config{Images: 8, TaskDelay: time.Hour}),
+		Mode: experiments.ModeRCHDroid,
+		Core: &opts,
+	})
 	rig.Rotate() // warm: create the shadow/sunny pair
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

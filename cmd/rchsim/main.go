@@ -319,7 +319,7 @@ func indent(s string) string {
 	return out
 }
 
-// reportGuard prints the supervision summary and the decision log (a
+// reportGuard prints the supervision summary and the escalation log (a
 // no-op when the guard was not armed).
 func reportGuard(g *guard.Guard) {
 	if !g.Enabled() {
@@ -327,18 +327,11 @@ func reportGuard(g *guard.Guard) {
 	}
 	fmt.Println()
 	fmt.Print(g.Report())
-	printed := false
-	for _, d := range g.Decisions() {
-		// The decision log also carries the per-phase arm/disarm and
-		// healthy self-check chatter; the report keeps the escalations.
-		switch d.Kind {
-		case "arm", "disarm", "selfCheck":
-			continue
-		}
-		if !printed {
-			fmt.Println("guard decisions:")
-			printed = true
-		}
+	ds := g.Decisions()
+	if len(ds) > 0 {
+		fmt.Println("guard decisions:")
+	}
+	for _, d := range ds {
 		fmt.Printf("  %s\n", d)
 	}
 }

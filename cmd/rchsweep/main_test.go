@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -216,10 +217,14 @@ func TestSignalInterruptsSweep(t *testing.T) {
 	go func() {
 		codeCh <- run([]string{"-mode=oracle", "-seeds=50000", "-progress=1ms", "-metrics-out=" + metrics}, &out, &errOut)
 	}()
+	// Interrupt only once a progress line reports a seed done: the 1 ms
+	// ticker can print "progress: 0/50000" before any seed finishes, and
+	// an interrupt then would leave nothing partial to check.
+	started := regexp.MustCompile(`progress: [1-9][0-9]*/`)
 	deadline := time.Now().Add(30 * time.Second)
-	for !strings.Contains(errOut.String(), "progress: ") {
+	for !started.MatchString(errOut.String()) {
 		if time.Now().After(deadline) {
-			t.Fatal("sweep never reported progress")
+			t.Fatal("sweep never reported a finished seed")
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -70,7 +70,7 @@ func TestInstallPolicyMismatchIsLoud(t *testing.T) {
 	if !found {
 		t.Fatalf("guard self-check does not surface the policy mismatch: %v", issues)
 	}
-	if rch.Guard.SelfCheckFailures() == 0 {
+	if rch.Guard.Count(guard.KindSelfCheckFail) == 0 {
 		t.Fatal("self-check failure counter did not move on policy mismatch")
 	}
 }

@@ -87,16 +87,11 @@ func TestGuardIdleAnchor(t *testing.T) {
 	if !g.Enabled() {
 		t.Fatal("guard not installed on the guarded rig")
 	}
-	if g.ANRs() != 0 || g.DispatchOverruns() != 0 {
-		t.Errorf("watchdog fired on a healthy run: %d ANRs, %d dispatch overruns",
-			g.ANRs(), g.DispatchOverruns())
-	}
-	if g.Quarantines() != 0 || g.BreakerOpens() != 0 || g.SelfCheckFailures() != 0 {
-		t.Errorf("guard degraded a healthy run: %d quarantines, %d breaker opens, %d self-check failures",
-			g.Quarantines(), g.BreakerOpens(), g.SelfCheckFailures())
-	}
-	if g.Retries() != 0 || g.TransferFailures() != 0 {
-		t.Errorf("transfer path retried without faults: %d retries, %d failures",
-			g.Retries(), g.TransferFailures())
+	// A healthy run makes chatter decisions only (arm, disarm, clean
+	// self-checks): no ANR, retry, stock route or degradation.
+	for k := guard.Kind(0); k < guard.NumKinds; k++ {
+		if k.Escalation() && g.Count(k) != 0 {
+			t.Errorf("guard escalated a healthy run: %d %s decisions", g.Count(k), k)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/config"
 	"rchdroid/internal/device"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
 	"rchdroid/internal/sim"
@@ -56,7 +57,7 @@ type RunResult struct {
 	HandlingViolation string
 	Injections        int
 	FirstInjectionAt  sim.Time
-	Guard             oracle.GuardSummary
+	Guard             guard.Summary
 }
 
 // invariantsFor builds the sampling config from the scenario's declared
@@ -405,20 +406,7 @@ steps:
 		res.FirstInjectionAt = inj[0].At
 	}
 	if inst.Guard != nil {
-		if g := inst.Guard(); g.Enabled() {
-			res.Guard = oracle.GuardSummary{
-				Enabled:           true,
-				ANRs:              g.ANRs(),
-				Retries:           g.Retries(),
-				TransferFailures:  g.TransferFailures(),
-				Quarantines:       g.Quarantines(),
-				Recoveries:        g.Recoveries(),
-				BreakerOpens:      g.BreakerOpens(),
-				SelfCheckFailures: g.SelfCheckFailures(),
-				FirstQuarantineAt: g.FirstQuarantineAt(),
-				Modes:             g.Modes(),
-			}
-		}
+		res.Guard = inst.Guard().Summary()
 	}
 	return res
 }

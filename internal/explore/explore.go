@@ -101,22 +101,7 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 	if r.HandlingViolation != "" && !(r.Guard.Enabled && r.Guard.ANRs > 0) {
 		fail("%s: %s", r.Name, r.HandlingViolation)
 	}
-	if r.Guard.Enabled {
-		if quarantined {
-			if r.Injections == 0 {
-				fail("%s: quarantined with no injected fault", r.Name)
-			} else if r.Guard.FirstQuarantineAt < r.FirstInjectionAt {
-				fail("%s: first quarantine at %v precedes first injection at %v",
-					r.Name, r.Guard.FirstQuarantineAt, r.FirstInjectionAt)
-			}
-		}
-		if r.Guard.BreakerOpens > 0 && r.Injections == 0 {
-			fail("%s: breaker opened with no injected fault", r.Name)
-		}
-		if r.Guard.SelfCheckFailures > 0 && r.Injections == 0 {
-			fail("%s: self-check failed with no injected fault", r.Name)
-		}
-	}
+	v.Failures = append(v.Failures, oracle.Unattributed(r.Name, r.Guard, r.Injections, r.FirstInjectionAt)...)
 
 	s := &v.Stock
 	if s.Crashed && !sc.StockMayCrash {
@@ -365,10 +350,7 @@ func foldVerdict(sh *obs.Shard, v *Verdict) {
 			sh.Counter(lossMetricNames[b], "stock losses classified into the "+oracle.LossBucket(b).String()+" bucket", obs.Sim).Add(int64(n))
 		}
 	}
-	h := sh.Histogram("core_handling_sim_ns", "end-to-end change-handling sim-clock latency (change at ATMS to resume)", obs.Sim, obs.SimDurationBounds)
-	for _, d := range v.RCH.HandlingTimes {
-		h.ObserveDuration(d)
-	}
+	sweep.ObserveHandlings(sh, v.RCH.HandlingTimes)
 }
 
 // Frontier is the resumable exploration checkpoint: how far into the

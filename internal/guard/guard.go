@@ -23,9 +23,11 @@
 //     activities quarantine at once.
 //
 // Every decision — arm, fire, retry, quarantine, recover, breaker-open
-// — is a traced instant with its inputs, and is summarised in the
-// rchsim report. A nil *Guard is valid and inert, so the instrumented
-// seams cost one branch when supervision is off.
+// — has a Kind, and one writer records it: a per-run count, the kind's
+// guard_<kind>_total counter, a traced instant with its inputs while
+// tracing is on, and, for escalations only, an entry in the decision
+// log the rchsim report prints. A nil *Guard is valid and inert, so
+// the instrumented seams cost one branch when supervision is off.
 package guard
 
 import (
@@ -111,10 +113,64 @@ func (m Mode) String() string {
 	return "active"
 }
 
-// Decision is one supervision event, kept (bounded) for the report.
+// Kind is one type of supervision decision.
+type Kind uint8
+
+// The decision kinds. Arm, disarm and a clean self-check are per-phase
+// chatter; every other kind is an escalation.
+const (
+	KindArm Kind = iota
+	KindDisarm
+	KindSelfCheck
+	KindStockRoute
+	KindANR
+	KindRetry
+	KindTransferFail
+	KindQuarantine
+	KindBreakerOpen
+	KindProbation
+	KindRecover
+	KindSelfCheckFail
+	NumKinds
+)
+
+// kinds is the one table every record of a decision reads. name is the
+// trace suffix (guard:<name>), the decision log's kind column and the
+// counter's help text; metric is the canonical counter; escalation
+// marks the kinds the decision log keeps.
+var kinds = [NumKinds]struct {
+	name       string
+	metric     string
+	escalation bool
+}{
+	KindArm:           {"arm", "guard_arm_total", false},
+	KindDisarm:        {"disarm", "guard_disarm_total", false},
+	KindSelfCheck:     {"selfCheck", "guard_self_check_total", false},
+	KindStockRoute:    {"stockRoute", "guard_stock_route_total", true},
+	KindANR:           {"anr", "guard_anr_total", true},
+	KindRetry:         {"retry", "guard_retry_total", true},
+	KindTransferFail:  {"transferFail", "guard_transfer_fail_total", true},
+	KindQuarantine:    {"quarantine", "guard_quarantine_total", true},
+	KindBreakerOpen:   {"breakerOpen", "guard_breaker_open_total", true},
+	KindProbation:     {"probation", "guard_probation_total", true},
+	KindRecover:       {"recover", "guard_recover_total", true},
+	KindSelfCheckFail: {"selfCheckFail", "guard_self_check_fail_total", true},
+}
+
+// String names the kind ("transferFail").
+func (k Kind) String() string { return kinds[k].name }
+
+// Metric returns the kind's canonical counter name
+// ("guard_transfer_fail_total").
+func (k Kind) Metric() string { return kinds[k].metric }
+
+// Escalation reports whether the decision log keeps the kind.
+func (k Kind) Escalation() bool { return kinds[k].escalation }
+
+// Decision is one escalation, kept (bounded) for the report.
 type Decision struct {
 	At     sim.Time
-	Kind   string // anr | retry | transferFail | quarantine | recover | breakerOpen | selfCheckFail
+	Kind   Kind
 	Class  string
 	Detail string
 }
@@ -125,8 +181,8 @@ func (d Decision) String() string {
 		float64(time.Duration(d.At))/float64(time.Millisecond), d.Kind, d.Class, d.Detail)
 }
 
-// maxDecisions bounds the decision log; past the cap, counters still
-// advance but records are discarded.
+// maxDecisions bounds the decision log; past the cap, counts still
+// advance but escalations are no longer recorded.
 const maxDecisions = 1024
 
 // ladder is the per-class supervision state.
@@ -158,8 +214,6 @@ type Guard struct {
 	classes map[string]*ladder
 	watch   map[string]map[string]*armed // class → phase → deadline
 
-	breakerOpen bool
-
 	// release, set by core.Install, releases the class's shadow
 	// machinery (shadow instance, pending snapshot) on quarantine. It
 	// returns false when a handling is still in flight and the release
@@ -169,25 +223,21 @@ type Guard struct {
 	// that need core-side state (essence-map coverage, dirty shadows).
 	aux func() []string
 
-	anrs              int
-	dispatchOverruns  int
-	retries           int
-	transferFailures  int
-	quarantines       int
-	recoveries        int
-	breakerOpens      int
-	selfChecks        int
-	selfCheckFailures int
-	firstQuarantine   sim.Time
+	// counts holds the run's decisions by kind; emit is its only
+	// writer. Dispatch overruns are a subset of KindANR, counted apart.
+	counts           [NumKinds]int
+	dispatchOverruns int
+	firstQuarantine  sim.Time
 
+	// decisions logs escalations, bounded by maxDecisions.
 	decisions []Decision
-	truncated int
 
-	// obsShard, when set, mirrors every decision kind into an aggregate
-	// metrics counter (guard_<kind>_total). Decisions derive from the
-	// seed alone, so the counters live in the canonical sim domain.
-	obsShard *obs.Shard
-	obsKinds map[string]*obs.Counter
+	// obsShard, when set, mirrors every decision into its kind's
+	// aggregate counter, created on the kind's first decision.
+	// Decisions derive from the seed alone, so the counters live in the
+	// canonical sim domain.
+	obsShard    *obs.Shard
+	obsCounters [NumKinds]*obs.Counter
 }
 
 // New returns a guard supervising proc against sys. Either tracer may
@@ -224,58 +274,38 @@ func (g *Guard) entry(class string) *ladder {
 // nil shard leaves observation off; call before the run starts so the
 // counter set cannot depend on when observation was enabled.
 func (g *Guard) SetObs(sh *obs.Shard) {
-	if g == nil || sh == nil {
+	if g == nil {
 		return
 	}
-	g.obsShard = sh
-	g.obsKinds = make(map[string]*obs.Counter)
+	g.obsShard, g.obsCounters = sh, [NumKinds]*obs.Counter{}
 }
 
-// kindMetricName turns a camelCase decision kind into its counter name
-// ("transferFail" → "guard_transfer_fail_total").
-func kindMetricName(kind string) string {
-	var sb strings.Builder
-	sb.WriteString("guard_")
-	for _, r := range kind {
-		if r >= 'A' && r <= 'Z' {
-			sb.WriteByte('_')
-			sb.WriteByte(byte(r - 'A' + 'a'))
-			continue
+// emit records one decision and is the only place a decision is
+// counted: it bumps the run's count and the kind's obs counter, writes
+// a guard:<kind> instant on the app's UI track while tracing is on, and
+// logs escalations. args is called only while tracing is on and detail
+// is kept only for escalations, so on an untraced run the chatter kinds
+// format no string and box no trace.Arg.
+func (g *Guard) emit(k Kind, class, detail string, args func() []trace.Arg) {
+	g.counts[k]++
+	if g.obsShard != nil {
+		c := g.obsCounters[k]
+		if c == nil {
+			c = g.obsShard.Counter(k.Metric(), "guard decisions of kind "+k.String(), obs.Sim)
+			g.obsCounters[k] = c
 		}
-		sb.WriteRune(r)
+		c.Inc()
 	}
-	sb.WriteString("_total")
-	return sb.String()
-}
-
-// observeKind bumps the decision kind's counter; past the decision-log
-// cap the counters keep advancing, like the int counters do.
-func (g *Guard) observeKind(kind string) {
-	if g.obsShard == nil {
-		return
-	}
-	c := g.obsKinds[kind]
-	if c == nil {
-		c = g.obsShard.Counter(kindMetricName(kind), "guard decisions of kind "+kind, obs.Sim)
-		g.obsKinds[kind] = c
-	}
-	c.Inc()
-}
-
-// emit mirrors a decision onto the trace timeline (as a guard-category
-// instant on the app's UI track), into the aggregate metrics shard and
-// into the bounded decision log.
-func (g *Guard) emit(kind, class, detail string, args ...trace.Arg) {
-	g.observeKind(kind)
 	if tr, track := g.proc.Thread().Trace(); tr.Enabled() {
-		args = append(args, trace.Arg{Key: "class", Val: class})
-		tr.Instant(track, "guard:"+kind, "guard", args...)
+		var as []trace.Arg
+		if args != nil {
+			as = args()
+		}
+		tr.Instant(track, "guard:"+k.String(), "guard", append(as, trace.Arg{Key: "class", Val: class})...)
 	}
-	if len(g.decisions) >= maxDecisions {
-		g.truncated++
-		return
+	if k.Escalation() && len(g.decisions) < maxDecisions {
+		g.decisions = append(g.decisions, Decision{At: g.sched.Now(), Kind: k, Class: class, Detail: detail})
 	}
-	g.decisions = append(g.decisions, Decision{At: g.sched.Now(), Kind: kind, Class: class, Detail: detail})
 }
 
 // deadlineFor maps a phase name to its configured deadline.
@@ -296,7 +326,7 @@ func (g *Guard) Allow(class string) bool {
 	if g == nil {
 		return true
 	}
-	if g.breakerOpen {
+	if g.breakerOpen() {
 		return false
 	}
 	return g.entry(class).mode == ModeActive
@@ -311,8 +341,9 @@ func (g *Guard) NoteStockRoute(class string) {
 	}
 	e := g.entry(class)
 	e.pendingStock = true
-	g.emit("stockRoute", class, "routing change via stock restart",
-		trace.Arg{Key: "cause", Val: e.cause})
+	g.emit(KindStockRoute, class, "routing change via stock restart", func() []trace.Arg {
+		return []trace.Arg{{Key: "cause", Val: e.cause}}
+	})
 }
 
 // ArmPhase arms (or re-arms) the watchdog for a named phase of the
@@ -344,9 +375,9 @@ func (g *Guard) ArmPhase(class, phase string) {
 		g.fire(class, phase)
 	})
 	pm[phase] = a
-	g.emit("arm", class, fmt.Sprintf("%s deadline %v", phase, d),
-		trace.Arg{Key: "phase", Val: phase},
-		trace.Arg{Key: "deadline", Val: d})
+	g.emit(KindArm, class, "", func() []trace.Arg {
+		return []trace.Arg{{Key: "phase", Val: phase}, {Key: "deadline", Val: d}}
+	})
 }
 
 // DisarmPhase cancels the phase watchdog, recording the margin left
@@ -363,9 +394,9 @@ func (g *Guard) DisarmPhase(class, phase string) {
 	delete(pm, phase)
 	g.sched.Cancel(a.ev)
 	margin := a.deadline.Sub(g.sched.Now())
-	g.emit("disarm", class, fmt.Sprintf("%s margin %v", phase, margin),
-		trace.Arg{Key: "phase", Val: phase},
-		trace.Arg{Key: "margin", Val: margin})
+	g.emit(KindDisarm, class, "", func() []trace.Arg {
+		return []trace.Arg{{Key: "phase", Val: phase}, {Key: "margin", Val: margin}}
+	})
 }
 
 // fire is the watchdog expiry: the phase missed its deadline, which is
@@ -379,10 +410,10 @@ func (g *Guard) fire(class, phase string) {
 	if g.proc.Crashed() {
 		return
 	}
-	g.anrs++
-	g.emit("anr", class, fmt.Sprintf("%s missed %v deadline", phase, g.deadlineFor(phase)),
-		trace.Arg{Key: "phase", Val: phase},
-		trace.Arg{Key: "deadline", Val: g.deadlineFor(phase)})
+	d := g.deadlineFor(phase)
+	g.emit(KindANR, class, fmt.Sprintf("%s missed %v deadline", phase, d), func() []trace.Arg {
+		return []trace.Arg{{Key: "phase", Val: phase}, {Key: "deadline", Val: d}}
+	})
 	g.Quarantine(class, "anr:"+phase)
 }
 
@@ -412,11 +443,13 @@ func (g *Guard) OnDispatch(name string, start sim.Time, occupancy time.Duration)
 	}
 	g.dispatchOverruns++
 	class := g.firstArmedClass()
-	g.anrs++
-	g.emit("anr", class, fmt.Sprintf("dispatch %s occupied %v (limit %v)", name, occupancy, g.cfg.DispatchDeadline),
-		trace.Arg{Key: "phase", Val: "dispatch:" + name},
-		trace.Arg{Key: "occupancy", Val: occupancy},
-		trace.Arg{Key: "deadline", Val: g.cfg.DispatchDeadline})
+	g.emit(KindANR, class, fmt.Sprintf("dispatch %s occupied %v (limit %v)", name, occupancy, g.cfg.DispatchDeadline), func() []trace.Arg {
+		return []trace.Arg{
+			{Key: "phase", Val: "dispatch:" + name},
+			{Key: "occupancy", Val: occupancy},
+			{Key: "deadline", Val: g.cfg.DispatchDeadline},
+		}
+	})
 	if class != "" {
 		g.Quarantine(class, "anr:dispatch:"+name)
 	}
@@ -479,15 +512,14 @@ func (g *Guard) Transfer(class string, save func() *bundle.Bundle, fault func(at
 		}
 		wait := g.cfg.RetryBackoff << uint(i)
 		backoff += wait
-		g.retries++
-		g.emit("retry", class, fmt.Sprintf("transfer %s, attempt %d, backoff %v", cause, i+1, wait),
-			trace.Arg{Key: "attempt", Val: i + 1},
-			trace.Arg{Key: "cause", Val: cause},
-			trace.Arg{Key: "backoff", Val: wait})
+		attempt := i + 1
+		g.emit(KindRetry, class, fmt.Sprintf("transfer %s, attempt %d, backoff %v", cause, attempt, wait), func() []trace.Arg {
+			return []trace.Arg{{Key: "attempt", Val: attempt}, {Key: "cause", Val: cause}, {Key: "backoff", Val: wait}}
+		})
 	}
-	g.transferFailures++
-	g.emit("transferFail", class, fmt.Sprintf("all %d attempts failed", attempts),
-		trace.Arg{Key: "attempts", Val: attempts})
+	g.emit(KindTransferFail, class, fmt.Sprintf("all %d attempts failed", attempts), func() []trace.Arg {
+		return []trace.Arg{{Key: "attempts", Val: attempts}}
+	})
 	return nil, backoff, false
 }
 
@@ -521,25 +553,26 @@ func (g *Guard) Quarantine(class, cause string) {
 	e.pendingStock = false
 	e.quarantinedAt = g.sched.Now()
 	e.quarantines++
-	g.quarantines++
 	if g.firstQuarantine == 0 {
 		g.firstQuarantine = g.sched.Now()
 	}
-	g.emit("quarantine", class, cause,
-		trace.Arg{Key: "cause", Val: cause},
-		trace.Arg{Key: "inFlight", Val: inFlight})
+	g.emit(KindQuarantine, class, cause, func() []trace.Arg {
+		return []trace.Arg{{Key: "cause", Val: cause}, {Key: "inFlight", Val: inFlight}}
+	})
 	if g.release != nil {
 		e.releasePending = true
 	}
-	if !g.breakerOpen && g.quarantinedCount() >= g.cfg.BreakerThreshold {
-		g.breakerOpen = true
-		g.breakerOpens++
-		g.emit("breakerOpen", class,
-			fmt.Sprintf("%d classes quarantined (threshold %d)", g.quarantinedCount(), g.cfg.BreakerThreshold),
-			trace.Arg{Key: "quarantined", Val: g.quarantinedCount()},
-			trace.Arg{Key: "threshold", Val: g.cfg.BreakerThreshold})
+	if !g.breakerOpen() && g.quarantinedCount() >= g.cfg.BreakerThreshold {
+		n := g.quarantinedCount()
+		g.emit(KindBreakerOpen, class, fmt.Sprintf("%d classes quarantined (threshold %d)", n, g.cfg.BreakerThreshold), func() []trace.Arg {
+			return []trace.Arg{{Key: "quarantined", Val: n}, {Key: "threshold", Val: g.cfg.BreakerThreshold}}
+		})
 	}
 }
+
+// breakerOpen reports whether the circuit breaker has opened; it is
+// final for the run, so one breakerOpen decision keeps it open.
+func (g *Guard) breakerOpen() bool { return g.counts[KindBreakerOpen] > 0 }
 
 // quarantinedCount counts currently quarantined classes.
 func (g *Guard) quarantinedCount() int {
@@ -585,16 +618,15 @@ func (g *Guard) OnResumed(token int) {
 	if e.mode == ModeQuarantined && e.pendingStock {
 		e.pendingStock = false
 		e.cleanStock++
-		g.emit("probation", class, fmt.Sprintf("clean stock change %d/%d", e.cleanStock, g.cfg.ProbationK),
-			trace.Arg{Key: "clean", Val: e.cleanStock},
-			trace.Arg{Key: "needed", Val: g.cfg.ProbationK})
-		if !g.breakerOpen && g.cfg.ProbationK > 0 && e.cleanStock >= g.cfg.ProbationK {
+		g.emit(KindProbation, class, fmt.Sprintf("clean stock change %d/%d", e.cleanStock, g.cfg.ProbationK), func() []trace.Arg {
+			return []trace.Arg{{Key: "clean", Val: e.cleanStock}, {Key: "needed", Val: g.cfg.ProbationK}}
+		})
+		if !g.breakerOpen() && g.cfg.ProbationK > 0 && e.cleanStock >= g.cfg.ProbationK {
 			e.mode = ModeActive
 			e.cause = ""
 			e.cleanStock = 0
 			e.recoveries++
-			g.recoveries++
-			g.emit("recover", class, "probation passed, RCHDroid re-enabled")
+			g.emit(KindRecover, class, "probation passed, RCHDroid re-enabled", nil)
 		}
 	}
 }
@@ -607,7 +639,6 @@ func (g *Guard) SelfCheck(class string) []string {
 	if g == nil || g.proc.Crashed() {
 		return nil
 	}
-	g.selfChecks++
 	th := g.proc.Thread()
 	var issues []string
 
@@ -666,12 +697,12 @@ func (g *Guard) SelfCheck(class string) []string {
 	}
 
 	if len(issues) > 0 {
-		g.selfCheckFailures++
-		g.emit("selfCheckFail", class, strings.Join(issues, "; "),
-			trace.Arg{Key: "issues", Val: len(issues)})
+		g.emit(KindSelfCheckFail, class, strings.Join(issues, "; "), func() []trace.Arg {
+			return []trace.Arg{{Key: "issues", Val: len(issues)}}
+		})
 		g.Quarantine(class, "selfcheck:"+issues[0])
 	} else {
-		g.emit("selfCheck", class, "ok")
+		g.emit(KindSelfCheck, class, "", nil)
 	}
 	return issues
 }
@@ -693,99 +724,54 @@ func (g *Guard) SetAuxCheck(fn func() []string) {
 	g.aux = fn
 }
 
-// ANRs returns how many watchdog deadlines fired.
-func (g *Guard) ANRs() int {
+// Count returns how many decisions of kind k the run made — 0 for nil.
+func (g *Guard) Count(k Kind) int {
 	if g == nil {
 		return 0
 	}
-	return g.anrs
+	return g.counts[k]
 }
 
-// DispatchOverruns returns how many dispatches exceeded their deadline.
-func (g *Guard) DispatchOverruns() int {
-	if g == nil {
-		return 0
-	}
-	return g.dispatchOverruns
+// Summary is one run's supervision outcome as a verdict carries it:
+// plain data, safe for %+v-based byte-identity comparisons. The zero
+// value means "guard disabled".
+type Summary struct {
+	Enabled           bool
+	ANRs              int
+	Retries           int
+	TransferFailures  int
+	Quarantines       int
+	Recoveries        int
+	BreakerOpens      int
+	SelfCheckFailures int
+	// FirstQuarantineAt is the virtual time of the first quarantine, or
+	// 0 — the oracle correlates it against the first injected fault.
+	FirstQuarantineAt sim.Time
+	// Modes maps each supervised class to its final ladder mode.
+	Modes map[string]string
 }
 
-// Retries returns how many saved-state transfer attempts were retried.
-func (g *Guard) Retries() int {
+// Summary reads the run's outcome; a nil guard returns the zero value.
+func (g *Guard) Summary() Summary {
 	if g == nil {
-		return 0
+		return Summary{}
 	}
-	return g.retries
-}
-
-// TransferFailures returns how many transfers failed every attempt.
-func (g *Guard) TransferFailures() int {
-	if g == nil {
-		return 0
-	}
-	return g.transferFailures
-}
-
-// Quarantines returns how many quarantine transitions happened.
-func (g *Guard) Quarantines() int {
-	if g == nil {
-		return 0
-	}
-	return g.quarantines
-}
-
-// Recoveries returns how many probation recoveries happened.
-func (g *Guard) Recoveries() int {
-	if g == nil {
-		return 0
-	}
-	return g.recoveries
-}
-
-// BreakerOpens returns how many times the circuit breaker opened (0 or
-// 1 per run — the breaker is final).
-func (g *Guard) BreakerOpens() int {
-	if g == nil {
-		return 0
-	}
-	return g.breakerOpens
-}
-
-// BreakerOpen reports whether the circuit breaker is open.
-func (g *Guard) BreakerOpen() bool {
-	if g == nil {
-		return false
-	}
-	return g.breakerOpen
-}
-
-// SelfCheckFailures returns how many self-check passes found issues.
-func (g *Guard) SelfCheckFailures() int {
-	if g == nil {
-		return 0
-	}
-	return g.selfCheckFailures
-}
-
-// FirstQuarantineAt returns the virtual time of the first quarantine,
-// or 0 — the oracle correlates it against the first injected fault.
-func (g *Guard) FirstQuarantineAt() sim.Time {
-	if g == nil {
-		return 0
-	}
-	return g.firstQuarantine
-}
-
-// Modes returns the final ladder mode per class — plain data, safe for
-// %+v-based byte-identity comparisons.
-func (g *Guard) Modes() map[string]string {
-	if g == nil {
-		return nil
-	}
-	out := make(map[string]string, len(g.classes))
+	modes := make(map[string]string, len(g.classes))
 	for c, e := range g.classes {
-		out[c] = e.mode.String()
+		modes[c] = e.mode.String()
 	}
-	return out
+	return Summary{
+		Enabled:           true,
+		ANRs:              g.counts[KindANR],
+		Retries:           g.counts[KindRetry],
+		TransferFailures:  g.counts[KindTransferFail],
+		Quarantines:       g.counts[KindQuarantine],
+		Recoveries:        g.counts[KindRecover],
+		BreakerOpens:      g.counts[KindBreakerOpen],
+		SelfCheckFailures: g.counts[KindSelfCheckFail],
+		FirstQuarantineAt: g.firstQuarantine,
+		Modes:             modes,
+	}
 }
 
 // Decisions returns the recorded supervision events (bounded).
@@ -805,10 +791,12 @@ func (g *Guard) Report() string {
 		return "guard: disabled\n"
 	}
 	var b strings.Builder
+	n := &g.counts
 	fmt.Fprintf(&b, "guard: %d ANRs (%d dispatch overruns), %d transfer retries, %d transfer failures\n",
-		g.anrs, g.dispatchOverruns, g.retries, g.transferFailures)
+		n[KindANR], g.dispatchOverruns, n[KindRetry], n[KindTransferFail])
 	fmt.Fprintf(&b, "guard: %d quarantines, %d recoveries, %d self-check failures (%d checks), breaker %s\n",
-		g.quarantines, g.recoveries, g.selfCheckFailures, g.selfChecks, map[bool]string{true: "OPEN", false: "closed"}[g.breakerOpen])
+		n[KindQuarantine], n[KindRecover], n[KindSelfCheckFail], n[KindSelfCheck]+n[KindSelfCheckFail],
+		map[bool]string{true: "OPEN", false: "closed"}[g.breakerOpen()])
 	names := make([]string, 0, len(g.classes))
 	for c := range g.classes {
 		names = append(names, c)

@@ -1,6 +1,7 @@
 package guard_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -63,14 +64,14 @@ func TestLadderQuarantineAndRecovery(t *testing.T) {
 	if g.Allow(r.class) {
 		t.Fatal("quarantined class still allowed")
 	}
-	if g.Quarantines() != 1 {
-		t.Fatalf("Quarantines = %d, want 1", g.Quarantines())
+	if g.Count(guard.KindQuarantine) != 1 {
+		t.Fatalf("Quarantines = %d, want 1", g.Count(guard.KindQuarantine))
 	}
 	g.Quarantine(r.class, "test:again")
-	if g.Quarantines() != 1 {
-		t.Fatalf("quarantine not idempotent: %d", g.Quarantines())
+	if g.Count(guard.KindQuarantine) != 1 {
+		t.Fatalf("quarantine not idempotent: %d", g.Count(guard.KindQuarantine))
 	}
-	if got := g.Modes()[r.class]; got != "quarantined" {
+	if got := g.Summary().Modes[r.class]; got != "quarantined" {
 		t.Fatalf("mode = %q, want quarantined", got)
 	}
 
@@ -83,8 +84,8 @@ func TestLadderQuarantineAndRecovery(t *testing.T) {
 	if !g.Allow(r.class) {
 		t.Fatal("not recovered after ProbationK clean changes")
 	}
-	if g.Recoveries() != 1 {
-		t.Fatalf("Recoveries = %d, want 1", g.Recoveries())
+	if g.Count(guard.KindRecover) != 1 {
+		t.Fatalf("Recoveries = %d, want 1", g.Count(guard.KindRecover))
 	}
 
 	// A resume without a stock route in flight must not advance probation.
@@ -104,8 +105,8 @@ func TestBreakerIsFinal(t *testing.T) {
 	g := r.g
 
 	g.Quarantine(r.class, "test:breaker")
-	if !g.BreakerOpen() || g.BreakerOpens() != 1 {
-		t.Fatalf("breaker not open at threshold: open=%v opens=%d", g.BreakerOpen(), g.BreakerOpens())
+	if g.Count(guard.KindBreakerOpen) != 1 {
+		t.Fatalf("breaker not open at threshold: opens=%d", g.Count(guard.KindBreakerOpen))
 	}
 	if g.Allow(r.class) || g.Allow("SomeOtherActivity") {
 		t.Fatal("open breaker still allows RCHDroid handling")
@@ -114,9 +115,9 @@ func TestBreakerIsFinal(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.stockCycle()
 	}
-	if g.Recoveries() != 0 || g.Allow(r.class) {
+	if g.Count(guard.KindRecover) != 0 || g.Allow(r.class) {
 		t.Fatalf("breaker-open class recovered: recoveries=%d allow=%v",
-			g.Recoveries(), g.Allow(r.class))
+			g.Count(guard.KindRecover), g.Allow(r.class))
 	}
 }
 
@@ -129,24 +130,24 @@ func TestWatchdogFiresOnDeadline(t *testing.T) {
 	g.ArmPhase(r.class, "runtimeChange")
 	g.DisarmPhase(r.class, "runtimeChange")
 	r.sched.Advance(2 * cfg.PhaseDeadline)
-	if g.ANRs() != 0 {
-		t.Fatalf("disarmed watchdog fired: %d ANRs", g.ANRs())
+	if g.Count(guard.KindANR) != 0 {
+		t.Fatalf("disarmed watchdog fired: %d ANRs", g.Count(guard.KindANR))
 	}
 
 	// An armed phase that never completes is an ANR and a quarantine.
 	g.ArmPhase(r.class, "runtimeChange")
 	r.sched.Advance(cfg.PhaseDeadline / 2)
-	if g.ANRs() != 0 {
+	if g.Count(guard.KindANR) != 0 {
 		t.Fatal("watchdog fired before its deadline")
 	}
 	r.sched.Advance(cfg.PhaseDeadline)
-	if g.ANRs() != 1 {
-		t.Fatalf("ANRs = %d, want 1", g.ANRs())
+	if g.Count(guard.KindANR) != 1 {
+		t.Fatalf("ANRs = %d, want 1", g.Count(guard.KindANR))
 	}
 	if g.Allow(r.class) {
 		t.Fatal("ANR did not quarantine the class")
 	}
-	if g.FirstQuarantineAt() == 0 {
+	if g.Summary().FirstQuarantineAt == 0 {
 		t.Fatal("FirstQuarantineAt not recorded")
 	}
 }
@@ -158,15 +159,18 @@ func TestDispatchOverrunAttribution(t *testing.T) {
 
 	// An overrun with no armed phase is counted but not attributed.
 	g.OnDispatch("someMessage", r.sched.Now(), cfg.DispatchDeadline+time.Millisecond)
-	if g.DispatchOverruns() != 1 || g.Quarantines() != 0 {
-		t.Fatalf("unattributed overrun: overruns=%d quarantines=%d",
-			g.DispatchOverruns(), g.Quarantines())
+	if g.Count(guard.KindANR) != 1 || g.Count(guard.KindQuarantine) != 0 {
+		t.Fatalf("unattributed overrun: ANRs=%d quarantines=%d",
+			g.Count(guard.KindANR), g.Count(guard.KindQuarantine))
+	}
+	if rep := g.Report(); !strings.Contains(rep, "(1 dispatch overruns)") {
+		t.Fatalf("report does not count the overrun:\n%s", rep)
 	}
 	// With a handling in flight the overrun quarantines its class.
 	g.ArmPhase(r.class, "runtimeChange")
 	g.OnDispatch("rch:enterShadow", r.sched.Now(), cfg.DispatchDeadline+time.Millisecond)
-	if g.Quarantines() != 1 || g.Allow(r.class) {
-		t.Fatalf("attributed overrun did not quarantine: quarantines=%d", g.Quarantines())
+	if g.Count(guard.KindQuarantine) != 1 || g.Allow(r.class) {
+		t.Fatalf("attributed overrun did not quarantine: quarantines=%d", g.Count(guard.KindQuarantine))
 	}
 }
 
@@ -206,8 +210,8 @@ func TestTransferRetriesAndBackoff(t *testing.T) {
 	if want := 5*time.Millisecond + 10*time.Millisecond; backoff != want {
 		t.Fatalf("backoff = %v, want %v", backoff, want)
 	}
-	if g.Retries() != 2 {
-		t.Fatalf("Retries = %d, want 2", g.Retries())
+	if g.Count(guard.KindRetry) != 2 {
+		t.Fatalf("Retries = %d, want 2", g.Count(guard.KindRetry))
 	}
 
 	// Every attempt failing reports degradation to the caller.
@@ -217,8 +221,8 @@ func TestTransferRetriesAndBackoff(t *testing.T) {
 	if ok || snap != nil {
 		t.Fatalf("all-fail transfer returned ok=%v snap=%v", ok, snap)
 	}
-	if g.TransferFailures() != 1 {
-		t.Fatalf("TransferFailures = %d, want 1", g.TransferFailures())
+	if g.Count(guard.KindTransferFail) != 1 {
+		t.Fatalf("TransferFailures = %d, want 1", g.Count(guard.KindTransferFail))
 	}
 }
 
@@ -255,8 +259,13 @@ func TestNilGuardNoOps(t *testing.T) {
 	if !ok || snap == nil || snap.Len() != 0 {
 		t.Fatalf("nil guard dropped transfer: ok=%v snap=%v", ok, snap)
 	}
-	if g.ANRs()+g.Retries()+g.Quarantines()+g.Recoveries()+g.BreakerOpens() != 0 {
-		t.Fatal("nil guard counters non-zero")
+	for k := guard.Kind(0); k < guard.NumKinds; k++ {
+		if g.Count(k) != 0 {
+			t.Fatalf("nil guard counts %d %s decisions", g.Count(k), k)
+		}
+	}
+	if s := g.Summary(); s.Enabled || s.Modes != nil {
+		t.Fatalf("nil guard summary: %+v", s)
 	}
 	if g.Report() != "guard: disabled\n" {
 		t.Fatalf("nil guard report: %q", g.Report())

@@ -49,14 +49,9 @@ type TraceStats struct {
 	Crashes     int
 	LogcatLines int
 
-	// Supervision (guard) counters read off guard-category instants.
-	GuardANRs           int
-	GuardRetries        int
-	GuardQuarantines    int
-	GuardRecoveries     int
-	GuardBreakerOpens   int
-	GuardStockRoutes    int
-	GuardSelfCheckFails int
+	// Guard counts the supervision decisions read off guard-category
+	// instants, keyed by decision kind (the suffix of "guard:<kind>").
+	Guard map[string]int
 
 	// GuardMargins collects, per watchdog phase, how much headroom each
 	// disarmed deadline had left — the margin histograms that show how
@@ -85,6 +80,7 @@ func AnalyzeTrace(events []trace.Event) TraceStats {
 	st := TraceStats{
 		Events:       len(events),
 		ChaosByKind:  make(map[string]int),
+		Guard:        make(map[string]int),
 		GuardMargins: make(map[string][]time.Duration),
 	}
 	durs := make(map[string][]float64)
@@ -114,6 +110,8 @@ func AnalyzeTrace(events []trace.Event) TraceStats {
 				st.ChaosByKind[kind]++
 			case "logcat":
 				st.LogcatLines++
+			case "guard":
+				st.Guard[strings.TrimPrefix(e.Name, "guard:")]++
 			}
 			switch e.Name {
 			case "coinFlip":
@@ -131,20 +129,6 @@ func AnalyzeTrace(events []trace.Event) TraceStats {
 				st.Migrations++
 			case "crash":
 				st.Crashes++
-			case "guard:anr":
-				st.GuardANRs++
-			case "guard:retry":
-				st.GuardRetries++
-			case "guard:quarantine":
-				st.GuardQuarantines++
-			case "guard:recover":
-				st.GuardRecoveries++
-			case "guard:breakerOpen":
-				st.GuardBreakerOpens++
-			case "guard:stockRoute":
-				st.GuardStockRoutes++
-			case "guard:selfCheckFail":
-				st.GuardSelfCheckFails++
 			case "guard:disarm":
 				phase, _ := argOf(e, "phase").(string)
 				if m, ok := asDuration(argOf(e, "margin")); ok && phase != "" {
@@ -237,11 +221,11 @@ func (st TraceStats) Render(limit int) string {
 	if st.LogcatLines > 0 {
 		fmt.Fprintf(&sb, "logcat lines: %d\n", st.LogcatLines)
 	}
-	if st.GuardANRs+st.GuardRetries+st.GuardQuarantines+st.GuardRecoveries+
-		st.GuardBreakerOpens+st.GuardStockRoutes+st.GuardSelfCheckFails > 0 {
+	if g := st.Guard; g["anr"]+g["retry"]+g["quarantine"]+g["recover"]+
+		g["breakerOpen"]+g["stockRoute"]+g["selfCheckFail"] > 0 {
 		fmt.Fprintf(&sb, "guard: %d ANRs, %d transfer retries, %d quarantines, %d recoveries, %d breaker opens, %d stock routes, %d self-check failures\n",
-			st.GuardANRs, st.GuardRetries, st.GuardQuarantines, st.GuardRecoveries,
-			st.GuardBreakerOpens, st.GuardStockRoutes, st.GuardSelfCheckFails)
+			g["anr"], g["retry"], g["quarantine"], g["recover"],
+			g["breakerOpen"], g["stockRoute"], g["selfCheckFail"])
 	}
 	if len(st.GuardMargins) > 0 {
 		phases := make([]string, 0, len(st.GuardMargins))

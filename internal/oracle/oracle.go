@@ -29,22 +29,6 @@ type Installer struct {
 	Guard func() *guard.Guard
 }
 
-// GuardSummary captures the supervision layer's decisions for one run.
-// The zero value means "guard disabled".
-type GuardSummary struct {
-	Enabled           bool
-	ANRs              int
-	Retries           int
-	TransferFailures  int
-	Quarantines       int
-	Recoveries        int
-	BreakerOpens      int
-	SelfCheckFailures int
-	FirstQuarantineAt sim.Time
-	// Modes maps each supervised class to its final ladder mode.
-	Modes map[string]string
-}
-
 // ModelState is the ground-truth user state of the oracle app, read
 // directly from the foreground widgets (and the activity's extras) —
 // what the user would see on screen.
@@ -98,7 +82,7 @@ type RunResult struct {
 	// (zero when no fault landed).
 	FirstInjectionAt sim.Time
 	// Guard summarises the supervision layer (zero value when disabled).
-	Guard GuardSummary
+	Guard guard.Summary
 }
 
 // Verdict is the differential comparison for one seed.
@@ -393,20 +377,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 		res.FirstInjectionAt = inj[0].At
 	}
 	if inst.Guard != nil {
-		if g := inst.Guard(); g.Enabled() {
-			res.Guard = GuardSummary{
-				Enabled:           true,
-				ANRs:              g.ANRs(),
-				Retries:           g.Retries(),
-				TransferFailures:  g.TransferFailures(),
-				Quarantines:       g.Quarantines(),
-				Recoveries:        g.Recoveries(),
-				BreakerOpens:      g.BreakerOpens(),
-				SelfCheckFailures: g.SelfCheckFailures(),
-				FirstQuarantineAt: g.FirstQuarantineAt(),
-				Modes:             g.Modes(),
-			}
-		}
+		res.Guard = inst.Guard().Summary()
 	}
 	return res
 }
@@ -458,6 +429,32 @@ func TraceRCHWith(seed uint64, rch Installer, capacity int, opts chaos.Options) 
 	return tracer.MarshalJSON()
 }
 
+// Unattributed returns one failure line for each degradation of a
+// guarded run that no landed fault explains: a quarantine with no
+// injection or before the first one, and a breaker open or self-check
+// failure with no injection. Such a degradation is a supervision bug,
+// not robustness. Injections counts landed faults; firstInjectionAt
+// alone cannot tell "none" from a fault on the very first tick. Both
+// the differential oracle and the schedule explorer judge with it.
+func Unattributed(name string, g guard.Summary, injections int, firstInjectionAt sim.Time) []string {
+	var out []string
+	if g.Quarantines > 0 {
+		if injections == 0 {
+			out = append(out, fmt.Sprintf("%s: quarantined with no injected fault", name))
+		} else if g.FirstQuarantineAt < firstInjectionAt {
+			out = append(out, fmt.Sprintf("%s: first quarantine at %v precedes first injection at %v",
+				name, g.FirstQuarantineAt, firstInjectionAt))
+		}
+	}
+	if g.BreakerOpens > 0 && injections == 0 {
+		out = append(out, fmt.Sprintf("%s: breaker opened with no injected fault", name))
+	}
+	if g.SelfCheckFailures > 0 && injections == 0 {
+		out = append(out, fmt.Sprintf("%s: self-check failed with no injected fault", name))
+	}
+	return out
+}
+
 // judge asserts the contract:
 //
 //	RCHDroid absolutes — crash-free, invariant-clean, full user state
@@ -501,24 +498,7 @@ func (v *Verdict) judge() {
 	if r.HandlingViolation != "" && !(r.Guard.Enabled && r.Guard.ANRs > 0) {
 		fail("%s: %s", r.Name, r.HandlingViolation)
 	}
-	if r.Guard.Enabled {
-		// Injections counts landed faults; FirstInjectionAt alone cannot
-		// distinguish "none" from a fault on the very first tick.
-		if quarantined {
-			if r.Injections == 0 {
-				fail("%s: quarantined with no injected fault", r.Name)
-			} else if r.Guard.FirstQuarantineAt < r.FirstInjectionAt {
-				fail("%s: first quarantine at %v precedes first injection at %v",
-					r.Name, r.Guard.FirstQuarantineAt, r.FirstInjectionAt)
-			}
-		}
-		if r.Guard.BreakerOpens > 0 && r.Injections == 0 {
-			fail("%s: breaker opened with no injected fault", r.Name)
-		}
-		if r.Guard.SelfCheckFailures > 0 && r.Injections == 0 {
-			fail("%s: self-check failed with no injected fault", r.Name)
-		}
-	}
+	v.Failures = append(v.Failures, Unattributed(r.Name, r.Guard, r.Injections, r.FirstInjectionAt)...)
 	for i, started := range r.Started {
 		want := 0
 		if started && !r.DroppedByPlan[i] {

@@ -141,24 +141,34 @@ func TestBatchOverloadShed(t *testing.T) {
 	s := New(Config{Shards: 1, QueueDepth: 1})
 	defer s.Drain(10 * time.Second)
 
-	// Jam the single shard: one sleep running, one queued.
+	// Jam the single shard: one sleep running, one queued. The second
+	// sleep is submitted only once the shard has taken the first off its
+	// queue; submitted together, the second could find the queue still
+	// full and be shed, leaving nothing queued.
+	sh := s.shards[0]
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	jam := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			submit(s, Request{Op: OpDrive, Kind: KindSleep, Millis: 120})
 		}()
 	}
+	waitFor := func(what string, cond func() bool) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	jam()
+	waitFor("shard never took the first sleep", func() bool { return sh.reg.CounterValue("serve_requests_total") == 1 })
+	jam()
 	// Wait until the queue is actually full so the batch's non-blocking
 	// enqueue must refuse.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.shards[0].queue) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor("queue never filled", func() bool { return len(sh.queue) == 1 })
 	r := submit(s, Request{Op: OpBatch, Batch: []BatchStep{
 		{Device: "any", Kind: KindRotate},
 		{Device: "other", Kind: KindTrim},

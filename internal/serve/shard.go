@@ -9,6 +9,7 @@ import (
 	"rchdroid/internal/config"
 	"rchdroid/internal/core"
 	"rchdroid/internal/device"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/monkey"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/sweep"
@@ -26,15 +27,9 @@ type session struct {
 	// the per-activity guard whose degradations the shard mirrors into
 	// fleet-level counters.
 	rch *core.RCHDroid
-	// guardSeen is the last guard tally folded into the counters, so
-	// each drive contributes only its delta.
-	guardSeen guardCounts
-}
-
-// guardCounts is a point-in-time read of a session guard's degradation
-// tallies.
-type guardCounts struct {
-	quarantines, recoveries, breakerOpens int
+	// guardSeen holds the guard counts already folded into the fleet
+	// counters, by kind, so each drive contributes only its delta.
+	guardSeen [guard.NumKinds]int
 }
 
 // pending is one admitted request waiting in a shard queue.
@@ -354,22 +349,21 @@ func (s *shard) noteGuard(sess *session) {
 	if sess.rch == nil || sess.rch.Guard == nil {
 		return
 	}
-	g := sess.rch.Guard
-	now := guardCounts{
-		quarantines:  g.Quarantines(),
-		recoveries:   g.Recoveries(),
-		breakerOpens: g.BreakerOpens(),
+	folds := [...]struct {
+		kind   guard.Kind
+		metric string
+	}{
+		{guard.KindQuarantine, "serve_guard_quarantines_total"},
+		{guard.KindRecover, "serve_guard_recoveries_total"},
+		{guard.KindBreakerOpen, "serve_guard_breaker_opens_total"},
 	}
-	if d := now.quarantines - sess.guardSeen.quarantines; d > 0 {
-		s.counter("serve_guard_quarantines_total").Add(int64(d))
+	for _, f := range folds {
+		n := sess.rch.Guard.Count(f.kind)
+		if d := n - sess.guardSeen[f.kind]; d > 0 {
+			s.counter(f.metric).Add(int64(d))
+		}
+		sess.guardSeen[f.kind] = n
 	}
-	if d := now.recoveries - sess.guardSeen.recoveries; d > 0 {
-		s.counter("serve_guard_recoveries_total").Add(int64(d))
-	}
-	if d := now.breakerOpens - sess.guardSeen.breakerOpens; d > 0 {
-		s.counter("serve_guard_breaker_opens_total").Add(int64(d))
-	}
-	sess.guardSeen = now
 }
 
 // runCanary folds one differential-oracle seed through the exact

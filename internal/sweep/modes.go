@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"time"
 
 	"rchdroid/internal/app"
 	"rchdroid/internal/appset"
@@ -96,8 +97,15 @@ func foldVerdict(sh *obs.Shard, v oracle.Verdict) {
 	}
 	sh.Counter("oracle_injections_total", "chaos faults landed in RCHDroid runs", obs.Sim).Add(int64(v.RCH.Injections))
 	sh.Counter("oracle_handlings_total", "runtime changes handled in RCHDroid runs", obs.Sim).Add(int64(v.RCH.Handlings))
+	ObserveHandlings(sh, v.RCH.HandlingTimes)
+}
+
+// ObserveHandlings records a run's per-handling end-to-end sim-clock
+// latencies into the canonical core_handling_sim_ns histogram, the one
+// definition every differential runner shares.
+func ObserveHandlings(sh *obs.Shard, times []time.Duration) {
 	h := sh.Histogram("core_handling_sim_ns", "end-to-end change-handling sim-clock latency (change at ATMS to resume)", obs.Sim, obs.SimDurationBounds)
-	for _, d := range v.RCH.HandlingTimes {
+	for _, d := range times {
 		h.ObserveDuration(d)
 	}
 }

@@ -17,9 +17,10 @@
 #                      idle: the watchdog must be tick-for-tick free
 #   7. allocs gate   — bundle save/restore, a guard-transfer-shaped
 #                      save + two checksums, and one simulated runtime
-#                      change, each run 200x with -benchmem: allocs/op
-#                      (deterministic, unlike ns/op) must stay at or
-#                      under its ceiling in ALLOC_CEILINGS below
+#                      change, unguarded and guarded, each run 200x with
+#                      -benchmem: allocs/op (deterministic, unlike
+#                      ns/op) must stay at or under its ceiling in
+#                      ALLOC_CEILINGS below
 #   8. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
 #                      the parallel sweep engine (GOMAXPROCS workers)
 #                      with the metrics registry armed: the canonical
@@ -96,14 +97,16 @@ go test ./internal/experiments -run TestTraceOverheadGuard -count=1
 echo "==> guard idle anchor"
 go test ./internal/experiments -run TestGuardIdleAnchor -count=1
 
-echo "==> allocs/op gate (bundle save/restore, transfer checksum, runtime change)"
-# Ceilings are the allocs/op measured when the sorted-slice bundle landed;
-# lower one when a change saves allocations, never raise one to pass.
+echo "==> allocs/op gate (bundle save/restore, transfer checksum, runtime change, guarded change)"
+# Ceilings are the allocs/op measured when each benchmark's last saving
+# landed; lower one when a change saves allocations, never raise one to
+# pass.
 ALLOC_CEILINGS="BenchmarkBundleSaveRestore64Views=135
 BenchmarkBundleTransferChecksum64Views=135
-BenchmarkSimulatedRuntimeChange=123"
+BenchmarkSimulatedRuntimeChange=123
+BenchmarkGuardedRuntimeChange=143"
 mkdir -p artifacts
-go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|SimulatedRuntimeChange)$' \
+go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|SimulatedRuntimeChange|GuardedRuntimeChange)$' \
     -benchtime=200x -benchmem . > artifacts/bench.allocs.txt
 cat artifacts/bench.allocs.txt
 for pair in $ALLOC_CEILINGS; do
