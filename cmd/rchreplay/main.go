@@ -10,13 +10,11 @@
 //	rchreplay -gen=day.log -seed=7 -devices=16 -span-ms=60000   # write a log
 //	rchreplay -log=day.log -shards=4 -speed=100                 # embedded fleet
 //	rchreplay -log=day.log -addr=127.0.0.1:8373 -speed=100      # live rchserve
-//	rchreplay -log=day.log -speeds=1,10,100,1000 -bench-out=BENCH_replay.json
 //
 // With -addr the replay speaks the line-delimited JSON wire protocol to
 // a live rchserve; without it an in-process fleet is built so one
-// command measures end to end. The -speeds sweep boots a fresh embedded
-// fleet per multiplier (replaying one log twice against one server
-// would re-boot resident devices) and writes the bench artifact.
+// command measures end to end. The repository's wall-clock benchmark
+// (perfbench/, workload fleet-diurnal) drives the same replay engine.
 //
 // The canonical (sim-domain) half of -metrics-out derives from the log
 // alone, so it byte-compares equal across shard counts and speeds; all
@@ -30,8 +28,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"rchdroid/internal/cliflags"
@@ -43,16 +39,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// benchFile is the on-disk shape of BENCH_replay.json: one log, one
-// fleet shape, one Report per speed multiplier.
-type benchFile struct {
-	Generated string             `json:"generated"`
-	Log       workload.Header    `json:"log"`
-	Shards    int                `json:"shards"`
-	Window    int                `json:"window"`
-	Runs      []*workload.Report `json:"runs"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -70,11 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 0, "embedded fleet shard width (0 = default 4; ignored with -addr)")
 	queueDepth := fs.Int("queue-depth", 0, "embedded fleet per-shard queue bound (0 = default 16; ignored with -addr)")
 	speed := fs.Float64("speed", 100, "time-compression multiplier, 1–1000")
-	speeds := fs.String("speeds", "", "comma-separated multipliers for a bench sweep over fresh embedded fleets; writes -bench-out")
 	window := fs.Int("window", 4, "in-flight bound: workers × one outstanding request each")
 	maxBatch := fs.Int("max-batch", 16, "max due burst-class events coalesced into one batch op")
 	sloOut := fs.String("slo-out", "", "write the SLO report JSON to this file")
-	benchOut := fs.String("bench-out", "BENCH_replay.json", "bench artifact path for -speeds")
 	shared := cliflags.RegisterProfiles(fs, "rchreplay")
 	fs.StringVar(&shared.MetricsOut, "metrics-out", "",
 		"write the replay's canonical (sim-domain) metrics dump as JSON to this file")
@@ -123,43 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer stopCPU()
-
-	if *speeds != "" {
-		if *addr != "" {
-			fmt.Fprintln(stderr, "rchreplay: -speeds needs a fresh fleet per multiplier and only works embedded (drop -addr)")
-			return 2
-		}
-		multipliers, err := parseSpeeds(*speeds)
-		if err != nil {
-			fmt.Fprintf(stderr, "rchreplay: %v\n", err)
-			return 2
-		}
-		bench := benchFile{
-			Generated: time.Now().UTC().Format(time.RFC3339),
-			Log:       lg.Header, Shards: orDefault(*shards, 4), Window: *window,
-		}
-		for _, mult := range multipliers {
-			srv := serve.New(serve.Config{Shards: *shards, QueueDepth: *queueDepth})
-			rep, err := workload.Replay(lg, workload.Config{
-				Speed: mult, Window: *window, MaxBatch: *maxBatch,
-				Dial: workload.LocalDialer(srv),
-			})
-			srv.Drain(30 * time.Second)
-			if err != nil {
-				fmt.Fprintf(stderr, "rchreplay: speed %gx: %v\n", mult, err)
-				return 1
-			}
-			printReport(stdout, rep)
-			bench.Runs = append(bench.Runs, rep)
-		}
-		out, _ := json.MarshalIndent(bench, "", "  ")
-		if err := cliflags.WriteFileMaybeMkdir(*benchOut, append(out, '\n')); err != nil {
-			fmt.Fprintf(stderr, "rchreplay: bench-out: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "rchreplay: bench written to %s\n", *benchOut)
-		return 0
-	}
 
 	var dial workload.Dialer
 	if *addr != "" {
@@ -211,27 +158,4 @@ func printReport(w io.Writer, rep *workload.Report) {
 	fmt.Fprintf(w, "  ok=%d shed_rate=%.4f %v\n", rep.StepsOK, rep.ShedRate, shed)
 	fmt.Fprintf(w, "  breaker_opens=%d guard_quarantines=%d guard_recoveries=%d\n",
 		rep.BreakerOpens, rep.GuardQuarantines, rep.GuardRecoveries)
-}
-
-// parseSpeeds parses the -speeds list.
-func parseSpeeds(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -speeds entry %q (want positive multipliers like 1,10,100)", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-speeds is empty")
-	}
-	return out, nil
-}
-
-func orDefault(v, def int) int {
-	if v > 0 {
-		return v
-	}
-	return def
 }

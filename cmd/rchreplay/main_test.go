@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rchdroid/internal/metrics"
 	"rchdroid/internal/serve"
 	"rchdroid/internal/workload"
 )
@@ -85,6 +86,14 @@ func TestReplayEmbeddedDeterministicMetrics(t *testing.T) {
 		if rep.StepsOK+shed != int64(rep.Events) || rep.Boot.N == 0 {
 			t.Fatalf("report accounting broken: %+v", rep)
 		}
+		if rep.Speed != 1000 || rep.Shed == nil {
+			t.Fatalf("report missing its speed or shed map: %+v", rep)
+		}
+		for name, st := range map[string]metrics.DurationStats{"boot": rep.Boot, "flip": rep.Flip, "batch": rep.Batch} {
+			if st.P99MS < st.P50MS {
+				t.Fatalf("%s p99 %.3fms below p50 %.3fms", name, st.P99MS, st.P50MS)
+			}
+		}
 		return b
 	}
 	if c1, c3 := canon("1"), canon("3"); !bytes.Equal(c1, c3) {
@@ -132,46 +141,12 @@ func TestReplayOverTCP(t *testing.T) {
 	}
 }
 
-// TestSpeedsBenchArtifact: the -speeds sweep writes BENCH_replay.json
-// with one report per multiplier, each carrying p50/p95/p99 and a shed
-// rate.
-func TestSpeedsBenchArtifact(t *testing.T) {
-	log := genLog(t)
-	benchOut := filepath.Join(t.TempDir(), "BENCH_replay.json")
-	code, _, errOut := runCmd("-log", log, "-shards", "2",
-		"-speeds", "200,1000", "-bench-out", benchOut)
-	if code != 0 {
-		t.Fatalf("bench exited %d\n%s", code, errOut)
-	}
-	var bench benchFile
-	b, _ := os.ReadFile(benchOut)
-	if err := json.Unmarshal(b, &bench); err != nil {
-		t.Fatalf("bench artifact: %v", err)
-	}
-	if bench.Generated == "" || len(bench.Runs) != 2 {
-		t.Fatalf("bench shape: %+v", bench)
-	}
-	if bench.Runs[0].Speed != 200 || bench.Runs[1].Speed != 1000 {
-		t.Fatalf("speeds not recorded per run: %+v", bench.Runs)
-	}
-	for _, rep := range bench.Runs {
-		if rep.Boot.N == 0 || rep.Boot.P99MS < rep.Boot.P50MS {
-			t.Fatalf("run missing percentiles: %+v", rep)
-		}
-		if rep.Shed == nil {
-			t.Fatalf("run missing shed map: %+v", rep)
-		}
-	}
-}
-
 // TestUsageErrors: malformed invocations exit 2 with a diagnostic.
 func TestUsageErrors(t *testing.T) {
 	log := genLog(t)
 	cases := [][]string{
-		{},                               // no -log
-		{"-log", log, "stray-arg"},       // positional junk
-		{"-log", log, "-speeds", "fast"}, // unparsable multiplier
-		{"-log", log, "-speeds", "10", "-addr", "127.0.0.1:1"}, // bench over TCP
+		{},                         // no -log
+		{"-log", log, "stray-arg"}, // positional junk
 	}
 	for _, args := range cases {
 		if code, _, _ := runCmd(args...); code != 2 {

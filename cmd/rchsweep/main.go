@@ -12,18 +12,19 @@
 //	rchsweep -mode=monkey -seeds=54             # monkey×chaos TP-27 stress
 //	rchsweep -mode=boot -seeds=20000            # pure device spin-up (no chaos run)
 //	rchsweep -mode=oracle -seeds=512 -fork      # per-seed worlds forked from one template
-//	rchsweep -mode=oracle -seeds=64 -crosscheck # byte-compare workers=1 vs workers=N
+//	rchsweep -mode=oracle -seeds=64 -workers=4 -crosscheck # byte-compare workers=1 vs workers=4
 //	rchsweep -mode=oracle -seeds=512 -progress=1s -metrics-out=artifacts/metrics.json
 //	rchsweep -mode=oracle -seeds=512 -min-seeds-per-sec=250 -profile-cpu=artifacts/cpu.pprof
-//	rchsweep -bench -mode=oracle,guard,boot:20000 -fork -seeds=256 -bench-workers=1,2,4,8,0 -bench-out BENCH_sweep.json
 //
 // -fork routes every per-seed world through device.Template.Fork — the
 // pre-chaos world is built, launched, and settled once, then stamped out
 // per seed — and the merged report plus canonical metrics dump stay
-// byte-identical to fresh builds (ci.sh gates on exactly that). With
-// -bench, each mode is measured fresh AND forked and the speedup is
-// logged; a "mode:seeds" entry overrides -seeds for that mode, which the
-// boot mode needs (each of its seeds is microseconds).
+// byte-identical to fresh builds (ci.sh gates on exactly that).
+// -crosscheck needs a pool of at least two workers to compare against
+// the sequential run; one that resolves to a single worker (-workers=1,
+// -seeds=1, or GOMAXPROCS=1 without -workers) is a usage error.
+//
+// Wall-clock performance is measured by perfbench/, not here.
 package main
 
 import (
@@ -33,8 +34,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"rchdroid/internal/chaos"
@@ -70,18 +69,15 @@ type jsonResult struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rchsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	mode := fs.String("mode", "oracle", "sweep mode: oracle | guard | monkey | boot (-bench accepts a comma list; a mode:seeds entry overrides -seeds for that mode)")
+	mode := fs.String("mode", "oracle", "sweep mode: oracle | guard | monkey | boot")
 	seeds := fs.Int("seeds", 64, "number of consecutive seeds to run")
 	start := fs.Uint64("start", 1, "first seed (inclusive)")
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	verbose := fs.Bool("v", false, "print the full merged report, not just failures")
 	asJSON := fs.Bool("json", false, "emit the merged report as JSON")
-	crosscheck := fs.Bool("crosscheck", false, "run the range at -workers=1 and -workers=N and require byte-identical reports and canonical metric dumps")
+	crosscheck := fs.Bool("crosscheck", false, "run the range at -workers=1 and -workers=N (N >= 2) and require byte-identical reports and canonical metric dumps")
 	shared := cliflags.Register(fs, "rchsweep")
 	minRate := fs.Float64("min-seeds-per-sec", 0, "fail (exit 1) if sweep throughput drops below this floor (0 = no floor)")
-	bench := fs.Bool("bench", false, "measure the worker scaling curve instead of sweeping")
-	benchWorkers := fs.String("bench-workers", "1,0", "with -bench: comma list of worker counts to measure (0 = GOMAXPROCS)")
-	benchOut := fs.String("bench-out", "", "with -bench: write the JSON artifact here instead of stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -89,14 +85,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rchsweep: -seeds must be non-negative")
 		return 2
 	}
-
-	if *bench {
-		counts, err := parseWorkerList(*benchWorkers)
-		if err != nil {
-			fmt.Fprintf(stderr, "rchsweep: -bench-workers: %v\n", err)
-			return 2
-		}
-		return runBench(*mode, *seeds, counts, shared.Fork, *benchOut, stdout, stderr)
+	if *crosscheck && sweep.PoolSize(*workers, *seeds) < 2 {
+		fmt.Fprintf(stderr, "rchsweep: -crosscheck needs a parallel pool to compare with workers=1, but -workers=%d over %d seeds resolves to one worker; pass -workers=N with 2 <= N <= -seeds\n",
+			*workers, *seeds)
+		return 2
 	}
 
 	fn, replay, err := sweep.ForModeForked(*mode, shared.Fork)
@@ -204,27 +196,6 @@ func seedsPerSec(rep *sweep.Report) float64 {
 	return float64(rep.Count) / rep.Elapsed.Seconds()
 }
 
-// parseWorkerList parses "1,2,4,0" into worker counts (0 = GOMAXPROCS,
-// resolved downstream by the bench).
-func parseWorkerList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty worker list")
-	}
-	return out, nil
-}
-
 func writeJSON(w io.Writer, rep *sweep.Report) error {
 	out := jsonReport{Mode: rep.Mode, Start: rep.Start, Seeds: rep.Count, Tally: rep.Tally()}
 	for _, res := range rep.Results {
@@ -269,103 +240,4 @@ func writeFailureTrace(stderr io.Writer, mode string, seed uint64) {
 		}
 	}
 	fmt.Fprintf(stderr, "rchsweep: trace-on-fail seed %d: %v\n", seed, err)
-}
-
-// runBench measures the listed modes across the worker-count curve and
-// writes the BENCH_sweep.json artifact: seeds/sec and per-seed p50/p95
-// wall time per point, with GOMAXPROCS recorded on every measurement.
-// A mode entry may carry its own seed count as "mode:seeds" — the boot
-// mode needs far more seeds than a chaos sweep for a stable wall-clock
-// measurement, since each of its seeds is microseconds of work. With
-// -fork, every mode but monkey is measured twice — fresh builds and
-// template forks — so the artifact records the fork speedup alongside
-// the worker-scaling curve.
-func runBench(modes string, seeds int, workerCounts []int, fork bool, outPath string, stdout, stderr io.Writer) int {
-	file := sweep.BenchFile{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, mode := range strings.Split(modes, ",") {
-		mode = strings.TrimSpace(mode)
-		if mode == "" {
-			continue
-		}
-		modeSeeds := seeds
-		if mode2, n, ok := strings.Cut(mode, ":"); ok {
-			v, err := strconv.Atoi(n)
-			if err != nil || v <= 0 {
-				fmt.Fprintf(stderr, "rchsweep: bench: bad per-mode seed count %q\n", mode)
-				return 2
-			}
-			mode, modeSeeds = mode2, v
-		}
-		variants := []bool{false}
-		if fork && mode != "monkey" {
-			variants = append(variants, true)
-		}
-		var freshRate float64
-		for _, forked := range variants {
-			b, err := sweep.RunBenchForked(mode, modeSeeds, workerCounts, forked)
-			if err != nil {
-				fmt.Fprintf(stderr, "rchsweep: bench %s: %v\n", mode, err)
-				return 2
-			}
-			label := mode
-			if forked {
-				label += "+fork"
-			}
-			for _, m := range b.Curve {
-				fmt.Fprintf(stderr, "rchsweep: bench %s: workers=%d gomaxprocs=%d %.0f seeds/sec (×%.2f) report_identical=%v metrics_identical=%v\n",
-					label, m.Workers, m.GOMAXPROCS, m.SeedsPerSec, m.Speedup, m.ReportIdentical, m.MetricsIdentical)
-				if !m.ReportIdentical || !m.MetricsIdentical {
-					fmt.Fprintf(stderr, "rchsweep: bench %s: DETERMINISM VIOLATION at workers=%d (report_identical=%v metrics_identical=%v)\n",
-						label, m.Workers, m.ReportIdentical, m.MetricsIdentical)
-					return 1
-				}
-				if m.Failures > 0 {
-					fmt.Fprintf(stderr, "rchsweep: bench %s: sweep failed %d seeds; run `rchsweep -mode=%s -seeds=%d` for the replay lines\n",
-						label, m.Failures, mode, modeSeeds)
-					return 1
-				}
-			}
-			if len(b.Curve) > 0 {
-				if !forked {
-					freshRate = b.Curve[0].SeedsPerSec
-				} else if freshRate > 0 {
-					fmt.Fprintf(stderr, "rchsweep: bench %s: fork speedup ×%.2f at workers=1 (%.0f vs %.0f seeds/sec)\n",
-						mode, b.Curve[0].SeedsPerSec/freshRate, b.Curve[0].SeedsPerSec, freshRate)
-				}
-			}
-			file.Benches = append(file.Benches, b)
-		}
-	}
-	if len(file.Benches) == 0 {
-		fmt.Fprintln(stderr, "rchsweep: -bench got no modes")
-		return 2
-	}
-	w := stdout
-	if outPath != "" {
-		if dir := filepath.Dir(outPath); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(stderr, "rchsweep: %v\n", err)
-				return 1
-			}
-		}
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "rchsweep: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(file); err != nil {
-		fmt.Fprintf(stderr, "rchsweep: %v\n", err)
-		return 1
-	}
-	if outPath != "" {
-		fmt.Fprintf(stderr, "rchsweep: bench artifact written to %s\n", outPath)
-	}
-	return 0
 }

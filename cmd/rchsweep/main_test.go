@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rchdroid/internal/obs"
-	"rchdroid/internal/sweep"
 )
 
 // syncBuffer is a bytes.Buffer safe for concurrent writes: the progress
@@ -57,14 +56,40 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestCrosscheckFlag runs the determinism cross-check end to end.
+// TestCrosscheckFlag runs the determinism cross-check end to end for
+// every mode with a sim-domain dump: the differential sweep, the
+// guarded-chaos sweep, and pure device spin-up.
 func TestCrosscheckFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-mode=oracle", "-seeds=12", "-workers=4", "-crosscheck"}, &out, &errOut); code != 0 {
-		t.Fatalf("crosscheck exited %d\nstderr:\n%s", code, errOut.String())
+	for _, mode := range []string{"oracle", "guard", "boot"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-mode=" + mode, "-seeds=12", "-workers=4", "-crosscheck"}, &out, &errOut); code != 0 {
+			t.Fatalf("%s crosscheck exited %d\nstderr:\n%s", mode, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "crosscheck ok: workers=1 and workers=4") {
+			t.Fatalf("%s crosscheck verdict missing:\n%s", mode, errOut.String())
+		}
 	}
-	if !strings.Contains(errOut.String(), "crosscheck ok") {
-		t.Fatalf("crosscheck verdict missing:\n%s", errOut.String())
+}
+
+// TestCrosscheckNeedsParallelPool: a cross-check whose pool resolves to
+// one worker would compare workers=1 with itself and pass vacuously, so
+// it is a usage error — whether the single worker comes from -workers,
+// from a one-seed range, or from GOMAXPROCS=1 without -workers.
+func TestCrosscheckNeedsParallelPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, args := range [][]string{
+		{"-seeds=8", "-workers=1"},
+		{"-seeds=1", "-workers=4"},
+		{"-seeds=8"},
+	} {
+		var out, errOut bytes.Buffer
+		args = append(args, "-mode=oracle", "-crosscheck")
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v exited %d, want 2\nstderr:\n%s", args, code, errOut.String())
+		}
+		if strings.Contains(errOut.String(), "crosscheck ok") {
+			t.Errorf("%v reported a vacuous crosscheck as ok:\n%s", args, errOut.String())
+		}
 	}
 }
 
@@ -164,42 +189,6 @@ func TestThroughputFloor(t *testing.T) {
 	errOut.Reset()
 	if code := run([]string{"-mode=oracle", "-seeds=8", "-min-seeds-per-sec=0.001"}, &out, &errOut); code != 0 {
 		t.Fatalf("trivial floor exited %d\nstderr:\n%s", code, errOut.String())
-	}
-}
-
-// TestBenchWorkerCurve runs the bench path with an explicit worker
-// list and checks the artifact records the curve with per-measurement
-// GOMAXPROCS.
-func TestBenchWorkerCurve(t *testing.T) {
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "bench.json")
-	var out, errOut bytes.Buffer
-	code := run([]string{"-bench", "-mode=oracle", "-seeds=8", "-bench-workers=1,2", "-bench-out=" + outPath}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("bench exited %d\nstderr:\n%s", code, errOut.String())
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file sweep.BenchFile
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	if len(file.Benches) != 1 || len(file.Benches[0].Curve) != 2 {
-		t.Fatalf("bench artifact shape wrong: %+v", file)
-	}
-	for _, m := range file.Benches[0].Curve {
-		if m.GOMAXPROCS <= 0 {
-			t.Fatalf("measurement missing gomaxprocs: %+v", m)
-		}
-		if !m.ReportIdentical || !m.MetricsIdentical {
-			t.Fatalf("determinism flags not set: %+v", m)
-		}
-	}
-
-	if code := run([]string{"-bench", "-mode=oracle", "-seeds=4", "-bench-workers=nope"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -bench-workers exited %d, want 2", code)
 	}
 }
 

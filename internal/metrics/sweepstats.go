@@ -3,7 +3,7 @@ package metrics
 import "time"
 
 // DurationStats summarises a set of wall-time samples in milliseconds —
-// the per-seed latency block of the sweep bench artifact.
+// the per-op-class latency block of a replay's SLO report.
 type DurationStats struct {
 	N     int     `json:"n"`
 	P50MS float64 `json:"p50_ms"`

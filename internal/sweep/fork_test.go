@@ -49,24 +49,3 @@ func TestForkSweepByteIdentical(t *testing.T) {
 		})
 	}
 }
-
-// TestForkBenchRecordsFork pins the BENCH_sweep.json shape: a forked
-// curve is labeled fork=true and stays report/metrics-identical to its
-// own workers=1 baseline.
-func TestForkBenchRecordsFork(t *testing.T) {
-	b, err := RunBenchForked("oracle", 16, []int{2}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Fork {
-		t.Fatal("forked bench curve not labeled fork=true")
-	}
-	for _, m := range b.Curve {
-		if !m.ReportIdentical || !m.MetricsIdentical {
-			t.Fatalf("forked bench workers=%d not identical to baseline: %+v", m.Workers, m)
-		}
-		if m.Failures != 0 {
-			t.Fatalf("forked bench workers=%d failed %d seeds", m.Workers, m.Failures)
-		}
-	}
-}

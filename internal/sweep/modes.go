@@ -162,7 +162,7 @@ func MonkeyRunner() ObsRunner {
 
 // BootRunner measures device spin-up throughput: each seed stamps out
 // one settled pre-chaos world and verifies it is ready to run. This is
-// the rchserve workload — worlds/sec, nothing else — and the bench mode
+// the rchserve workload — worlds/sec, nothing else — and the sweep mode
 // where the fork facility's construction speedup is visible undiluted:
 // a chaos sweep amortizes construction against the run, a boot sweep is
 // construction.

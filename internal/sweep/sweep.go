@@ -171,16 +171,7 @@ func RunObs(cfg Config, fn ObsRunner) *Report {
 	if cfg.Count < 0 {
 		cfg.Count = 0
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Count {
-		workers = cfg.Count
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := PoolSize(cfg.Workers, cfg.Count)
 	rep := &Report{
 		Mode:    cfg.Mode,
 		Start:   cfg.Start,
@@ -233,6 +224,16 @@ func RunObs(cfg Config, fn ObsRunner) *Report {
 		sh.Gauge("sweep_elapsed_wall_ns", "sweep wall time", obs.Wall).Set(int64(rep.Elapsed))
 	}
 	return rep
+}
+
+// PoolSize is the worker count a sweep of count seeds runs with when
+// asked for workers: ≤ 0 means GOMAXPROCS, and the pool is capped at
+// count but never drops below one.
+func PoolSize(workers, count int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, count))
 }
 
 // runSeed runs one seed with panic isolation: a panicking runner is
@@ -320,8 +321,8 @@ func (r *Report) DonePrefix() int {
 	return len(r.Results)
 }
 
-// Walls returns the per-seed wall times in seed order (diagnostic /
-// bench input; never part of the canonical report).
+// Walls returns the per-seed wall times in seed order (diagnostic and
+// benchmark input; never part of the canonical report).
 func (r *Report) Walls() []time.Duration {
 	out := make([]time.Duration, len(r.Results))
 	for i, res := range r.Results {

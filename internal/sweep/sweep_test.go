@@ -155,6 +155,9 @@ func TestSeedIndexedMerge(t *testing.T) {
 	if rep.Workers != 7 {
 		t.Fatalf("workers not capped at count: %d", rep.Workers)
 	}
+	if n := len(rep.Walls()); n != 7 {
+		t.Fatalf("Walls() has %d entries, want one per seed (7)", n)
+	}
 	for i, res := range rep.Results {
 		if res.Seed != 100+uint64(i) {
 			t.Fatalf("Results[%d].Seed = %d, want %d", i, res.Seed, 100+i)
@@ -168,50 +171,6 @@ func TestSeedIndexedMerge(t *testing.T) {
 	one := Run(Config{Mode: "test", Count: 1}, fn)
 	if one.Results[0].Seed != 1 {
 		t.Fatalf("Start=0 ran seed %d, want 1", one.Results[0].Seed)
-	}
-}
-
-// TestRunBenchSmoke exercises the bench path end to end on a small
-// range: the curve has a workers=1 baseline plus the requested points,
-// every point records its own GOMAXPROCS, throughputs are populated,
-// and the report/metrics determinism cross-checks are green.
-func TestRunBenchSmoke(t *testing.T) {
-	b, err := RunBench("oracle", 16, []int{4, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers := make([]int, 0, len(b.Curve))
-	for _, m := range b.Curve {
-		workers = append(workers, m.Workers)
-	}
-	if len(b.Curve) != 3 || workers[0] != 1 || workers[1] != 2 || workers[2] != 4 {
-		t.Fatalf("curve workers = %v, want [1 2 4] (baseline forced, dedup, sorted)", workers)
-	}
-	for _, m := range b.Curve {
-		if !m.ReportIdentical || !m.MetricsIdentical {
-			t.Fatalf("workers=%d not identical to baseline: %+v", m.Workers, m)
-		}
-		if m.Failures != 0 {
-			t.Fatalf("workers=%d failed %d seeds", m.Workers, m.Failures)
-		}
-		if m.SeedsPerSec <= 0 || m.Speedup <= 0 {
-			t.Fatalf("workers=%d throughput not measured: %+v", m.Workers, m)
-		}
-		if m.GOMAXPROCS <= 0 {
-			t.Fatalf("workers=%d did not record GOMAXPROCS: %+v", m.Workers, m)
-		}
-		if m.PerSeed.N != 16 {
-			t.Fatalf("workers=%d per-seed stats incomplete: %+v", m.Workers, m.PerSeed)
-		}
-		if m.PerSeed.P95MS < m.PerSeed.P50MS {
-			t.Fatalf("workers=%d p95 below p50: %+v", m.Workers, m.PerSeed)
-		}
-	}
-	if b.BestWorkers == 0 || b.BestSpeedup <= 0 {
-		t.Fatalf("best point not tracked: %+v", b)
-	}
-	if _, err := RunBench("no-such-mode", 4, []int{1}); err == nil {
-		t.Fatal("bench accepted an unknown mode")
 	}
 }
 

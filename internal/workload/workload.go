@@ -170,7 +170,9 @@ func (l *Log) Validate() error {
 	if got, want := len(l.Events), l.Header.Events; got != want {
 		return fmt.Errorf("workload: header promises %d events, log carries %d", want, got)
 	}
-	booted := make(map[string]bool, l.Header.Devices)
+	// Size from the events, not the header alone: every device needs a
+	// boot event, and an untrusted header may promise any count.
+	booted := make(map[string]bool, min(l.Header.Devices, len(l.Events)))
 	var prev int64
 	for i := range l.Events {
 		ev := &l.Events[i]

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,23 @@ func TestDecodeStrictness(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader(good)); err != nil {
 		t.Fatalf("control: the unmodified log must decode: %v", err)
+	}
+}
+
+// TestDecodeHeaderCannotSizeAllocations: the header's device count is
+// untrusted input, so a tiny log promising ten million devices must be
+// rejected without first allocating for them.
+func TestDecodeHeaderCannotSizeAllocations(t *testing.T) {
+	const input = `{"format":"rch-workload","version":1,"devices":10000000,"span_ms":0,"events":0}` + "\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(strings.NewReader(input))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "header promises 10000000 devices") {
+		t.Fatalf("err = %v, want the device-count mismatch", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting an %d-byte log allocated %d bytes", len(input), grew)
 	}
 }
 

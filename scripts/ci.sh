@@ -32,9 +32,14 @@
 #                      one settled pre-chaos template): merged report AND
 #                      canonical metrics dump must be byte-identical to
 #                      stage 8's fresh-build run
-#  10. determinism   — 64-seed sequential cross-check: -workers=1 and
-#                      -workers=N merged reports AND canonical metric
-#                      dumps must be byte-identical
+#  10. determinism   — cross-check matrix (rchsweep -crosscheck): the
+#                      128-seed oracle and guard sweeps and a 5000-seed
+#                      boot sweep, each fresh and with -fork, at
+#                      -workers=2, 4 and 8; every merged report AND
+#                      canonical metric dump must be byte-identical to
+#                      the same sweep's -workers=1 run (the explicit
+#                      -workers keep the comparison real on one-core
+#                      runners, where GOMAXPROCS would give one worker)
 #  11. guarded sweep — 1024-seed guarded-chaos run on the engine: zero
 #                      invariant violations, no quarantine/breaker
 #                      decision without a preceding injected fault, and
@@ -61,16 +66,13 @@
 #                      (p50/p95/p99 per op class, machine-readable shed
 #                      map + rate, breaker/guard counters) and the
 #                      replay's canonical metrics dump must be non-empty
-#  17. bench         — scripts/bench.sh -quick (CI-sized scaling curve +
-#                      determinism byte-compare of reports and metrics;
-#                      written to ./artifacts/ so the committed 512-seed
-#                      BENCH_sweep.json and BENCH_replay.json stay
-#                      stable)
 #
-# The sweeps run on cmd/rchsweep: any failing seed (including a
-# recovered worker panic, attributed to its seed) exits non-zero and
-# prints the exact -oracle.replay=<seed> invocation; -trace-on-fail
-# writes the failing seed's Perfetto trace to ./artifacts/.
+# Wall-clock performance is perfbench/'s job (BENCHMARK.json), not this
+# gate's. The sweeps run on cmd/rchsweep, built once into ./artifacts/:
+# any failing seed (including a recovered worker panic, attributed to
+# its seed) exits non-zero and prints the exact -oracle.replay=<seed>
+# invocation; -trace-on-fail writes the failing seed's Perfetto trace
+# to ./artifacts/.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -124,22 +126,30 @@ for pair in $ALLOC_CEILINGS; do
 done
 
 echo "==> oracle sweep (512 seeds, parallel engine, metrics + seeds/sec floor)"
-go run ./cmd/rchsweep -mode=oracle -seeds=512 -trace-on-fail \
+go build -o artifacts/rchsweep ./cmd/rchsweep
+artifacts/rchsweep -mode=oracle -seeds=512 -trace-on-fail \
     -metrics-out artifacts/metrics.oracle.json \
     -min-seeds-per-sec "${RCH_SEEDS_FLOOR:-250}" > artifacts/report.oracle.txt
 cat artifacts/report.oracle.txt
 
 echo "==> fork determinism gate (512-seed oracle via template forks, byte-compare vs fresh)"
-go run ./cmd/rchsweep -mode=oracle -seeds=512 -fork \
+artifacts/rchsweep -mode=oracle -seeds=512 -fork \
     -metrics-out artifacts/metrics.oracle.fork.json > artifacts/report.oracle.fork.txt
 cmp artifacts/report.oracle.txt artifacts/report.oracle.fork.txt
 cmp artifacts/metrics.oracle.json artifacts/metrics.oracle.fork.json
 
-echo "==> sequential determinism cross-check (64 seeds, reports + canonical metrics)"
-go run ./cmd/rchsweep -mode=oracle -seeds=64 -crosscheck
+echo "==> determinism cross-check matrix (workers=1 vs 2/4/8; oracle, guard, boot; fresh and forked)"
+for spec in oracle:128 guard:128 boot:5000; do
+    mode=${spec%:*} seeds=${spec#*:}
+    for fork in "" -fork; do
+        for workers in 2 4 8; do
+            artifacts/rchsweep -mode="$mode" -seeds="$seeds" -workers="$workers" $fork -crosscheck
+        done
+    done
+done
 
 echo "==> guarded chaos sweep (1024 seeds, parallel engine)"
-go run ./cmd/rchsweep -mode=guard -seeds=1024 -trace-on-fail \
+artifacts/rchsweep -mode=guard -seeds=1024 -trace-on-fail \
     -metrics-out artifacts/metrics.guard.json
 
 echo "==> schedule-space exploration gate (corpus, depth 2, exhaustive, metrics)"
@@ -149,7 +159,7 @@ echo "==> guard counterfactual + replay determinism"
 go test ./internal/oracle -run 'TestGuardSavesRawFailures|TestGuardDeterministic' -count=1
 
 echo "==> profile smoke (32 seeds, cpu + heap pprof non-empty)"
-go run ./cmd/rchsweep -mode=oracle -seeds=32 \
+artifacts/rchsweep -mode=oracle -seeds=32 \
     -profile-cpu artifacts/ci.cpu.pprof -profile-heap artifacts/ci.heap.pprof >/dev/null
 test -s artifacts/ci.cpu.pprof || { echo "ci: empty cpu profile" >&2; exit 1; }
 test -s artifacts/ci.heap.pprof || { echo "ci: empty heap profile" >&2; exit 1; }
@@ -232,8 +242,5 @@ for field in '"p50_ms"' '"p95_ms"' '"p99_ms"' '"shed"' '"shed_rate"' \
 done
 grep -q '"replay_log_events_total"' artifacts/ci.replay.metrics.json \
     || { echo "ci: replay canonical metrics missing the log-derived counters" >&2; exit 1; }
-
-echo "==> sweep bench (quick)"
-scripts/bench.sh -quick -out artifacts/BENCH_sweep.quick.json -replay-out artifacts/BENCH_replay.quick.json
 
 echo "ci: all green"
