@@ -473,8 +473,18 @@ func TestServicesStopOnCrash(t *testing.T) {
 
 func TestAccessorsAndHelpers(t *testing.T) {
 	sched, proc, _, act := launchOne(t, testApp("demo", 0))
-	if proc.Scheduler() != sched || proc.Model() == nil || proc.CPU() == nil {
+	if proc.Scheduler() != sched || proc.Model() == nil {
 		t.Fatal("process accessors wrong")
+	}
+	// The CPU meter exists only once the process is profiled.
+	if proc.CPU() != nil {
+		t.Fatal("unprofiled process has a CPU meter")
+	}
+	proc.Profile()
+	cpu := proc.CPU()
+	proc.Profile()
+	if cpu == nil || proc.CPU() != cpu {
+		t.Fatal("Profile did not attach one CPU meter")
 	}
 	if proc.Endpoint() == nil || proc.Endpoint() != proc.Endpoint() {
 		t.Fatal("endpoint not cached")
@@ -501,6 +511,7 @@ func TestAccessorsAndHelpers(t *testing.T) {
 
 func TestBusyLogAndMatching(t *testing.T) {
 	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
+	proc.Profile()
 	proc.EnableBusyLog()
 	proc.PostApp("special:probe", 3*time.Millisecond, func() {})
 	sched.Advance(time.Second)

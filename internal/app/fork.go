@@ -2,7 +2,6 @@ package app
 
 import (
 	"fmt"
-	"time"
 
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/sim"
@@ -10,7 +9,7 @@ import (
 )
 
 // ForkProcess deep-copies a settled process onto sched: its UI looper
-// (counters carried, observers re-armed), meters, activity thread and
+// (counters carried), memory count, activity thread and
 // every live activity with its view tree. The app's resource table is
 // forked per process (Resolve counts lookups); the cost model and
 // activity classes are shared read-only, so app callbacks must only touch
@@ -21,8 +20,9 @@ import (
 //
 // Forking is only legal for a settled pre-chaos process: anything that
 // entangles the process with its old world (crash state, in-flight async
-// work, an armed fault injector or tracer, services, dialogs, fragments,
-// shadow state) is an error so callers fall back to a fresh build.
+// work, an armed fault injector or tracer, profiler meters or a busy log,
+// services, dialogs, fragments, shadow state) is an error so callers fall
+// back to a fresh build.
 func ForkProcess(p *Process, sched *sim.Scheduler) (*Process, error) {
 	switch {
 	case p.crashed:
@@ -35,6 +35,10 @@ func ForkProcess(p *Process, sched *sim.Scheduler) (*Process, error) {
 		return nil, fmt.Errorf("app: fork of %s with %d services", p.app.Name, len(p.services))
 	case p.tracer != nil:
 		return nil, fmt.Errorf("app: fork of %s with tracer armed", p.app.Name)
+	case p.cpu != nil:
+		return nil, fmt.Errorf("app: fork of profiled process %s", p.app.Name)
+	case p.logBusy:
+		return nil, fmt.Errorf("app: fork of %s with busy log enabled", p.app.Name)
 	}
 	ui, err := p.uiLooper.Fork(sched)
 	if err != nil {
@@ -46,26 +50,7 @@ func ForkProcess(p *Process, sched *sim.Scheduler) (*Process, error) {
 		model:    p.model,
 		uiLooper: ui,
 		mem:      p.mem.Clone(sched),
-		cpu:      p.cpu.Clone(),
-		logBusy:  p.logBusy,
 	}
-	np.busyByName = make(map[string]time.Duration, len(p.busyByName))
-	for k, v := range p.busyByName {
-		np.busyByName[k] = v
-	}
-	if p.busyLog != nil {
-		np.busyLog = make([]string, len(p.busyLog))
-		copy(np.busyLog, p.busyLog)
-	}
-	// Re-arm the busy observer over the fork's own meters, exactly as
-	// NewProcess wires it.
-	np.uiLooper.SetBusyObserver(func(start sim.Time, cost time.Duration, name string) {
-		np.cpu.OnBusy(start, cost, name)
-		np.busyByName[name] += cost
-		if np.logBusy {
-			np.busyLog = append(np.busyLog, start.String()+" "+name)
-		}
-	})
 	nt, err := forkThread(p.thread, np)
 	if err != nil {
 		return nil, err

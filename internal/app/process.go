@@ -64,11 +64,13 @@ type Process struct {
 	endpoint *ipc.Endpoint
 	thread   *ActivityThread
 	mem      *metrics.MemoryMeter
-	cpu      *metrics.CPUMeter
 
 	crashed  bool
 	crashErr *CrashError
 
+	// cpu and busyByName are the profiler meters Profile attaches; both
+	// stay nil in an unprofiled process.
+	cpu        *metrics.CPUMeter
 	busyByName map[string]time.Duration
 	busyLog    []string
 	logBusy    bool
@@ -105,7 +107,8 @@ func (p *Process) SetAsyncFaultInjector(fn AsyncFaultInjector) { p.asyncFault = 
 
 // NewProcess boots a process for app on the given scheduler and cost
 // model. The activity thread is created alongside; wire it to a system
-// server before launching activities.
+// server before launching activities. The process keeps only its current
+// memory count; Profile attaches the profiler meters.
 func NewProcess(sched *sim.Scheduler, model *costmodel.Model, app *App) *Process {
 	p := &Process{
 		app:      app,
@@ -113,19 +116,38 @@ func NewProcess(sched *sim.Scheduler, model *costmodel.Model, app *App) *Process
 		model:    model,
 		uiLooper: looper.New(sched, app.Name+":ui"),
 		mem:      metrics.NewMemoryMeter(sched, app.Name+":mem"),
-		cpu:      metrics.NewCPUMeter(10 * time.Millisecond),
 	}
-	p.busyByName = make(map[string]time.Duration)
-	p.uiLooper.SetBusyObserver(func(start sim.Time, cost time.Duration, name string) {
-		p.cpu.OnBusy(start, cost, name)
-		p.busyByName[name] += cost
-		if p.logBusy {
-			p.busyLog = append(p.busyLog, start.String()+" "+name)
-		}
-	})
 	p.thread = newActivityThread(p)
 	p.mem.Set(model.ProcessBaseBytes + app.ExtraBaseBytes)
 	return p
+}
+
+// Profile attaches the profiler meters that Fig 9 and Fig 11 read: the
+// 10 ms UI-thread CPU meter, the per-name busy totals behind
+// BusyMatching, and the memory step series, which starts at the current
+// level. Only what runs after the call is metered, so profile before
+// launching (device.New does when its Spec sets Profile). A second call
+// is a no-op.
+func (p *Process) Profile() {
+	if p.cpu != nil {
+		return
+	}
+	p.cpu = metrics.NewCPUMeter(10 * time.Millisecond)
+	p.busyByName = make(map[string]time.Duration)
+	p.mem.Record()
+	p.uiLooper.SetBusyObserver(p.onBusy)
+}
+
+// onBusy is the UI looper's busy observer, installed only once Profile
+// or EnableBusyLog needs it.
+func (p *Process) onBusy(start sim.Time, cost time.Duration, name string) {
+	if p.cpu != nil {
+		p.cpu.OnBusy(start, cost, name)
+		p.busyByName[name] += cost
+	}
+	if p.logBusy {
+		p.busyLog = append(p.busyLog, start.String()+" "+name)
+	}
 }
 
 // App returns the installed application.
@@ -174,16 +196,21 @@ func (p *Process) Tracer() *trace.Tracer { return p.tracer }
 // UITrack returns the UI thread's trace track.
 func (p *Process) UITrack() trace.TrackID { return p.uiTrack }
 
-// Memory returns the memory meter.
+// Memory returns the memory meter. Its series records only in a
+// profiled process.
 func (p *Process) Memory() *metrics.MemoryMeter { return p.mem }
 
-// CPU returns the UI-thread CPU meter.
+// CPU returns the UI-thread CPU meter, or nil unless the process is
+// profiled.
 func (p *Process) CPU() *metrics.CPUMeter { return p.cpu }
 
 // EnableBusyLog starts recording an ordered log of every UI-thread
 // message (timestamp + name) — the message-level trace used by the
 // determinism and causal-ordering tests.
-func (p *Process) EnableBusyLog() { p.logBusy = true }
+func (p *Process) EnableBusyLog() {
+	p.logBusy = true
+	p.uiLooper.SetBusyObserver(p.onBusy)
+}
 
 // BusyLog returns the ordered message log recorded since EnableBusyLog.
 func (p *Process) BusyLog() []string {
@@ -194,7 +221,8 @@ func (p *Process) BusyLog() []string {
 
 // BusyMatching sums UI-thread busy time across messages whose name
 // contains substr — used to attribute CPU to RCHDroid machinery
-// ("rch:" messages) separately from app and framework work.
+// ("rch:" messages) separately from app and framework work. It is zero
+// unless the process is profiled.
 func (p *Process) BusyMatching(substr string) time.Duration {
 	var total time.Duration
 	for name, d := range p.busyByName {

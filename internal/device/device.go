@@ -38,6 +38,11 @@ type Spec struct {
 	// Settle is how long to advance the clock after the cold launch
 	// (default 2s — launch plus drain for every app in the repo).
 	Settle time.Duration
+	// Profile attaches the process's profiler meters (app.Process.Profile)
+	// before the launch, so the CPU and memory series cover the boot.
+	// Only rigs that read those series set it; a profiled world cannot be
+	// forked, and a process Relaunch boots after a kill is not profiled.
+	Profile bool
 }
 
 func (s Spec) settle() time.Duration {
@@ -80,6 +85,9 @@ func New(spec Spec, seed uint64, arm ArmFunc) *World {
 	model := spec.model()
 	sys := atms.New(sched, model)
 	proc := app.NewProcess(sched, model, spec.App())
+	if spec.Profile {
+		proc.Profile()
+	}
 	token := sys.LaunchApp(proc)
 	sched.Advance(spec.settle())
 	w := &World{Sched: sched, Model: model, Sys: sys, Proc: proc, Token: token, Seed: seed}
@@ -132,9 +140,9 @@ func (t *Template) Spec() Spec { return t.spec }
 
 // Fork stamps out an isolated world for seed and arms it. Mutable state
 // — scheduler counters, loopers, process, activity instances, view
-// trees, meters, stack records, resource-lookup counters — is deep-
-// copied; the cost model, activity classes and layout specs are shared
-// read-only.
+// trees, the memory count, stack records, resource-lookup counters — is
+// deep-copied; the cost model, activity classes and layout specs are
+// shared read-only.
 func (t *Template) Fork(seed uint64, arm ArmFunc) (*World, error) {
 	sched, err := t.base.Sched.Fork()
 	if err != nil {

@@ -2,6 +2,7 @@ package device_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +147,37 @@ func TestForkMatchesFresh(t *testing.T) {
 		if a, b := run(fresh, seed), run(forked, seed); a != b {
 			t.Errorf("seed %d: fork diverged from fresh build:\n%s\nvs\n%s", seed, a, b)
 		}
+	}
+}
+
+// TestProfiledWorldIsNotForkable pins the profiler's two contracts: a
+// profiled world has its meters from boot, so the memory series starts at
+// t=0, and it cannot be forked, since the fork carries no meters. A busy
+// log, which hangs off the same looper observer, is refused the same way.
+func TestProfiledWorldIsNotForkable(t *testing.T) {
+	spec := forkSpec()
+	spec.Profile = true
+	w := device.New(spec, 0, nil)
+	if w.Proc.CPU() == nil {
+		t.Fatal("profiled world has no CPU meter")
+	}
+	if pts := w.Proc.Memory().TraceSeries().Points; len(pts) < 2 || pts[0].At != 0 {
+		t.Fatalf("memory series does not start at boot: %v", pts)
+	}
+	if _, err := device.NewTemplate(spec); err == nil || !strings.Contains(err.Error(), "profiled") {
+		t.Fatalf("template of a profiled spec: err = %v, want a refusal naming the profiler", err)
+	}
+	plain := device.New(forkSpec(), 0, nil)
+	if plain.Proc.CPU() != nil || len(plain.Proc.Memory().TraceSeries().Points) != 0 {
+		t.Fatal("unprofiled world carries profiler meters")
+	}
+	plain.Proc.EnableBusyLog()
+	sched, err := plain.Sched.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.ForkProcess(plain.Proc, sched); err == nil || !strings.Contains(err.Error(), "busy log") {
+		t.Fatalf("fork of a busy-logging process: err = %v, want a refusal", err)
 	}
 }
 

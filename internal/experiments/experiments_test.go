@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -61,6 +64,35 @@ func TestFig9ScenarioOutcomes(t *testing.T) {
 	}
 	if r.RCHSecondCPU >= r.RCHFirstCPU {
 		t.Errorf("second change CPU %.1f should drop below first %.1f (coin flip)", r.RCHSecondCPU, r.RCHFirstCPU)
+	}
+}
+
+// TestFig9TracePinned pins Fig 9's raw trace. The boot rows are pinned
+// on both arms (the cold launch fills the first 100 ms windows, and the
+// memory series starts at the process base), and a digest covers every
+// row, so a profiler attached after the launch, which would lose the boot
+// rows, fails here.
+func TestFig9TracePinned(t *testing.T) {
+	rows := Fig9Trace().Rows()
+	if len(rows) != 101 {
+		t.Fatalf("rows = %d, want 101 (0..10 s every 100 ms)", len(rows))
+	}
+	boot := [][]string{
+		{"0", "88.0", "38.00", "88.0", "38.00"},
+		{"100", "100.0", "38.00", "100.0", "38.00"},
+	}
+	for i, want := range boot {
+		if got := strings.Join(rows[i], " "); got != strings.Join(want, " ") {
+			t.Errorf("row %d = %q, want %q", i, got, strings.Join(want, " "))
+		}
+	}
+	h := sha256.New()
+	for _, row := range rows {
+		fmt.Fprintln(h, strings.Join(row, ","))
+	}
+	const want = "441467c6b36db897e7983da17467450f9457bbff4dd3fcce42431e38c089228c"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("trace digest = %s, want %s", got, want)
 	}
 }
 

@@ -51,7 +51,7 @@ func Fig11() *Fig11Result {
 		opts := core.DefaultOptions()
 		opts.GC.ThreshT = time.Duration(tSec) * time.Second
 		rig := BootRig(RigSpec{App: benchapp.New(benchapp.Config{Images: images, TaskDelay: time.Hour}),
-			Mode: ModeRCHDroid, Core: &opts})
+			Mode: ModeRCHDroid, Core: &opts, Profile: true})
 
 		memSamples := runBurstMinutes(rig, minutes)
 

@@ -56,7 +56,9 @@ func Fig9() *Fig9Result {
 	taskDelay := res.TaskReturnAt - res.TouchAt
 
 	run := func(mode Mode) (*metrics.Series, *metrics.Series, bool, int, float64, float64) {
-		rig := NewRig(benchapp.New(benchapp.Config{Images: 4, TaskDelay: taskDelay}), mode)
+		// Profiled from boot: the trace's first rows are the cold launch.
+		rig := BootRig(RigSpec{App: benchapp.New(benchapp.Config{Images: 4, TaskDelay: taskDelay}),
+			Mode: mode, Profile: true})
 		start := rig.Sched.Now()
 
 		rig.Sched.After(res.FirstChangeAt, "script:firstChange", func() {

@@ -50,6 +50,10 @@ type RigSpec struct {
 	// Core overrides RCHDroid's options (nil uses core.DefaultOptions());
 	// only consulted in ModeRCHDroid.
 	Core *core.Options
+	// Profile attaches the profiler meters from boot (device.Spec.Profile):
+	// the CPU and memory series and the per-name busy totals. Only the
+	// figures that read them set it.
+	Profile bool
 }
 
 // Rig is one booted device: the world plus the RCHDroid handle when the
@@ -75,9 +79,10 @@ func BootRig(s RigSpec) *Rig {
 	}
 	r := &Rig{}
 	r.World = device.New(device.Spec{
-		App:    func() *app.App { return s.App },
-		Model:  s.Model,
-		Settle: 3 * time.Second,
+		App:     func() *app.App { return s.App },
+		Model:   s.Model,
+		Settle:  3 * time.Second,
+		Profile: s.Profile,
 	}, 0, func(w *device.World) {
 		if s.Mode == ModeRCHDroid {
 			r.RCH = core.Install(w.Sys, w.Proc, opts)

@@ -32,6 +32,7 @@ package guard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -197,10 +198,23 @@ type ladder struct {
 	recoveries     int
 }
 
-// armed is one pending watchdog deadline.
+// armed is one (class, phase) watchdog. Its event, with the event's
+// name and fire closure, is built on the first arm and re-armed in place
+// after that; on says whether a deadline is pending.
 type armed struct {
+	on       bool
 	deadline sim.Time
 	ev       *sim.Event
+}
+
+// anyOn reports whether any of the class's watchdogs is armed.
+func anyOn(pm map[string]*armed) bool {
+	for _, a := range pm {
+		if a.on {
+			return true
+		}
+	}
+	return false
 }
 
 // Guard supervises one process's RCHDroid machinery. Construct with
@@ -212,7 +226,7 @@ type Guard struct {
 	sys   *atms.ATMS
 
 	classes map[string]*ladder
-	watch   map[string]map[string]*armed // class → phase → deadline
+	watch   map[string]map[string]*armed // class → phase → watchdog
 
 	// release, set by core.Install, releases the class's shadow
 	// machinery (shadow instance, pending snapshot) on quarantine. It
@@ -364,17 +378,22 @@ func (g *Guard) ArmPhase(class, phase string) {
 		pm = make(map[string]*armed)
 		g.watch[class] = pm
 	}
-	if old := pm[phase]; old != nil {
-		if phase == "migrationFlush" {
-			return
-		}
-		g.sched.Cancel(old.ev)
+	a := pm[phase]
+	if a != nil && a.on && phase == "migrationFlush" {
+		return
 	}
-	a := &armed{deadline: g.sched.Now().Add(d)}
-	a.ev = g.sched.At(a.deadline, "guard:watchdog:"+phase, func() {
-		g.fire(class, phase)
-	})
-	pm[phase] = a
+	deadline := g.sched.Now().Add(d)
+	if a == nil {
+		a = &armed{}
+		a.ev = g.sched.At(deadline, "guard:watchdog:"+phase, func() {
+			g.fire(class, phase)
+		})
+		pm[phase] = a
+	} else {
+		g.sched.Rearm(a.ev, deadline)
+	}
+	a.on = true
+	a.deadline = deadline
 	g.emit(KindArm, class, "", func() []trace.Arg {
 		return []trace.Arg{{Key: "phase", Val: phase}, {Key: "deadline", Val: d}}
 	})
@@ -386,12 +405,11 @@ func (g *Guard) DisarmPhase(class, phase string) {
 	if g == nil {
 		return
 	}
-	pm := g.watch[class]
-	a := pm[phase]
-	if a == nil {
+	a := g.watch[class][phase]
+	if a == nil || !a.on {
 		return
 	}
-	delete(pm, phase)
+	a.on = false
 	g.sched.Cancel(a.ev)
 	margin := a.deadline.Sub(g.sched.Now())
 	g.emit(KindDisarm, class, "", func() []trace.Arg {
@@ -402,11 +420,11 @@ func (g *Guard) DisarmPhase(class, phase string) {
 // fire is the watchdog expiry: the phase missed its deadline, which is
 // this simulator's ANR. The class is quarantined.
 func (g *Guard) fire(class, phase string) {
-	pm := g.watch[class]
-	if pm == nil || pm[phase] == nil {
+	a := g.watch[class][phase]
+	if !a.on {
 		return
 	}
-	delete(pm, phase)
+	a.on = false
 	if g.proc.Crashed() {
 		return
 	}
@@ -422,9 +440,9 @@ func (g *Guard) fire(class, phase string) {
 // complete).
 func (g *Guard) cancelWatch(class string) {
 	for _, a := range g.watch[class] {
+		a.on = false
 		g.sched.Cancel(a.ev)
 	}
-	delete(g.watch, class)
 }
 
 // OnDispatch is the looper seam: called after every UI dispatch with
@@ -460,7 +478,7 @@ func (g *Guard) OnDispatch(name string, start sim.Time, occupancy time.Duration)
 func (g *Guard) firstArmedClass() string {
 	var names []string
 	for c, pm := range g.watch {
-		if len(pm) > 0 {
+		if anyOn(pm) {
 			names = append(names, c)
 		}
 	}
@@ -545,7 +563,7 @@ func (g *Guard) Quarantine(class, cause string) {
 	if e.mode == ModeQuarantined {
 		return
 	}
-	inFlight := len(g.watch[class]) > 0
+	inFlight := anyOn(g.watch[class])
 	g.cancelWatch(class)
 	e.mode = ModeQuarantined
 	e.cause = cause
@@ -600,16 +618,18 @@ func (g *Guard) OnResumed(token int) {
 	}
 	class := a.Class().Name
 	// Disarm in sorted phase order so the margin instants land in a
-	// deterministic order.
-	if pm := g.watch[class]; len(pm) > 0 {
-		phases := make([]string, 0, len(pm))
-		for ph := range pm {
+	// deterministic order. The buffer holds every phase the handler arms,
+	// so the sort runs on the stack.
+	var buf [8]string
+	phases := buf[:0]
+	for ph, a := range g.watch[class] {
+		if a.on {
 			phases = append(phases, ph)
 		}
-		sort.Strings(phases)
-		for _, ph := range phases {
-			g.DisarmPhase(class, ph)
-		}
+	}
+	slices.Sort(phases)
+	for _, ph := range phases {
+		g.DisarmPhase(class, ph)
 	}
 	e := g.entry(class)
 	if e.releasePending && g.release != nil && g.release(class) {

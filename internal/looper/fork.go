@@ -29,14 +29,14 @@ func (l *Looper) Fork(sched *sim.Scheduler) (*Looper, error) {
 	case l.fault != nil:
 		return nil, fmt.Errorf("looper %s: fork with fault injector armed", l.name)
 	}
-	f := &Looper{
+	// The fork arms its own pump, bound to its own dispatch, on its first
+	// post.
+	return &Looper{
 		name:      l.name,
 		sched:     sched,
 		seq:       l.seq,
 		busyUntil: l.busyUntil,
 		totalBusy: l.totalBusy,
 		processed: l.processed,
-	}
-	f.bindPump() // the callback must dispatch the fork, not l
-	return f, nil
+	}, nil
 }

@@ -85,22 +85,21 @@ type Looper struct {
 	totalBusy time.Duration
 	processed uint64
 	quit      bool
-	pump      *sim.Event
 	current   *Message
 	fault     FaultInjector
 
-	// pumpName and pumpFn are the pump event's name and callback, built
-	// once per looper so re-arming the pump allocates neither.
-	pumpName string
-	pumpFn   func()
+	// pump is the looper's one wakeup event, allocated on the first arm
+	// and re-armed in place for the looper's whole life. Only the looper
+	// holds it, which is what makes sim.Scheduler.Rearm safe here.
+	pump *sim.Event
 
 	// onDispatch, if set, observes every completed dispatch with its
 	// total occupancy (cost plus charges plus stalls). The guard's
 	// ANR-style watchdog hangs off this seam.
 	onDispatch func(name string, start sim.Time, occupancy time.Duration)
 
-	// onBusy, if set, observes every executed message (used by the
-	// metrics recorder to compute CPU usage over time).
+	// onBusy, if set, observes every executed message and charge (the
+	// profiler meters of a profiled process hang off it).
 	onBusy func(start sim.Time, cost time.Duration, name string)
 
 	// tracer, if set, records every dispatch, charge, stall and drop on
@@ -111,15 +110,7 @@ type Looper struct {
 
 // New returns a looper named name driving its messages on sched.
 func New(sched *sim.Scheduler, name string) *Looper {
-	l := &Looper{name: name, sched: sched}
-	l.bindPump()
-	return l
-}
-
-// bindPump builds the pump's event name and binds its callback to l.
-func (l *Looper) bindPump() {
-	l.pumpName = l.name + ":pump"
-	l.pumpFn = l.dispatch
+	return &Looper{name: name, sched: sched}
 }
 
 // Name returns the looper's label.
@@ -138,8 +129,8 @@ func (l *Looper) SetTracer(tr *trace.Tracer, track trace.TrackID) {
 	l.track = track
 }
 
-// SetBusyObserver installs a callback invoked for each executed message
-// with its start time and cost.
+// SetBusyObserver installs (or, with nil, removes) a callback invoked
+// for each executed message and each charge with its start time and cost.
 func (l *Looper) SetBusyObserver(fn func(start sim.Time, cost time.Duration, name string)) {
 	l.onBusy = fn
 }
@@ -158,10 +149,7 @@ func (l *Looper) QueueLen() int { return len(l.queue) }
 func (l *Looper) Quit() {
 	l.quit = true
 	l.queue = nil
-	if l.pump != nil {
-		l.sched.Cancel(l.pump)
-		l.pump = nil
-	}
+	l.sched.Cancel(l.pump)
 }
 
 // Quitted reports whether Quit was called.
@@ -250,19 +238,19 @@ func (l *Looper) schedulePump() {
 	if l.busyUntil > at {
 		at = l.busyUntil
 	}
-	if l.pump != nil && l.pump.Pending() {
-		if l.pump.At <= at {
-			return // existing pump fires at or before the needed time
-		}
-		l.sched.Cancel(l.pump)
+	switch {
+	case l.pump == nil:
+		l.pump = l.sched.At(at, l.name+":pump", l.dispatch)
+	case l.pump.Pending() && l.pump.At <= at:
+		// The armed pump fires at or before the needed time.
+	default:
+		l.sched.Rearm(l.pump, at)
 	}
-	l.pump = l.sched.At(at, l.pumpName, l.pumpFn)
 }
 
 // dispatch runs the first eligible message at the current instant and
 // re-arms the pump.
 func (l *Looper) dispatch() {
-	l.pump = nil
 	if l.quit {
 		return
 	}
@@ -277,7 +265,11 @@ func (l *Looper) dispatch() {
 		if m.When > now {
 			break
 		}
-		l.queue = l.queue[1:]
+		// Pop by shifting down in place: reslicing past the head would
+		// shed a slot of capacity per pop and make insert reallocate.
+		n := copy(l.queue, l.queue[1:])
+		l.queue[n] = nil
+		l.queue = l.queue[:n]
 		if m.cancelled {
 			continue
 		}

@@ -303,17 +303,40 @@ func TestChargeIgnoredWhenQuitOrNonPositive(t *testing.T) {
 	}
 }
 
-// Re-arming the pump allocates only the scheduler event: the event name
-// and the dispatch callback are built once per looper.
-func TestPumpRearmAllocatesOnlyTheEvent(t *testing.T) {
+// Re-arming the pump allocates nothing: the looper's one pump event, with
+// its name and dispatch callback, is built on the first arm and re-armed
+// in place from then on.
+func TestPumpRearmAllocatesNothing(t *testing.T) {
 	s, l := newTestLooper()
 	l.Post("m", time.Millisecond, func() {})
+	pump := l.pump
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Cancel(l.pump)
 		l.schedulePump()
 	})
+	if allocs != 0 {
+		t.Fatalf("pump re-arm made %.0f allocations, want 0", allocs)
+	}
+	if l.pump != pump || !pump.Pending() {
+		t.Fatal("pump re-arm replaced the looper's event or left it unarmed")
+	}
+}
+
+// Popping the queue head keeps its capacity: a looper that posts and
+// dispatches one message at a time never grows its queue again after
+// the first post.
+func TestQueuePopKeepsCapacity(t *testing.T) {
+	s, l := newTestLooper()
+	noop := func() {}
+	l.Post("warm", 0, noop)
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		l.Post("m", 0, noop)
+		s.Run()
+	})
+	// One Message per post; the queue slot is reused.
 	if allocs != 1 {
-		t.Fatalf("pump re-arm made %.0f allocations, want 1 (the event)", allocs)
+		t.Fatalf("post+dispatch made %.0f allocations, want 1 (the message)", allocs)
 	}
 }
 

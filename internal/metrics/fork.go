@@ -1,28 +1,13 @@
 package metrics
 
-import (
-	"time"
+import "rchdroid/internal/sim"
 
-	"rchdroid/internal/sim"
-)
-
-// Clone returns an independent meter with the same window and accumulated
-// busy slots. Used by the device fork facility so a forked process's CPU
-// accounting continues exactly where the template's stopped.
-func (c *CPUMeter) Clone() *CPUMeter {
-	busy := make(map[int64]time.Duration, len(c.busy))
-	for k, v := range c.busy {
-		busy[k] = v
-	}
-	return &CPUMeter{window: c.window, busy: busy, maxSlot: c.maxSlot}
-}
-
-// Clone returns an independent meter stamping future samples with sched's
-// clock, carrying over the current level and recorded series.
+// Clone returns an independent meter at m's current count, stamping
+// future changes with sched's clock. The clone does not record: the
+// device fork facility refuses a profiled process, so there is never a
+// history to carry.
 func (m *MemoryMeter) Clone(sched *sim.Scheduler) *MemoryMeter {
-	out := &MemoryMeter{sched: sched, current: m.current}
-	out.series.Name = m.series.Name
-	out.series.Points = make([]Point, len(m.series.Points))
-	copy(out.series.Points, m.series.Points)
+	out := NewMemoryMeter(sched, m.series.Name)
+	out.current = m.current
 	return out
 }

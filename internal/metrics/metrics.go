@@ -1,8 +1,9 @@
 // Package metrics provides the measurement machinery of the evaluation:
-// time-series recording (the Android-Studio-profiler stand-in for Fig 9),
-// a CPU meter fed by looper busy time, a memory meter fed by the app
-// process model, and the summary statistics the paper reports (means over
-// ≥5 runs with σ < 5%).
+// the Android-Studio-profiler stand-ins for Fig 9 (a CPU meter fed by
+// looper busy time and a memory meter fed by the app process model, whose
+// history is kept only for processes that profile), the summary
+// statistics the paper reports (means over ≥5 runs with σ < 5%), and the
+// per-phase statistics derived from structured traces.
 package metrics
 
 import (
@@ -50,50 +51,6 @@ func (s *Series) At(t sim.Time, def float64) float64 {
 		v = p.Value
 	}
 	return v
-}
-
-// Max returns the largest sample value, or 0 when empty.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, p := range s.Points {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
-// Recorder collects named series against a scheduler's clock.
-type Recorder struct {
-	sched  *sim.Scheduler
-	series map[string]*Series
-	order  []string
-}
-
-// NewRecorder returns a recorder stamping samples with sched's clock.
-func NewRecorder(sched *sim.Scheduler) *Recorder {
-	return &Recorder{sched: sched, series: make(map[string]*Series)}
-}
-
-// Record appends a sample to the named series, creating it on first use.
-func (r *Recorder) Record(name string, v float64) {
-	s, ok := r.series[name]
-	if !ok {
-		s = &Series{Name: name}
-		r.series[name] = s
-		r.order = append(r.order, name)
-	}
-	s.Add(r.sched.Now(), v)
-}
-
-// Series returns the named series, or nil.
-func (r *Recorder) Series(name string) *Series { return r.series[name] }
-
-// Names returns series names in creation order.
-func (r *Recorder) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
 }
 
 // CPUMeter aggregates looper busy time into fixed windows and reports the
@@ -152,11 +109,14 @@ func (c *CPUMeter) TraceSeries(name string) *Series {
 	return s
 }
 
-// MemoryMeter tracks a byte count over time as a step series.
+// MemoryMeter tracks a byte count. Once Record is called it also keeps
+// the count's history as a step series in MB; until then it holds only
+// the current count.
 type MemoryMeter struct {
-	sched   *sim.Scheduler
-	current int64
-	series  Series
+	sched     *sim.Scheduler
+	current   int64
+	recording bool
+	series    Series
 }
 
 // NewMemoryMeter returns a meter stamping changes with sched's clock.
@@ -166,14 +126,23 @@ func NewMemoryMeter(sched *sim.Scheduler, name string) *MemoryMeter {
 	return m
 }
 
-// Set replaces the current byte count and records a sample.
-func (m *MemoryMeter) Set(bytes int64) {
-	m.current = bytes
-	m.series.Add(m.sched.Now(), float64(bytes)/(1<<20))
+// Record starts the step series at the current count; every later Set
+// appends a sample. Calling it again is a no-op.
+func (m *MemoryMeter) Record() {
+	if m.recording {
+		return
+	}
+	m.recording = true
+	m.series.Add(m.sched.Now(), m.CurrentMB())
 }
 
-// Adjust adds delta bytes and records a sample.
-func (m *MemoryMeter) Adjust(delta int64) { m.Set(m.current + delta) }
+// Set replaces the current byte count, sampling it while recording.
+func (m *MemoryMeter) Set(bytes int64) {
+	m.current = bytes
+	if m.recording {
+		m.series.Add(m.sched.Now(), m.CurrentMB())
+	}
+}
 
 // CurrentBytes returns the tracked byte count.
 func (m *MemoryMeter) CurrentBytes() int64 { return m.current }
@@ -181,7 +150,8 @@ func (m *MemoryMeter) CurrentBytes() int64 { return m.current }
 // CurrentMB returns the tracked count in MiB.
 func (m *MemoryMeter) CurrentMB() float64 { return float64(m.current) / (1 << 20) }
 
-// TraceSeries returns the recorded MB series.
+// TraceSeries returns the recorded MB series, empty unless Record was
+// called.
 func (m *MemoryMeter) TraceSeries() *Series { return &m.series }
 
 // Summary holds the statistics the paper reports per measurement: the mean of at

@@ -24,36 +24,12 @@ func TestSeriesAddAndQuery(t *testing.T) {
 	if got := s.At(sim.Time(5*time.Millisecond), -1); got != -1 {
 		t.Fatalf("At(5ms) = %v, want default", got)
 	}
-	if s.Max() != 5 {
-		t.Fatalf("Max = %v", s.Max())
-	}
 }
 
 func TestEmptySeries(t *testing.T) {
 	s := &Series{}
-	if s.Last(7) != 7 || s.Max() != 0 || s.At(0, 9) != 9 {
+	if s.Last(7) != 7 || s.At(0, 9) != 9 {
 		t.Fatal("empty series defaults wrong")
-	}
-}
-
-func TestRecorderStampsWithClock(t *testing.T) {
-	sched := sim.NewScheduler()
-	r := NewRecorder(sched)
-	r.Record("mem", 10)
-	sched.Advance(50 * time.Millisecond)
-	r.Record("mem", 20)
-	r.Record("cpu", 1)
-
-	mem := r.Series("mem")
-	if len(mem.Points) != 2 || mem.Points[1].At != sim.Time(50*time.Millisecond) {
-		t.Fatalf("mem points = %v", mem.Points)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "mem" || names[1] != "cpu" {
-		t.Fatalf("Names = %v", names)
-	}
-	if r.Series("missing") != nil {
-		t.Fatal("missing series not nil")
 	}
 }
 
@@ -94,21 +70,32 @@ func TestCPUMeterDefaultWindow(t *testing.T) {
 	}
 }
 
+// The meter always tracks the current count, but samples it only while
+// recording: Record starts the series at the current level, and later
+// Sets append to it.
 func TestMemoryMeter(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := NewMemoryMeter(sched, "app")
+	m.Set(16 << 20)
 	m.Set(64 << 20)
+	if m.CurrentMB() != 64 {
+		t.Fatalf("CurrentMB = %v", m.CurrentMB())
+	}
+	if tr := m.TraceSeries(); len(tr.Points) != 0 {
+		t.Fatalf("trace before Record = %v, want empty", tr.Points)
+	}
 	sched.Advance(time.Second)
-	m.Adjust(-(32 << 20))
+	m.Record()
+	m.Record() // idempotent: no second starting sample
+	sched.Advance(time.Second)
+	m.Set(32 << 20)
 	if m.CurrentBytes() != 32<<20 {
 		t.Fatalf("CurrentBytes = %d", m.CurrentBytes())
 	}
-	if m.CurrentMB() != 32 {
-		t.Fatalf("CurrentMB = %v", m.CurrentMB())
-	}
+	want := []Point{{At: sim.Time(time.Second), Value: 64}, {At: sim.Time(2 * time.Second), Value: 32}}
 	tr := m.TraceSeries()
-	if len(tr.Points) != 2 || tr.Points[0].Value != 64 {
-		t.Fatalf("trace = %v", tr.Points)
+	if len(tr.Points) != len(want) || tr.Points[0] != want[0] || tr.Points[1] != want[1] {
+		t.Fatalf("trace = %v, want %v", tr.Points, want)
 	}
 }
 

@@ -37,8 +37,9 @@ func (t Time) Sub(earlier Time) time.Duration { return time.Duration(t - earlier
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. Events are single-shot; rescheduling
-// allocates a new Event. An Event can be cancelled until it has fired.
+// Event is a scheduled callback. Events are single-shot: At allocates a
+// new one, and only the event's owner may put it back in the queue with
+// Rearm. An Event can be cancelled until it has fired.
 type Event struct {
 	// At is the virtual time the event fires.
 	At Time
@@ -151,6 +152,27 @@ func (s *Scheduler) Cancel(e *Event) {
 	}
 	heap.Remove(&s.events, e.index)
 	e.cancelled = true
+}
+
+// Rearm reschedules e, an event its caller owns, to fire at t with its
+// name and callback unchanged; a still-pending e moves in the queue
+// rather than firing twice. It takes the next sequence number exactly as
+// a fresh At would, so tie-breaks, Fired() and traces are those of Cancel
+// followed by At; it only saves the allocation. The owner must never hand
+// e out: whoever else held it would see it fire again.
+func (s *Scheduler) Rearm(e *Event, t Time) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: re-arming %q at %v, before now %v", e.Name, t, s.now))
+	}
+	e.At = t
+	e.seq = s.seq
+	s.seq++
+	e.cancelled = false
+	if e.index >= 0 {
+		heap.Fix(&s.events, e.index)
+		return
+	}
+	heap.Push(&s.events, e)
 }
 
 // Step fires the earliest pending event, advancing the clock to its

@@ -121,13 +121,21 @@ func TestAdvanceMovesClockEvenWithoutEvents(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := NewScheduler()
+	e := s.At(Time(time.Millisecond), "owned", func() {})
 	s.Advance(10 * time.Millisecond)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling in the past")
-		}
-	}()
-	s.At(Time(5*time.Millisecond), "past", func() {})
+	for name, schedule := range map[string]func(){
+		"At":    func() { s.At(Time(5*time.Millisecond), "past", func() {}) },
+		"Rearm": func() { s.Rearm(e, Time(5*time.Millisecond)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic scheduling in the past", name)
+				}
+			}()
+			schedule()
+		}()
+	}
 }
 
 func TestNegativeAfterClampsToNow(t *testing.T) {
@@ -206,6 +214,85 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: re-arming an owned event fires exactly what cancelling it
+// and scheduling a fresh one would: the same names at the same times in
+// the same order, with the same fired count. Each op byte re-arms one of
+// three owned events (pending, fired or cancelled alike) or posts a
+// bystander event, so same-instant tie-breaks against other events are
+// exercised too.
+func TestRearmMatchesCancelThenAt(t *testing.T) {
+	run := func(ops []byte, rearm bool) ([]TraceEntry, uint64) {
+		s := NewScheduler()
+		tr := &RecordingTracer{}
+		s.SetTracer(tr)
+		names := [3]string{"a", "b", "c"}
+		var owned [3]*Event
+		for i, op := range ops {
+			at := s.Now().Add(time.Duration(op>>3) * time.Millisecond)
+			switch k := int(op & 3); {
+			case k == 3:
+				s.At(at, "other", func() {})
+			case owned[k] == nil:
+				owned[k] = s.At(at, names[k], func() {})
+			case rearm:
+				s.Rearm(owned[k], at)
+			default:
+				s.Cancel(owned[k])
+				owned[k] = s.At(at, names[k], func() {})
+			}
+			if op&4 != 0 {
+				if k := int(op & 3); k < 3 && owned[k] != nil {
+					s.Cancel(owned[k])
+				}
+			}
+			if i%3 == 2 {
+				s.Step()
+			}
+		}
+		s.Run()
+		return tr.Entries, s.Fired()
+	}
+	f := func(ops []byte) bool {
+		want, wantFired := run(ops, false)
+		got, gotFired := run(ops, true)
+		if gotFired != wantFired || len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Re-arming reuses the caller's event: a pending, a cancelled and a fired
+// event all go back in the queue without an allocation, and a cancelled
+// one stops reporting Cancelled.
+func TestRearmReusesTheEvent(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	e := s.At(Time(time.Millisecond), "e", func() { fired++ })
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Rearm(e, s.Now().Add(2*time.Millisecond)) // pending
+		s.Cancel(e)
+		s.Rearm(e, s.Now().Add(time.Millisecond)) // cancelled
+		s.Step()
+		s.Rearm(e, s.Now()) // fired
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Rearm made %.0f allocations, want 0", allocs)
+	}
+	if e.Cancelled() || e.Pending() || fired != 202 {
+		t.Fatalf("cancelled=%v pending=%v fired=%d, want false/false/202", e.Cancelled(), e.Pending(), fired)
 	}
 }
 
