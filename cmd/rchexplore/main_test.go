@@ -66,6 +66,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-schedule=0"}, // needs exactly one scenario
 		{"-scenario=double-rotation", "-schedule=999999"}, // out of range
 		{"-checkpoint=f.json"},                            // needs exactly one scenario
+		{"-trace-on-fail"},                                // rchsweep's flag, not ours
 	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(args...); code != 2 {

@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxDevices := fs.Int("max-devices", 0, "resident-device bound per shard (0 = default 64)")
 	deadline := fs.Duration("deadline", 0, "wall-clock budget per request (0 = none); queue waits past it shed with code \"deadline\"")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long a signal-triggered drain waits for in-flight work before forcing an abort")
-	bootRetries := fs.Int("boot-retries", 0, "settle attempts per device boot (0 = default 3)")
 	respawn := fs.Bool("respawn", false, "re-boot a device after its panic is contained")
 	brkThreshold := fs.Int("breaker-threshold", 0, "consecutive device failures that quarantine a shard (0 = default 3)")
 	brkOpen := fs.Duration("breaker-open", 0, "quarantine window before a shard may probe again (0 = default 2s)")
@@ -89,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		QueueDepth:      *queueDepth,
 		MaxDevices:      *maxDevices,
 		RequestDeadline: *deadline,
-		BootRetries:     *bootRetries,
 		RespawnPanicked: *respawn,
 		Breaker: serve.BreakerConfig{
 			Threshold:          *brkThreshold,

@@ -114,19 +114,19 @@ func (c *client) try(req serve.Request) (serve.Response, error) {
 	return resp, nil
 }
 
-// metricValue digs one metric out of a stats reply's full dump.
+// metricValue digs one metric out of a stats reply's full dump, failing
+// the test when the dump lacks it.
 func metricValue(t *testing.T, raw json.RawMessage, name string) int64 {
 	t.Helper()
 	snap, err := obs.DecodeSnapshot(raw)
 	if err != nil {
 		t.Fatalf("stats metrics do not decode: %v", err)
 	}
-	for _, m := range snap.Metrics {
-		if m.Name == name {
-			return m.Value
-		}
+	v, ok := snap.Value(name)
+	if !ok {
+		t.Fatalf("stats metrics lack %s", name)
 	}
-	return 0
+	return v
 }
 
 // TestChaosStormContainment is the fleet acceptance test over the real

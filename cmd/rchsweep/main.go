@@ -77,6 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit the merged report as JSON")
 	crosscheck := fs.Bool("crosscheck", false, "run the range at -workers=1 and -workers=N (N >= 2) and require byte-identical reports and canonical metric dumps")
 	shared := cliflags.Register(fs, "rchsweep")
+	traceOnFail := fs.Bool("trace-on-fail", false, "in oracle and guard modes, write each failing seed's RCHDroid-side trace to ./artifacts/")
 	minRate := fs.Float64("min-seeds-per-sec", 0, "fail (exit 1) if sweep throughput drops below this floor (0 = no floor)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -175,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, res := range rep.Panicked() {
 			fmt.Fprintf(stderr, "rchsweep: worker panic on seed %d: %s\n%s\n", res.Seed, res.PanicVal, res.PanicStack)
 		}
-		if shared.TraceOnFail {
+		if *traceOnFail {
 			for _, res := range rep.Failed() {
 				writeFailureTrace(stderr, *mode, res.Seed)
 			}

@@ -244,12 +244,7 @@ func TestSignalInterruptsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("flushed metrics do not decode: %v", err)
 	}
-	done := int64(0)
-	for _, m := range snap.Metrics {
-		if m.Name == "sweep_seeds_total" {
-			done = m.Value
-		}
-	}
+	done, _ := snap.Value("sweep_seeds_total")
 	if done <= 0 || done >= 50000 {
 		t.Fatalf("sweep_seeds_total = %d after interrupt, want partial progress", done)
 	}

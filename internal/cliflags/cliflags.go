@@ -1,9 +1,8 @@
 // Package cliflags is the one definition of the diagnostic flag set the
 // simulator commands share: progress reporting, metric dumps, CPU/heap
-// profiles, failure traces, and the fork toggle. rchsweep and rchexplore
-// used to each define these flags by hand; defining them here means a
-// new shared flag (like -fork) lands once and reads identically
-// everywhere.
+// profiles, and the fork toggle. rchsweep and rchexplore used to each
+// define these flags by hand; defining them here means a new shared
+// flag (like -fork) lands once and reads identically everywhere.
 package cliflags
 
 import (
@@ -24,7 +23,6 @@ import (
 // Set holds the parsed shared flag values for one command.
 type Set struct {
 	tool        string
-	TraceOnFail bool
 	Progress    time.Duration
 	MetricsOut  string
 	MetricsProm string
@@ -37,8 +35,6 @@ type Set struct {
 // the command in error messages ("rchsweep").
 func Register(fs *flag.FlagSet, tool string) *Set {
 	s := RegisterProfiles(fs, tool)
-	fs.BoolVar(&s.TraceOnFail, "trace-on-fail", false,
-		"write each failing seed's RCHDroid-side trace to ./artifacts/")
 	fs.DurationVar(&s.Progress, "progress", 0,
 		"print a live progress line to stderr at this interval (0 = off)")
 	fs.StringVar(&s.MetricsOut, "metrics-out", "",

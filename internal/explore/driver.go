@@ -11,28 +11,15 @@ import (
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/config"
 	"rchdroid/internal/device"
-	"rchdroid/internal/guard"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
-	"rchdroid/internal/sim"
 	"rchdroid/internal/view"
 )
 
-// RunResult is one scenario run under one handler and one schedule.
+// RunResult is one scenario run under one handler and one schedule. Its
+// Essence also carries the final instance's applied configuration.
 type RunResult struct {
-	Name       string
-	Crashed    bool
-	CrashCause string
-	// Invariant holds the first lifecycle-invariant violation with its
-	// step context ("" when clean).
-	Invariant string
-	// FinalMissing is set when the run ended with no foreground activity
-	// despite not having crashed.
-	FinalMissing bool
-	// Essence is the final foreground instance's stock-persistence
-	// fingerprint plus its applied configuration, for cross-handler
-	// equality.
-	Essence string
+	oracle.Arm
 	// Expected is the accumulated ground truth (probe fields recorded at
 	// application time); Actual is the final foreground probe. Both are
 	// sorted by field name.
@@ -47,17 +34,7 @@ type RunResult struct {
 	// order; runs whose kills captured different state are not
 	// essence-comparable.
 	KillStates []string
-	// Applied counts script steps that found a foreground target.
-	Applied   int
-	Kills     int
-	Handlings int
-	// HandlingTimes are the per-handling end-to-end sim-clock durations,
-	// seed... schedule-deterministic, for canonical metric histograms.
-	HandlingTimes     []time.Duration
-	HandlingViolation string
-	Injections        int
-	FirstInjectionAt  sim.Time
-	Guard             guard.Summary
+	Kills      int
 }
 
 // invariantsFor builds the sampling config from the scenario's declared
@@ -89,7 +66,7 @@ func fieldPrefix(className string) string {
 // point is behaviorally identical to a fresh build) and built fresh
 // otherwise.
 func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, forker *device.TemplateCache) RunResult {
-	res := RunResult{Name: inst.Name}
+	res := RunResult{Arm: oracle.Arm{Name: inst.Name}}
 	var plan *chaos.Plan
 	var w *device.World
 	install := func(p *app.Process) {
@@ -337,11 +314,7 @@ steps:
 		if crashed() {
 			break steps
 		}
-		if res.Invariant == "" {
-			if errs := oracle.CheckInvariants([]*app.Process{proc}, invCfg); len(errs) > 0 {
-				res.Invariant = fmt.Sprintf("step %d (%s): %v", i, st.Kind, errs[0])
-			}
-		}
+		res.Sample(proc, invCfg, i, st.Kind.String())
 		// Scheduled fault actions at edge i, in canonical action order.
 		for _, slot := range sched {
 			if slot.Edge != i {
@@ -370,11 +343,7 @@ steps:
 	clock.Advance(4 * time.Second)
 	crashed()
 	if !res.Crashed {
-		if res.Invariant == "" {
-			if errs := oracle.CheckInvariants([]*app.Process{proc}, invCfg); len(errs) > 0 {
-				res.Invariant = fmt.Sprintf("final: %v", errs[0])
-			}
-		}
+		res.Sample(proc, invCfg, -1, "")
 		if fg := proc.Thread().ForegroundActivity(); fg != nil {
 			res.Essence = oracle.Essence(fg) + " cfg:" + fg.Config().String()
 			res.Actual = sc.Probe(fg)
@@ -391,22 +360,6 @@ steps:
 		res.Losses = oracle.ClassifyLoss(res.Expected, res.Actual)
 	}
 
-	hs := sys.HandlingTimes()
-	res.Handlings = len(hs)
-	res.HandlingTimes = append([]time.Duration(nil), hs...)
-	for i, d := range hs {
-		if d <= 0 || d > time.Second {
-			res.HandlingViolation = fmt.Sprintf("handling %d took %v, want (0, 1s]", i, d)
-			break
-		}
-	}
-	inj := plan.Injections()
-	res.Injections = len(inj)
-	if len(inj) > 0 {
-		res.FirstInjectionAt = inj[0].At
-	}
-	if inst.Guard != nil {
-		res.Guard = inst.Guard().Summary()
-	}
+	res.Finish(sys, plan, inst)
 	return res
 }

@@ -98,10 +98,7 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 			fail("%s lost user state: %s", r.Name, l)
 		}
 	}
-	if r.HandlingViolation != "" && !(r.Guard.Enabled && r.Guard.ANRs > 0) {
-		fail("%s: %s", r.Name, r.HandlingViolation)
-	}
-	v.Failures = append(v.Failures, oracle.Unattributed(r.Name, r.Guard, r.Injections, r.FirstInjectionAt)...)
+	v.Failures = append(v.Failures, r.Bounds()...)
 
 	s := &v.Stock
 	if s.Crashed && !sc.StockMayCrash {
@@ -135,17 +132,11 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 	}
 }
 
-// InstallerFor builds a fresh default installer for the scenario:
-// supervised RCHDroid for guarded scenarios, plain RCHDroid otherwise.
-// Installers are stateful (the guard getter), so every run needs its
-// own — never share one across workers.
-func InstallerFor(sc *corpus.Scenario) oracle.Installer {
-	return InstallerForObs(sc, nil)
-}
-
-// InstallerForObs is InstallerFor with the worker's metric shard routed
-// into core (and the guard, for guarded scenarios). A nil shard
-// disables observation.
+// InstallerForObs builds a fresh default installer for the scenario:
+// supervised RCHDroid for guarded scenarios, plain RCHDroid otherwise,
+// with the worker's metric shard routed into core (and the guard). A
+// nil shard disables observation. Installers are stateful (the guard
+// getter), so every run needs its own — never share one across workers.
 func InstallerForObs(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
 	if sc.Guarded {
 		return sweep.GuardedInstallerObs(sh)
@@ -174,7 +165,7 @@ func RunIndexForked(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Instal
 
 // RunIndex is RunIndexWith under the scenario's default installer.
 func RunIndex(sc *corpus.Scenario, sp Space, idx uint64) Verdict {
-	return RunIndexWith(sc, sp, idx, InstallerFor(sc))
+	return RunIndexWith(sc, sp, idx, InstallerForObs(sc, nil))
 }
 
 // ReplayFor is the printf format (one %d verb: the schedule index) that
@@ -195,10 +186,6 @@ type Options struct {
 	// resume point.
 	Start uint64
 	Count int
-	// Installer overrides the per-run RCHDroid installer factory (ablation
-	// studies run deliberately broken builds through the same oracle).
-	// Overridden installers bypass the core-side metric shard wiring.
-	Installer func() oracle.Installer
 	// Obs, when set, collects the exploration's metrics: schedule and
 	// failure counts, stock crash/loss classification tallies, handling
 	// latency histograms, and the frontier gauge. Sim-domain values are
@@ -273,10 +260,6 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 	if opts.Count <= 0 || count > size-start {
 		count = size - start
 	}
-	factory := func(sh *obs.Shard) oracle.Installer { return InstallerForObs(sc, sh) }
-	if opts.Installer != nil {
-		factory = func(*obs.Shard) oracle.Installer { return opts.Installer() }
-	}
 	var forker *device.TemplateCache
 	if opts.Fork {
 		forker = device.NewTemplateCache()
@@ -293,7 +276,7 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		Obs:       opts.Obs,
 		Stop:      opts.Stop,
 	}, func(idx uint64, sh *obs.Shard) sweep.Outcome {
-		v := RunIndexForked(sc, sp, idx, factory(sh), forker)
+		v := RunIndexForked(sc, sp, idx, InstallerForObs(sc, sh), forker)
 		i := idx - start
 		crashes[i] = v.Stock.Crashed
 		tallies[i] = oracle.TallyLosses(v.Stock.Losses)

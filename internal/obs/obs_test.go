@@ -229,6 +229,12 @@ func TestSnapshotRoundTripAndTable(t *testing.T) {
 	if len(snap.Metrics) != 3 {
 		t.Fatalf("round-trip kept %d metrics, want 3", len(snap.Metrics))
 	}
+	if v, ok := snap.Value("runs_total"); v != 3 || !ok {
+		t.Errorf("Value(runs_total) = %d, %v; want 3, true", v, ok)
+	}
+	if v, ok := snap.Value("no_such_total"); v != 0 || ok {
+		t.Errorf("Value(no_such_total) = %d, %v; want 0, false", v, ok)
+	}
 	table := snap.Table()
 	for _, want := range []string{"runs_total", "handling_sim_ns", "p95=", "wall domain"} {
 		if !strings.Contains(table, want) {

@@ -153,6 +153,17 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
+// Value returns the named counter's or gauge's value; ok is false when
+// the snapshot holds no metric of that name.
+func (s *Snapshot) Value(name string) (v int64, ok bool) {
+	for _, m := range s.Metrics {
+		if m.Name == name {
+			return m.Value, true
+		}
+	}
+	return 0, false
+}
+
 // Canonical returns the sim-domain subset — the deterministic part of
 // the snapshot. Wall-domain metrics are quarantined out, exactly like
 // the sweep report keeps wall times outside its canonical bytes.

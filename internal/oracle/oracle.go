@@ -41,8 +41,10 @@ type ModelState struct {
 	Counter int64
 }
 
-// RunResult is one run of a scenario under one handler.
-type RunResult struct {
+// Arm is what one arm of a differential run records, whichever harness
+// drives it: the seeded oracle here and the schedule explorer both embed
+// it in their run results and judge it with Bounds.
+type Arm struct {
 	Name       string
 	Crashed    bool
 	CrashCause string
@@ -52,23 +54,13 @@ type RunResult struct {
 	// FinalMissing is set when the run ended with no foreground activity
 	// despite not having crashed.
 	FinalMissing bool
-	// Essence is the stock-persisted state at the end of the run: the
-	// onSaveInstanceState bundle (view subtree the stock relaunch would
-	// carry, fragments, app-private section) plus the view-tree shape.
+	// Essence is the final foreground instance's stock-persisted state,
+	// compared across handlers: the onSaveInstanceState bundle (view
+	// subtree the stock relaunch would carry, fragments, app-private
+	// section) plus the view-tree shape.
 	Essence string
-	// Expected is the state the script actually applied (ground truth
-	// recorded at application time); Actual is what the final foreground
-	// instance shows.
-	Expected ModelState
-	Actual   ModelState
 	// Applied counts script interactions that found a foreground target.
 	Applied int
-	// Started/Delivered/DroppedByPlan track each async task: whether it
-	// was started, how many times its result ran, and whether the chaos
-	// plan swallowed the result on purpose.
-	Started       []bool
-	Delivered     []int
-	DroppedByPlan []bool
 	// HandlingViolation is the first out-of-bounds change-handling time.
 	HandlingViolation string
 	Handlings         int
@@ -83,6 +75,95 @@ type RunResult struct {
 	FirstInjectionAt sim.Time
 	// Guard summarises the supervision layer (zero value when disabled).
 	Guard guard.Summary
+}
+
+// Sample checks the lifecycle invariants at a quiescent point and keeps
+// the first violation, labelled "step <step> (<kind>)", or "final" when
+// step < 0. A crashed process is not sampled: the crash is the finding.
+func (a *Arm) Sample(proc *app.Process, cfg InvariantConfig, step int, kind string) {
+	if a.Invariant != "" || proc.Crashed() {
+		return
+	}
+	errs := CheckInvariants([]*app.Process{proc}, cfg)
+	if len(errs) == 0 {
+		return
+	}
+	if step < 0 {
+		a.Invariant = fmt.Sprintf("final: %v", errs[0])
+		return
+	}
+	a.Invariant = fmt.Sprintf("step %d (%s): %v", step, kind, errs[0])
+}
+
+// Finish records the end of the run: every handling time against the
+// (0, 1s] bound, the faults the plan landed, and the supervision
+// summary of the guard inst armed, if any.
+func (a *Arm) Finish(sys *atms.ATMS, plan *chaos.Plan, inst Installer) {
+	hs := sys.HandlingTimes()
+	a.Handlings = len(hs)
+	a.HandlingTimes = append([]time.Duration(nil), hs...)
+	for i, d := range hs {
+		if d <= 0 || d > time.Second {
+			a.HandlingViolation = fmt.Sprintf("handling %d took %v, want (0, 1s]", i, d)
+			break
+		}
+	}
+	inj := plan.Injections()
+	a.Injections = len(inj)
+	if len(inj) > 0 {
+		a.FirstInjectionAt = inj[0].At
+	}
+	if inst.Guard != nil {
+		a.Guard = inst.Guard().Summary()
+	}
+}
+
+// Bounds returns the arm's mode-aware failure lines, the clause every
+// judge applies to the arm under test. A handling time out of bounds is
+// excused only when the guard's watchdog fired on the run. Then each
+// degradation of a guarded run that no landed fault explains fails: a
+// quarantine with no injection or before the first one, and a breaker
+// open or self-check failure with no injection. Such a degradation is a
+// supervision bug, not robustness. Injections counts landed faults;
+// FirstInjectionAt alone cannot tell "none" from a fault on the very
+// first tick.
+func (a *Arm) Bounds() []string {
+	var out []string
+	g := a.Guard
+	if a.HandlingViolation != "" && !(g.Enabled && g.ANRs > 0) {
+		out = append(out, fmt.Sprintf("%s: %s", a.Name, a.HandlingViolation))
+	}
+	if g.Quarantines > 0 {
+		if a.Injections == 0 {
+			out = append(out, fmt.Sprintf("%s: quarantined with no injected fault", a.Name))
+		} else if g.FirstQuarantineAt < a.FirstInjectionAt {
+			out = append(out, fmt.Sprintf("%s: first quarantine at %v precedes first injection at %v",
+				a.Name, g.FirstQuarantineAt, a.FirstInjectionAt))
+		}
+	}
+	if g.BreakerOpens > 0 && a.Injections == 0 {
+		out = append(out, fmt.Sprintf("%s: breaker opened with no injected fault", a.Name))
+	}
+	if g.SelfCheckFailures > 0 && a.Injections == 0 {
+		out = append(out, fmt.Sprintf("%s: self-check failed with no injected fault", a.Name))
+	}
+	return out
+}
+
+// RunResult is one run of a scenario under one handler.
+type RunResult struct {
+	Arm
+	// Expected is the state the script actually applied (ground truth
+	// recorded at application time); Actual is what the final foreground
+	// instance shows.
+	Expected ModelState
+	Actual   ModelState
+	// Started/Delivered/DroppedByPlan track each async task: whether it
+	// was started, how many times its result ran, and whether the chaos
+	// plan swallowed the result on purpose.
+	Started       []bool
+	Delivered     []int
+	DroppedByPlan []bool
 }
 
 // Verdict is the differential comparison for one seed.
@@ -194,7 +275,7 @@ func oracleSpec(sc Scenario) device.Spec {
 // tracer on every layer (system server, process, chaos plan).
 func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Tracer, forker *device.TemplateCache) RunResult {
 	res := RunResult{
-		Name:          inst.Name,
+		Arm:           Arm{Name: inst.Name},
 		Started:       make([]bool, sc.Tasks),
 		Delivered:     make([]int, sc.Tasks),
 		DroppedByPlan: make([]bool, sc.Tasks),
@@ -331,11 +412,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 			// nothing to inject; the advance below is the op
 		}
 		sched.Advance(o.settle)
-		if res.Invariant == "" && !proc.Crashed() {
-			if errs := CheckInvariants([]*app.Process{proc}, oracleInvariants); len(errs) > 0 {
-				res.Invariant = fmt.Sprintf("step %d (%s): %v", step, o.kind, errs[0])
-			}
-		}
+		res.Sample(proc, oracleInvariants, step, o.kind)
 	}
 	// Drain: longest task (400 ms) + worst chaos delay (700 ms) both fit.
 	sched.Advance(4 * time.Second)
@@ -344,11 +421,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 	if res.Crashed {
 		res.CrashCause = fmt.Sprint(proc.CrashCause())
 	} else {
-		if res.Invariant == "" {
-			if errs := CheckInvariants([]*app.Process{proc}, oracleInvariants); len(errs) > 0 {
-				res.Invariant = fmt.Sprintf("final: %v", errs[0])
-			}
-		}
+		res.Sample(proc, oracleInvariants, -1, "")
 		if fg := proc.Thread().ForegroundActivity(); fg != nil {
 			res.Essence = essenceOf(fg)
 			var err error
@@ -362,23 +435,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 	for i := range res.DroppedByPlan {
 		res.DroppedByPlan[i] = plan.AsyncDropped(taskName(i)) > 0
 	}
-	hs := sys.HandlingTimes()
-	res.Handlings = len(hs)
-	res.HandlingTimes = append([]time.Duration(nil), hs...)
-	for i, d := range hs {
-		if d <= 0 || d > time.Second {
-			res.HandlingViolation = fmt.Sprintf("handling %d took %v, want (0, 1s]", i, d)
-			break
-		}
-	}
-	inj := plan.Injections()
-	res.Injections = len(inj)
-	if len(inj) > 0 {
-		res.FirstInjectionAt = inj[0].At
-	}
-	if inst.Guard != nil {
-		res.Guard = inst.Guard().Summary()
-	}
+	res.Finish(sys, plan, inst)
 	return res
 }
 
@@ -429,32 +486,6 @@ func TraceRCHWith(seed uint64, rch Installer, capacity int, opts chaos.Options) 
 	return tracer.MarshalJSON()
 }
 
-// Unattributed returns one failure line for each degradation of a
-// guarded run that no landed fault explains: a quarantine with no
-// injection or before the first one, and a breaker open or self-check
-// failure with no injection. Such a degradation is a supervision bug,
-// not robustness. Injections counts landed faults; firstInjectionAt
-// alone cannot tell "none" from a fault on the very first tick. Both
-// the differential oracle and the schedule explorer judge with it.
-func Unattributed(name string, g guard.Summary, injections int, firstInjectionAt sim.Time) []string {
-	var out []string
-	if g.Quarantines > 0 {
-		if injections == 0 {
-			out = append(out, fmt.Sprintf("%s: quarantined with no injected fault", name))
-		} else if g.FirstQuarantineAt < firstInjectionAt {
-			out = append(out, fmt.Sprintf("%s: first quarantine at %v precedes first injection at %v",
-				name, g.FirstQuarantineAt, firstInjectionAt))
-		}
-	}
-	if g.BreakerOpens > 0 && injections == 0 {
-		out = append(out, fmt.Sprintf("%s: breaker opened with no injected fault", name))
-	}
-	if g.SelfCheckFailures > 0 && injections == 0 {
-		out = append(out, fmt.Sprintf("%s: self-check failed with no injected fault", name))
-	}
-	return out
-}
-
 // judge asserts the contract:
 //
 //	RCHDroid absolutes — crash-free, invariant-clean, full user state
@@ -495,10 +526,7 @@ func (v *Verdict) judge() {
 	if !r.Crashed && !r.FinalMissing && r.Actual != r.Expected && !quarantined {
 		fail("%s lost user state: actual %+v, expected %+v", r.Name, r.Actual, r.Expected)
 	}
-	if r.HandlingViolation != "" && !(r.Guard.Enabled && r.Guard.ANRs > 0) {
-		fail("%s: %s", r.Name, r.HandlingViolation)
-	}
-	v.Failures = append(v.Failures, Unattributed(r.Name, r.Guard, r.Injections, r.FirstInjectionAt)...)
+	v.Failures = append(v.Failures, r.Bounds()...)
 	for i, started := range r.Started {
 		want := 0
 		if started && !r.DroppedByPlan[i] {

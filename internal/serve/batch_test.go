@@ -75,11 +75,11 @@ func TestBatchCrossShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(snap, "serve_batch_steps_total"); got != int64(len(steps)) {
+	if got := metricValue(t, snap, "serve_batch_steps_total"); got != int64(len(steps)) {
 		t.Fatalf("serve_batch_steps_total = %d, want %d", got, len(steps))
 	}
 	// One sub-batch per covered shard.
-	if got := metricValue(snap, "serve_batches_total"); got != int64(len(byShard)) {
+	if got := metricValue(t, snap, "serve_batches_total"); got != int64(len(byShard)) {
 		t.Fatalf("serve_batches_total = %d, want %d", got, len(byShard))
 	}
 }
@@ -186,7 +186,7 @@ func TestBatchOverloadShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(snap, "serve_shed_overload_total"); got != 2 {
+	if got := metricValue(t, snap, "serve_shed_overload_total"); got != 2 {
 		t.Fatalf("serve_shed_overload_total = %d, want 2 (one per shed step)", got)
 	}
 }

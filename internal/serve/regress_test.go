@@ -47,8 +47,8 @@ func TestRoutePinsShardSelection(t *testing.T) {
 		if got != want {
 			t.Errorf("route(%q) = shard %d, want %d (fnv32a=%#x)", name, got, want, fnv32a(name))
 		}
-		if got != shardIndex(name, len(s.shards)) {
-			t.Errorf("route(%q) disagrees with shardIndex", name)
+		if got != ShardIndex(name, len(s.shards)) {
+			t.Errorf("route(%q) disagrees with ShardIndex", name)
 		}
 	}
 }

@@ -26,11 +26,6 @@ type Config struct {
 	// requests that overstay it in the queue are shed with CodeDeadline;
 	// runs that exceed it are counted as overruns.
 	RequestDeadline time.Duration
-	// BootRetries bounds settle attempts per boot (≤ 0 means 3);
-	// BootBackoff is the wall backoff before the first retry, doubling
-	// per attempt (≤ 0 means 2ms).
-	BootRetries int
-	BootBackoff time.Duration
 	// RespawnPanicked re-boots a device after its panic is contained.
 	RespawnPanicked bool
 	// Breaker tunes the per-shard circuit breaker.
@@ -56,20 +51,6 @@ func (c Config) maxDevices() int {
 		return c.MaxDevices
 	}
 	return 64
-}
-
-func (c Config) bootRetries() int {
-	if c.BootRetries > 0 {
-		return c.BootRetries
-	}
-	return 3
-}
-
-func (c Config) bootBackoff() time.Duration {
-	if c.BootBackoff > 0 {
-		return c.BootBackoff
-	}
-	return 2 * time.Millisecond
 }
 
 // ErrForcedAbort is returned by Drain when the deadline expired with
@@ -124,20 +105,22 @@ func New(cfg Config) *Server {
 // (a device always lands on the same shard), round-robin otherwise.
 func (s *Server) route(req Request) *shard {
 	if req.Device != "" {
-		return s.shards[shardIndex(req.Device, len(s.shards))]
+		return s.shards[ShardIndex(req.Device, len(s.shards))]
 	}
 	return s.shards[int((s.rr.Add(1)-1)%uint64(len(s.shards)))]
 }
 
-// shardIndex maps a device name to its owning shard through unsigned
+// ShardIndex maps a device name to one of n lanes: the owning shard
+// here, and a replay worker in internal/workload, so a device's requests
+// always take the same lane. It is FNV-32a of the name through unsigned
 // arithmetic end to end. int(h.Sum32()) % n would go negative for half
 // the hash space on 32-bit ints and panic the slice index; the same
 // hazard hides in the round-robin counter once it wraps, so both paths
 // reduce in the unsigned domain and convert after.
-func shardIndex(device string, shards int) int {
+func ShardIndex(device string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(device))
-	return int(h.Sum32() % uint32(shards))
+	return int(h.Sum32() % uint32(n))
 }
 
 // Submit runs one request through admission and waits for its reply.
@@ -332,9 +315,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 		return errForcedAbort
 	}
 }
-
-// Draining reports whether admission has stopped.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // MergedSnapshot folds every shard's registry into one aggregate under
 // obs.MergeSnapshots' commutative semantics: the canonical (sim-domain)

@@ -82,7 +82,7 @@ func TestPanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(snap, "serve_device_panics_total"); got != 1 {
+	if got := metricValue(t, snap, "serve_device_panics_total"); got != 1 {
 		t.Fatalf("serve_device_panics_total = %d, want 1", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestPanicRespawn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(snap, "serve_device_respawns_total"); got < 1 {
+	if got := metricValue(t, snap, "serve_device_respawns_total"); got < 1 {
 		t.Fatalf("serve_device_respawns_total = %d, want >= 1", got)
 	}
 }
@@ -154,7 +154,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(snap, "serve_shed_overload_total"); got != int64(shed) {
+	if got := metricValue(t, snap, "serve_shed_overload_total"); got != int64(shed) {
 		t.Fatalf("serve_shed_overload_total = %d, want %d", got, shed)
 	}
 }
@@ -189,10 +189,10 @@ func TestRequestDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(snap, "serve_shed_deadline_total"); got != int64(deadline) {
+	if got := metricValue(t, snap, "serve_shed_deadline_total"); got != int64(deadline) {
 		t.Fatalf("serve_shed_deadline_total = %d, want %d", got, deadline)
 	}
-	if got := metricValue(snap, "serve_deadline_overruns_total"); got == 0 {
+	if got := metricValue(t, snap, "serve_deadline_overruns_total"); got == 0 {
 		t.Fatal("the 40ms sleep should have been counted as a deadline overrun")
 	}
 }
@@ -268,9 +268,55 @@ func TestBreakerLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(snap, "serve_breaker_opens_total"); got != 3 {
+	if got := metricValue(t, snap, "serve_breaker_opens_total"); got != 3 {
 		t.Fatalf("serve_breaker_opens_total = %d, want 3", got)
 	}
+}
+
+// TestGuardFoldByDelta: each drive folds only what a guarded session's
+// guard decided since the last fold. A forced quarantine recovers after
+// ProbationK (2) stock-routed rotations, and the two rotations after
+// that fold nothing; a second quarantine adds one, not a re-fold of
+// both.
+func TestGuardFoldByDelta(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer s.Drain(5 * time.Second)
+	if r := submit(s, Request{Op: OpBoot, Device: "g", Handler: HandlerGuarded, Seed: 5}); !r.OK {
+		t.Fatalf("boot: %+v", r)
+	}
+	// The shard goroutine touches the session only while it serves a
+	// request, and each Submit orders it against this goroutine.
+	sess := s.shards[0].sessions["g"]
+	quarantine := func() {
+		fg := sess.world.Proc.Thread().ForegroundActivity()
+		sess.guard().Quarantine(fg.Class().Name, "test: forced")
+	}
+	rotate := func(n int) {
+		for i := 0; i < n; i++ {
+			if r := submit(s, Request{Op: OpDrive, Device: "g", Kind: KindRotate}); !r.OK {
+				t.Fatalf("rotate: %+v", r)
+			}
+		}
+	}
+	expect := func(quarantines, recoveries int64) {
+		t.Helper()
+		snap, err := s.MergedSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := metricValue(t, snap, "serve_guard_quarantines_total")
+		r := metricValue(t, snap, "serve_guard_recoveries_total")
+		if q != quarantines || r != recoveries {
+			t.Fatalf("folded %d quarantines and %d recoveries, want %d and %d", q, r, quarantines, recoveries)
+		}
+	}
+
+	quarantine()
+	rotate(4)
+	expect(1, 1)
+	quarantine()
+	rotate(2)
+	expect(2, 2)
 }
 
 // TestCanaryCanonicalMatchesSweep is the fleet half of the determinism
@@ -364,12 +410,13 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// metricValue reads one metric's value from a snapshot.
-func metricValue(snap *obs.Snapshot, name string) int64 {
-	for _, m := range snap.Metrics {
-		if m.Name == name {
-			return m.Value
-		}
+// metricValue reads one metric's value from a snapshot, failing the
+// test when the snapshot lacks it.
+func metricValue(t *testing.T, snap *obs.Snapshot, name string) int64 {
+	t.Helper()
+	v, ok := snap.Value(name)
+	if !ok {
+		t.Fatalf("%s absent from the snapshot", name)
 	}
-	return -1
+	return v
 }

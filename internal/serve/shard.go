@@ -7,7 +7,6 @@ import (
 
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/config"
-	"rchdroid/internal/core"
 	"rchdroid/internal/device"
 	"rchdroid/internal/guard"
 	"rchdroid/internal/monkey"
@@ -23,10 +22,10 @@ type session struct {
 	spec    string
 	handler string
 	world   *device.World
-	// rch is the installed core (nil for the stock handler); it exposes
-	// the per-activity guard whose degradations the shard mirrors into
-	// fleet-level counters.
-	rch *core.RCHDroid
+	// guard is the installer's getter for the guard it armed (nil unless
+	// the handler is guarded); the shard mirrors that guard's
+	// degradations into fleet-level counters.
+	guard func() *guard.Guard
 	// guardSeen holds the guard counts already folded into the fleet
 	// counters, by kind, so each drive contributes only its delta.
 	guardSeen [guard.NumKinds]int
@@ -157,8 +156,8 @@ func (s *shard) dispatchContained(req Request) (resp Response) {
 			delete(s.sessions, req.Device)
 			s.devices.Store(int64(len(s.sessions)))
 			if s.srv.cfg.RespawnPanicked {
-				if w, rch, ok := s.bootWorld(sess.spec, sess.handler, req.Seed); ok {
-					s.sessions[sess.name] = &session{name: sess.name, spec: sess.spec, handler: sess.handler, world: w, rch: rch}
+				if w, g, ok := s.bootWorld(sess.spec, sess.handler, req.Seed); ok {
+					s.sessions[sess.name] = &session{name: sess.name, spec: sess.spec, handler: sess.handler, world: w, guard: g}
 					s.devices.Store(int64(len(s.sessions)))
 					s.counter("serve_device_respawns_total").Inc()
 					detail += " (device torn down and respawned)"
@@ -211,8 +210,7 @@ func (s *shard) dispatch(req Request) Response {
 }
 
 // boot admits a new resident device, forking from the template cache
-// (which itself falls back to fresh builds for unforkable specs) with
-// bounded retry + wall backoff around the settle check.
+// (which itself falls back to fresh builds for unforkable specs).
 func (s *shard) boot(req Request) Response {
 	if req.Device == "" {
 		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: s.idx, Detail: "boot needs a device name"}
@@ -225,16 +223,16 @@ func (s *shard) boot(req Request) Response {
 	if _, err := specFor(req.Spec); err != nil {
 		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: s.idx, Detail: err.Error()}
 	}
-	if _, _, err := armFor(req.Handler); err != nil {
+	if _, err := installerFor(req.Handler); err != nil {
 		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: s.idx, Detail: err.Error()}
 	}
-	w, rch, ok := s.bootWorld(req.Spec, req.Handler, req.Seed)
+	w, g, ok := s.bootWorld(req.Spec, req.Handler, req.Seed)
 	if !ok {
 		s.deviceFailure()
 		return Response{ID: req.ID, OK: false, Code: CodeBootFailed, Shard: s.idx,
-			Detail: fmt.Sprintf("world failed to settle after %d attempts", s.srv.cfg.bootRetries())}
+			Detail: "world failed to settle"}
 	}
-	s.sessions[req.Device] = &session{name: req.Device, spec: req.Spec, handler: req.Handler, world: w, rch: rch}
+	s.sessions[req.Device] = &session{name: req.Device, spec: req.Spec, handler: req.Handler, world: w, guard: g}
 	s.devices.Store(int64(len(s.sessions)))
 	s.sh.Gauge("serve_devices_high", "serve: high-water resident devices per shard", obs.Wall).Set(int64(len(s.sessions)))
 	s.brk.onSuccess()
@@ -242,32 +240,29 @@ func (s *shard) boot(req Request) Response {
 		Detail: fmt.Sprintf("device %q resident (spec=%s handler=%s)", req.Device, orDefault(req.Spec, SpecOracle), orDefault(req.Handler, HandlerRCH))}
 }
 
-// bootWorld builds one settled world with bounded retry + backoff.
-// Returns ok=false after the attempts are exhausted; each failed
-// attempt is counted and backed off from in wall time.
-func (s *shard) bootWorld(specName, handler string, seed uint64) (*device.World, *core.RCHDroid, bool) {
+// bootWorld builds one settled world armed with the handler's
+// installer, returning the installer's guard getter. A world is a
+// deterministic function of spec, handler and seed, so a world that
+// fails to settle is counted and reported, never retried.
+func (s *shard) bootWorld(specName, handler string, seed uint64) (*device.World, func() *guard.Guard, bool) {
 	spec, err := specFor(specName)
 	if err != nil {
 		return nil, nil, false
 	}
-	arm, inst, err := armFor(handler)
+	inst, err := installerFor(handler)
 	if err != nil {
 		return nil, nil, false
 	}
-	key := "serve:" + orDefault(specName, SpecOracle)
-	backoff := s.srv.cfg.bootBackoff()
-	for attempt := 0; attempt < s.srv.cfg.bootRetries(); attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
+	w := s.srv.forker.Fork("serve:"+orDefault(specName, SpecOracle), spec, seed, func(w *device.World) {
+		if inst.Install != nil {
+			inst.Install(w.Sys, w.Proc, nil)
 		}
-		w := s.srv.forker.Fork(key, spec, seed, arm)
-		if w != nil && !w.Proc.Crashed() && w.Proc.Thread().ForegroundActivity() != nil {
-			return w, inst.rch, true
-		}
+	})
+	if w.Proc.Crashed() || w.Proc.Thread().ForegroundActivity() == nil {
 		s.counter("serve_boot_failures_total").Inc()
+		return nil, nil, false
 	}
-	return nil, nil, false
+	return w, inst.Guard, true
 }
 
 // drive runs one burst on a resident device.
@@ -346,9 +341,10 @@ func (s *shard) drive(req Request) Response {
 // canonical (sim-domain) dump must keep carrying only what canary
 // seeds record.
 func (s *shard) noteGuard(sess *session) {
-	if sess.rch == nil || sess.rch.Guard == nil {
+	if sess.guard == nil {
 		return
 	}
+	g := sess.guard()
 	folds := [...]struct {
 		kind   guard.Kind
 		metric string
@@ -358,7 +354,7 @@ func (s *shard) noteGuard(sess *session) {
 		{guard.KindBreakerOpen, "serve_guard_breaker_opens_total"},
 	}
 	for _, f := range folds {
-		n := sess.rch.Guard.Count(f.kind)
+		n := g.Count(f.kind)
 		if d := n - sess.guardSeen[f.kind]; d > 0 {
 			s.counter(f.metric).Add(int64(d))
 		}

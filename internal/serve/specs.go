@@ -6,11 +6,10 @@ import (
 	"rchdroid/internal/app"
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/config"
-	"rchdroid/internal/core"
 	"rchdroid/internal/device"
-	"rchdroid/internal/guard"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/resources"
+	"rchdroid/internal/sweep"
 	"rchdroid/internal/view"
 )
 
@@ -45,40 +44,26 @@ func specFor(name string) (device.Spec, error) {
 	return device.Spec{}, fmt.Errorf("unknown device spec %q (want %s or %s)", name, SpecOracle, SpecPanicRelaunch)
 }
 
-// installed captures the core an ArmFunc wired onto the most recently
-// armed world, so the shard can keep the handle (and its guard) beside
-// the resident session.
-type installed struct {
-	rch *core.RCHDroid
-}
-
-// armFor resolves a wire handler name to the post-settle arming point.
-// Resident devices arm with a nil obs shard on purpose: their metrics
-// would be request-stream-derived, and the canonical (sim-domain) dump
-// must carry only what canary seeds record — that is what keeps it
-// byte-identical to an rchsweep dump. Fleet-level guard visibility
-// comes from the returned holder instead: the shard folds guard
-// degradation deltas into wall-domain counters after each drive.
-func armFor(handler string) (device.ArmFunc, *installed, error) {
-	inst := &installed{}
+// installerFor resolves a wire handler name to a fresh installer from
+// the sweeps' handler table; a stock installer arms nothing. Resident
+// devices arm with a nil obs shard and a nil chaos plan on purpose:
+// their metrics would be request-stream-derived, and the canonical
+// (sim-domain) dump must carry only what canary seeds record — that is
+// what keeps it byte-identical to an rchsweep dump. Fleet-level guard
+// visibility comes from the installer's Guard getter instead: the shard
+// folds guard degradation deltas into wall-domain counters after each
+// drive. Installers are stateful (the getter), so each boot needs its
+// own.
+func installerFor(handler string) (oracle.Installer, error) {
 	switch handler {
 	case "", HandlerRCH:
-		return func(w *device.World) {
-			inst.rch = core.Install(w.Sys, w.Proc, core.DefaultOptions())
-		}, inst, nil
+		return sweep.RCHInstallerObs(nil), nil
 	case HandlerGuarded:
-		return func(w *device.World) {
-			opts := core.DefaultOptions()
-			cfg := guard.DefaultConfig()
-			opts.Guard = &cfg
-			inst.rch = core.Install(w.Sys, w.Proc, opts)
-		}, inst, nil
+		return sweep.GuardedInstallerObs(nil), nil
 	case HandlerStock:
-		// Stock Android 10: the default destroy/recreate path, nothing
-		// armed.
-		return nil, inst, nil
+		return oracle.Installer{Name: "Android-10"}, nil
 	}
-	return nil, nil, fmt.Errorf("unknown handler %q (want %s, %s or %s)", handler, HandlerRCH, HandlerGuarded, HandlerStock)
+	return oracle.Installer{}, fmt.Errorf("unknown handler %q (want %s, %s or %s)", handler, HandlerRCH, HandlerGuarded, HandlerStock)
 }
 
 // panicRelaunchApp builds the deliberately faulty app: a minimal layout

@@ -99,8 +99,7 @@ const (
 	// CodeDevicePanic — the device's callbacks panicked; the panic was
 	// contained and the device torn down.
 	CodeDevicePanic ErrCode = "device_panic"
-	// CodeBootFailed — the device world failed to settle after the
-	// configured retries.
+	// CodeBootFailed — the device world failed to settle.
 	CodeBootFailed ErrCode = "boot_failed"
 	// CodeUnknownDevice — the named device is not resident on its shard.
 	CodeUnknownDevice ErrCode = "unknown_device"

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -158,7 +157,7 @@ func Replay(lg *Log, cfg Config) (*Report, error) {
 		workers[i] = &worker{id: i, sh: reg.Shard(), shed: make(map[string]int64)}
 	}
 	for _, ev := range lg.Events {
-		w := workers[deviceLane(ev.Device, window)]
+		w := workers[serve.ShardIndex(ev.Device, window)]
 		w.events = append(w.events, ev)
 	}
 	for _, w := range workers {
@@ -245,14 +244,6 @@ func recordLogMetrics(sh *obs.Shard, lg *Log) {
 	sh.Gauge("replay_log_devices", "devices the log drives", obs.Sim).Set(int64(lg.Header.Devices))
 	sh.Gauge("replay_log_span_ms", "log sim span (ms)", obs.Sim).Set(lg.Header.SpanMS)
 	sh.Gauge("replay_log_version", "workload format version", obs.Sim).Set(int64(lg.Header.Version))
-}
-
-// deviceLane maps a device name to its worker, mirroring the server's
-// FNV sharding so lane assignment is stable across runs.
-func deviceLane(device string, lanes int) int {
-	h := fnv.New32a()
-	h.Write([]byte(device))
-	return int(h.Sum32() % uint32(lanes))
 }
 
 // run replays one lane. Boots and config flips go as individual ops (a
@@ -394,19 +385,9 @@ func fetchServerCounters(dial Dialer, rep *Report) error {
 	if err != nil {
 		return fmt.Errorf("workload: final stats snapshot: %w", err)
 	}
-	rep.BreakerOpens = counterValue(snap, "serve_breaker_opens_total")
-	rep.GuardQuarantines = counterValue(snap, "serve_guard_quarantines_total")
-	rep.GuardRecoveries = counterValue(snap, "serve_guard_recoveries_total")
-	rep.GuardBreakerOpens = counterValue(snap, "serve_guard_breaker_opens_total")
+	rep.BreakerOpens, _ = snap.Value("serve_breaker_opens_total")
+	rep.GuardQuarantines, _ = snap.Value("serve_guard_quarantines_total")
+	rep.GuardRecoveries, _ = snap.Value("serve_guard_recoveries_total")
+	rep.GuardBreakerOpens, _ = snap.Value("serve_guard_breaker_opens_total")
 	return nil
-}
-
-// counterValue reads one counter from a decoded snapshot (0 if absent).
-func counterValue(snap *obs.Snapshot, name string) int64 {
-	for _, m := range snap.Metrics {
-		if m.Name == name {
-			return m.Value
-		}
-	}
-	return 0
 }

@@ -180,24 +180,17 @@ func probe(addr string) error {
 	if err != nil {
 		return fmt.Errorf("stats metrics: %v", err)
 	}
-	get := func(name string) int64 {
-		for _, m := range snap.Metrics {
-			if m.Name == name {
-				return m.Value
-			}
-		}
-		return -1
-	}
-	if n := get("serve_device_panics_total"); n != storms {
+	// An absent counter reads 0, which fails every check below.
+	if n, _ := snap.Value("serve_device_panics_total"); n != storms {
 		return fmt.Errorf("serve_device_panics_total = %d, want exactly %d", n, storms)
 	}
-	if n := get("serve_device_respawns_total"); n != storms {
+	if n, _ := snap.Value("serve_device_respawns_total"); n != storms {
 		return fmt.Errorf("serve_device_respawns_total = %d, want exactly %d (ci runs with -respawn)", n, storms)
 	}
-	if n := get("serve_shed_deadline_total"); n < 1 {
+	if n, _ := snap.Value("serve_shed_deadline_total"); n < 1 {
 		return fmt.Errorf("serve_shed_deadline_total = %d, want ≥ 1", n)
 	}
-	if n := get("serve_requests_total"); n < storms+4+4+1 {
+	if n, _ := snap.Value("serve_requests_total"); n < storms+4+4+1 {
 		return fmt.Errorf("serve_requests_total = %d, implausibly low", n)
 	}
 
