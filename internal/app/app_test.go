@@ -243,6 +243,66 @@ func TestNonViewPanicsPropagate(t *testing.T) {
 	sched.Advance(time.Second)
 }
 
+// npe is the app exception a body touching a released view throws.
+func npe() *view.NullPointerError {
+	return &view.NullPointerError{ViewID: 10, ViewType: "EditText", Op: "setText"}
+}
+
+// A NullPointerError escaping a RunCharged body crashes the process,
+// and the phase charges nothing: its cost was to be the body's result.
+func TestRunChargedNPECrashesAndChargesNothing(t *testing.T) {
+	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
+	busy := proc.UILooper().TotalBusy()
+	proc.Thread().RunCharged("bad", func() time.Duration { panic(npe()) })
+	sched.Advance(time.Second)
+	if !proc.Crashed() {
+		t.Fatal("NPE in a charged phase did not crash the process")
+	}
+	if got := proc.UILooper().TotalBusy(); got != busy {
+		t.Fatalf("crashed phase charged %v", got-busy)
+	}
+}
+
+// Catching is per message: the same NullPointerError in a message
+// posted straight on the UI looper is not an app callback, so it
+// propagates and the process stays alive.
+func TestNPEInPlainUIMessagePropagates(t *testing.T) {
+	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
+	defer func() {
+		if _, ok := recover().(*view.NullPointerError); !ok {
+			t.Fatal("NPE in a plain looper message did not propagate")
+		}
+		if proc.Crashed() {
+			t.Fatal("NPE in a plain looper message crashed the process")
+		}
+	}()
+	proc.UILooper().Post("plain", 0, func() { panic(npe()) })
+	sched.Advance(time.Second)
+}
+
+// A fork's caught messages crash the fork: ForkProcess binds the forked
+// looper's uncaught handler to the forked process, not the template.
+func TestForkedProcessCrashesAlone(t *testing.T) {
+	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
+	fs, err := sched.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := ForkProcess(proc, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork.Thread().BindSystem(&fakeSystem{})
+	fork.PostApp("bad", 0, func() { panic(npe()) })
+	fs.Advance(time.Second)
+	if !fork.Crashed() {
+		t.Fatal("NPE in the fork did not crash the fork")
+	}
+	if proc.Crashed() || proc.UILooper().Quitted() {
+		t.Fatal("NPE in the fork crashed the template")
+	}
+}
+
 func TestMemoryAccountingGrowsWithViews(t *testing.T) {
 	_, small, _, _ := launchOne(t, testApp("small", 0))
 	_, big, _, _ := launchOne(t, testApp("big", 40))

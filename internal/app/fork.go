@@ -51,6 +51,9 @@ func ForkProcess(p *Process, sched *sim.Scheduler) (*Process, error) {
 		uiLooper: ui,
 		mem:      p.mem.Clone(sched),
 	}
+	// The looper fork drops the uncaught handler: an app exception in
+	// the fork must crash the fork, never the template.
+	ui.SetUncaughtHandler(np.uncaught)
 	nt, err := forkThread(p.thread, np)
 	if err != nil {
 		return nil, err

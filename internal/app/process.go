@@ -118,6 +118,7 @@ func NewProcess(sched *sim.Scheduler, model *costmodel.Model, app *App) *Process
 		mem:      metrics.NewMemoryMeter(sched, app.Name+":mem"),
 	}
 	p.thread = newActivityThread(p)
+	p.uiLooper.SetUncaughtHandler(p.uncaught)
 	p.mem.Set(model.ProcessBaseBytes + app.ExtraBaseBytes)
 	return p
 }
@@ -247,8 +248,10 @@ func (p *Process) Crash(cause error) {
 	}
 	p.crashed = true
 	p.crashErr = &CrashError{App: p.app.Name, Cause: cause}
-	p.tracer.Instant(p.uiTrack, "crash", "process",
-		trace.Arg{Key: "cause", Val: p.crashErr.Error()})
+	if p.tracer.Enabled() {
+		p.tracer.Instant(p.uiTrack, "crash", "process",
+			trace.Arg{Key: "cause", Val: p.crashErr.Error()})
+	}
 	p.uiLooper.Quit()
 	for _, a := range p.thread.Activities() {
 		if a.State().Alive() {
@@ -276,28 +279,25 @@ func (p *Process) UpdateMemory() {
 }
 
 // PostApp runs app-level code on the UI thread with crash-on-exception
-// semantics: a NullPointerError or WindowLeakedError escaping the
-// callback kills the process, exactly like an uncaught exception on the
-// Android main thread.
+// semantics: it posts fn as a caught message, so a NullPointerError or
+// WindowLeakedError escaping it kills the process, exactly like an
+// uncaught exception on the Android main thread.
 func (p *Process) PostApp(name string, cost time.Duration, fn func()) {
-	if p.crashed {
-		return
+	p.uiLooper.PostCaught(name, cost, fn)
+}
+
+// uncaught is the UI looper's uncaught handler, run with whatever a
+// caught message panicked with. Anything but an app exception is a bug
+// in the simulator and propagates.
+func (p *Process) uncaught(r any) {
+	switch err := r.(type) {
+	case *view.NullPointerError:
+		p.Crash(err)
+	case *view.WindowLeakedError:
+		p.Crash(err)
+	default:
+		panic(r)
 	}
-	p.uiLooper.Post(name, cost, func() {
-		defer func() {
-			if r := recover(); r != nil {
-				switch err := r.(type) {
-				case *view.NullPointerError:
-					p.Crash(err)
-				case *view.WindowLeakedError:
-					p.Crash(err)
-				default:
-					panic(r)
-				}
-			}
-		}()
-		fn()
-	})
 }
 
 // StartAsyncTask runs a background task for owner. After d of background

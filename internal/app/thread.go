@@ -169,12 +169,10 @@ func (t *ActivityThread) SetCurrentSunny(a *Activity) { t.currentSunny = a }
 // RunCharged posts a phase that performs work immediately and then
 // occupies the UI thread for the cost work reports. Charging after the
 // fact lets costs depend on what the black-box app code actually did
-// (e.g. how many views OnCreate inflated).
+// (e.g. how many views OnCreate inflated). Like PostApp, an app
+// exception escaping fn crashes the process; it then charges nothing.
 func (t *ActivityThread) RunCharged(name string, fn func() time.Duration) {
-	t.proc.PostApp(name, 0, func() {
-		cost := fn()
-		t.proc.uiLooper.Charge(cost)
-	})
+	t.proc.uiLooper.PostCharged(name, fn)
 }
 
 // ───────────────────────── transactions from the ATMS ──────────────────

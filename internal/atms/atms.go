@@ -90,12 +90,6 @@ func (a *ATMS) SetLogcat(l *logcat.Log) { a.log = l }
 // Logcat returns the attached system log, or nil.
 func (a *ATMS) Logcat() *logcat.Log { return a.log }
 
-func (a *ATMS) logf(tag, format string, args ...any) {
-	if a.log != nil {
-		a.log.I(tag, format, args...)
-	}
-}
-
 // SetTracer arms structured tracing for the system server: one process
 // row with a thread for the server looper. The ATMS then emits the
 // runtime-change async span (configuration arrival → resume
@@ -141,6 +135,10 @@ func (a *ATMS) HandlingTimes() []time.Duration {
 	return out
 }
 
+// HandlingCount returns how many runtime changes completed, without
+// copying the log HandlingTimes returns.
+func (a *ATMS) HandlingCount() int { return len(a.handlingTimes) }
+
 // LastHandlingTime returns the latency of the most recent completed
 // runtime change, or 0.
 func (a *ATMS) LastHandlingTime() time.Duration {
@@ -150,9 +148,10 @@ func (a *ATMS) LastHandlingTime() time.Duration {
 	return a.handlingTimes[len(a.handlingTimes)-1]
 }
 
-// RunOnServer posts work onto the system-server looper with a cost.
+// RunOnServer posts work onto the system-server looper with a cost,
+// under its full message name ("atms:launchApp").
 func (a *ATMS) RunOnServer(name string, cost time.Duration, fn func()) {
-	a.sysLooper.Post("atms:"+name, cost, fn)
+	a.sysLooper.Post(name, cost, fn)
 }
 
 // ChargeServer extends the currently-executing server message by d — used
@@ -176,7 +175,7 @@ func (a *ATMS) LaunchAppWithState(proc *app.Process, saved *bundle.Bundle) int {
 	token := a.nextToken
 	a.nextToken++
 	proc.Thread().BindSystem(&threadFacade{atms: a})
-	a.RunOnServer("launchApp", a.model.ATMSRecordSetup, func() {
+	a.RunOnServer("atms:launchApp", a.model.ATMSRecordSetup, func() {
 		a.backgroundTopTask()
 		// Relaunching an app (e.g. after a crash) replaces its task; a
 		// dead task's records point at released instances.
@@ -193,7 +192,7 @@ func (a *ATMS) LaunchAppWithState(proc *app.Process, saved *bundle.Bundle) int {
 		task.Push(rec)
 		a.stack.PushTask(task)
 		cfg := a.globalConfig
-		a.bus.Transact(proc.Endpoint(), "scheduleLaunch", 256, 0, func() {
+		a.bus.Transact(proc.Endpoint(), ipc.ScheduleLaunch, 256, 0, func() {
 			proc.Thread().ScheduleLaunch(rec.Class, token, cfg, app.LaunchOptions{Saved: saved})
 		})
 	})
@@ -204,7 +203,7 @@ func (a *ATMS) LaunchAppWithState(proc *app.Process, saved *bundle.Bundle) int {
 // command of the artifact appendix). The handling-time clock starts when
 // the change reaches the server looper.
 func (a *ATMS) PushConfiguration(newCfg config.Configuration) {
-	a.RunOnServer("configChange", 0, func() {
+	a.RunOnServer("atms:configChange", 0, func() {
 		a.globalConfig = newCfg
 		task := a.stack.TopTask()
 		if task == nil || task.Top() == nil {
@@ -216,7 +215,9 @@ func (a *ATMS) PushConfiguration(newCfg config.Configuration) {
 		}
 		a.measuring = true
 		a.handlingStart = a.sched.Now()
-		a.logf("ATMS", "configuration change arriving: %v", newCfg)
+		if a.log != nil {
+			a.log.I("ATMS", "configuration change arriving: %v", newCfg)
+		}
 		for _, fn := range a.handlingObservers {
 			fn(rec.Class.Name, rec.Token)
 		}
@@ -235,7 +236,7 @@ func (a *ATMS) PushConfiguration(newCfg config.Configuration) {
 		// the configuration its instance was actually built for; it is
 		// refreshed when the instance resumes.
 		rec.resumed = false
-		a.bus.Transact(rec.Proc.Endpoint(), "runtimeChange", 128, 0, func() {
+		a.bus.Transact(rec.Proc.Endpoint(), ipc.RuntimeChange, 128, 0, func() {
 			rec.Proc.Thread().ScheduleRuntimeChange(rec.Token, newCfg)
 		})
 		if a.configFault != nil {
@@ -259,12 +260,14 @@ func (a *ATMS) SetConfigChangeFault(fn func(cfg config.Configuration) (echo bool
 // delay, unless a newer change superseded it in the meantime.
 func (a *ATMS) scheduleConfigEcho(cfg config.Configuration, delay time.Duration) {
 	a.sched.After(delay, "chaos:configEcho", func() {
-		a.RunOnServer("configEcho", 0, func() {
+		a.RunOnServer("atms:configEcho", 0, func() {
 			if !cfg.Equal(a.globalConfig) {
 				return // a later change superseded the echoed one
 			}
-			a.tracer.Instant(a.track, "configEcho", "chaos",
-				trace.Arg{Key: "config", Val: cfg.String()})
+			if a.tracer.Enabled() {
+				a.tracer.Instant(a.track, "configEcho", "chaos",
+					trace.Arg{Key: "config", Val: cfg.String()})
+			}
 			task := a.stack.TopTask()
 			if task == nil {
 				return
@@ -273,7 +276,7 @@ func (a *ATMS) scheduleConfigEcho(cfg config.Configuration, delay time.Duration)
 			if rec == nil {
 				return
 			}
-			a.bus.Transact(rec.Proc.Endpoint(), "runtimeChange", 128, 0, func() {
+			a.bus.Transact(rec.Proc.Endpoint(), ipc.RuntimeChange, 128, 0, func() {
 				rec.Proc.Thread().ScheduleRuntimeChange(rec.Token, cfg)
 			})
 		})
@@ -293,7 +296,7 @@ func (a *ATMS) backgroundTopTask() {
 		return
 	}
 	rec.resumed = false
-	a.bus.Transact(rec.Proc.Endpoint(), "moveToBackground", 64, 0, func() {
+	a.bus.Transact(rec.Proc.Endpoint(), ipc.MoveToBackground, 64, 0, func() {
 		rec.Proc.Thread().ScheduleMoveToBackground(rec.Token)
 	})
 }
@@ -302,7 +305,7 @@ func (a *ATMS) backgroundTopTask() {
 // foreground pauses and stops (releasing its shadow under RCHDroid, §3.5)
 // and the target task's top activity resumes.
 func (a *ATMS) MoveTaskToFront(name string) {
-	a.RunOnServer("moveTaskToFront", a.model.ATMSStackSearch, func() {
+	a.RunOnServer("atms:moveTaskToFront", a.model.ATMSStackSearch, func() {
 		task := a.stack.TaskByName(name)
 		if task == nil || task == a.stack.TopTask() {
 			return
@@ -313,7 +316,7 @@ func (a *ATMS) MoveTaskToFront(name string) {
 		if rec == nil {
 			return
 		}
-		a.bus.Transact(rec.Proc.Endpoint(), "moveToForeground", 64, 0, func() {
+		a.bus.Transact(rec.Proc.Endpoint(), ipc.MoveToForeground, 64, 0, func() {
 			rec.Proc.Thread().ScheduleMoveToForeground(rec.Token)
 		})
 	})
@@ -324,7 +327,7 @@ func (a *ATMS) MoveTaskToFront(name string) {
 // instance with it, §3.5) and the activity below it resumes. An emptied
 // task leaves the stack and the next task's top resumes instead.
 func (a *ATMS) FinishTopActivity() {
-	a.RunOnServer("finishTop", a.model.ATMSStackSearch, func() {
+	a.RunOnServer("atms:finishTop", a.model.ATMSStackSearch, func() {
 		task := a.stack.TopTask()
 		if task == nil {
 			return
@@ -336,12 +339,12 @@ func (a *ATMS) FinishTopActivity() {
 		// The coupled shadow record (if any) dies with the activity.
 		if sh := task.FindShadow(); sh != nil {
 			task.Remove(sh)
-			a.bus.Transact(sh.Proc.Endpoint(), "destroyShadow", 64, 0, func() {
+			a.bus.Transact(sh.Proc.Endpoint(), ipc.DestroyShadow, 64, 0, func() {
 				sh.Proc.Thread().ScheduleDestroy(sh.Token)
 			})
 		}
 		task.Remove(rec)
-		a.bus.Transact(rec.Proc.Endpoint(), "destroyFinished", 64, 0, func() {
+		a.bus.Transact(rec.Proc.Endpoint(), ipc.DestroyFinished, 64, 0, func() {
 			rec.Proc.Thread().ScheduleDestroy(rec.Token)
 		})
 		if task.Len() == 0 {
@@ -355,7 +358,7 @@ func (a *ATMS) FinishTopActivity() {
 		if next == nil {
 			return
 		}
-		a.bus.Transact(next.Proc.Endpoint(), "moveToForeground", 64, 0, func() {
+		a.bus.Transact(next.Proc.Endpoint(), ipc.MoveToForeground, 64, 0, func() {
 			next.Proc.Thread().ScheduleMoveToForeground(next.Token)
 		})
 	})
@@ -409,7 +412,7 @@ func (a *ATMS) ensureActivityConfiguration(tries int) {
 		return
 	}
 	a.sched.After(ensureDelay, "atms:ensureConfig", func() {
-		a.RunOnServer("ensureConfig", 0, func() {
+		a.RunOnServer("atms:ensureConfig", 0, func() {
 			task := a.stack.TopTask()
 			if task == nil {
 				return
@@ -427,10 +430,12 @@ func (a *ATMS) ensureActivityConfiguration(tries int) {
 				return
 			}
 			newCfg := a.globalConfig
-			a.logf("ATMS", "foreground resumed stale (built for %v, global %v): re-delivering",
-				inst.Config(), newCfg)
+			if a.log != nil {
+				a.log.I("ATMS", "foreground resumed stale (built for %v, global %v): re-delivering",
+					inst.Config(), newCfg)
+			}
 			rec.resumed = false
-			a.bus.Transact(rec.Proc.Endpoint(), "runtimeChange", 128, 0, func() {
+			a.bus.Transact(rec.Proc.Endpoint(), ipc.RuntimeChange, 128, 0, func() {
 				rec.Proc.Thread().ScheduleRuntimeChange(rec.Token, newCfg)
 			})
 		})
@@ -439,7 +444,7 @@ func (a *ATMS) ensureActivityConfiguration(tries int) {
 
 // notifyResumed finalises a handling measurement.
 func (a *ATMS) notifyResumed(token int) {
-	a.RunOnServer("notifyResumed", 0, func() {
+	a.RunOnServer("atms:notifyResumed", 0, func() {
 		_, rec := a.stack.TaskOfToken(token)
 		if rec != nil {
 			rec.resumed = true
@@ -457,15 +462,21 @@ func (a *ATMS) notifyResumed(token int) {
 			// died with its process (crash) and is discarded, as a
 			// wall-clock harness would time it out.
 			if d > 2*time.Second {
-				a.tracer.Instant(a.track, "handlingTimedOut", "handling",
-					trace.Arg{Key: "elapsed", Val: d})
+				if a.tracer.Enabled() {
+					a.tracer.Instant(a.track, "handlingTimedOut", "handling",
+						trace.Arg{Key: "elapsed", Val: d})
+				}
 				return
 			}
-			a.tracer.AsyncEnd(a.track, "runtimeChange", "handling", a.handlingID,
-				trace.Arg{Key: "latency", Val: d})
+			if a.tracer.Enabled() {
+				a.tracer.AsyncEnd(a.track, "runtimeChange", "handling", a.handlingID,
+					trace.Arg{Key: "latency", Val: d})
+			}
 			a.handlingTimes = append(a.handlingTimes, d)
-			a.logf("zizhan", "runtime change handling time: %.2f ms (token %d)",
-				float64(d)/float64(time.Millisecond), token)
+			if a.log != nil {
+				a.log.I("zizhan", "runtime change handling time: %.2f ms (token %d)",
+					float64(d)/float64(time.Millisecond), token)
+			}
 			if a.OnHandled != nil {
 				a.OnHandled(d)
 			}
@@ -475,7 +486,7 @@ func (a *ATMS) notifyResumed(token int) {
 
 // notifyShadowReleased removes a garbage-collected shadow record.
 func (a *ATMS) notifyShadowReleased(token int) {
-	a.RunOnServer("shadowReleased", 0, func() {
+	a.RunOnServer("atms:shadowReleased", 0, func() {
 		task, rec := a.stack.TaskOfToken(token)
 		if task != nil && rec != nil {
 			task.Remove(rec)
@@ -485,7 +496,7 @@ func (a *ATMS) notifyShadowReleased(token int) {
 
 // requestStartActivity runs the starter on the server looper.
 func (a *ATMS) requestStartActivity(intent app.Intent, fromToken int) {
-	a.RunOnServer("startActivity", 0, func() {
+	a.RunOnServer("atms:startActivity", 0, func() {
 		a.starter.StartActivity(intent, fromToken)
 	})
 }
@@ -520,21 +531,21 @@ type threadFacade struct {
 
 // RequestStartActivity implements app.SystemServer.
 func (f *threadFacade) RequestStartActivity(intent app.Intent, fromToken int) {
-	f.atms.bus.Transact(f.atms.endpoint, "startActivity", 256, 0, func() {
+	f.atms.bus.Transact(f.atms.endpoint, ipc.StartActivity, 256, 0, func() {
 		f.atms.requestStartActivity(intent, fromToken)
 	})
 }
 
 // NotifyResumed implements app.SystemServer.
 func (f *threadFacade) NotifyResumed(token int) {
-	f.atms.bus.Transact(f.atms.endpoint, "activityResumed", 64, 0, func() {
+	f.atms.bus.Transact(f.atms.endpoint, ipc.ActivityResumed, 64, 0, func() {
 		f.atms.notifyResumed(token)
 	})
 }
 
 // NotifyShadowReleased implements app.SystemServer.
 func (f *threadFacade) NotifyShadowReleased(token int) {
-	f.atms.bus.Transact(f.atms.endpoint, "shadowReleased", 64, 0, func() {
+	f.atms.bus.Transact(f.atms.endpoint, ipc.ShadowReleased, 64, 0, func() {
 		f.atms.notifyShadowReleased(token)
 	})
 }

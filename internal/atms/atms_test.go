@@ -111,7 +111,7 @@ func TestPushConfigurationWithEmptyStack(t *testing.T) {
 func TestStarterSuppressesSameActivityDefaultStart(t *testing.T) {
 	sched, sys, _, token := boot(t)
 	// Default-flag start of the activity already on top creates nothing.
-	sys.RunOnServer("inject", 0, func() {
+	sys.RunOnServer("atms:inject", 0, func() {
 		sys.Starter().StartActivity(app.NewIntent("demo", "Main"), token)
 	})
 	sched.Advance(time.Second)
@@ -128,7 +128,7 @@ func TestStarterSuppressesSameActivityDefaultStart(t *testing.T) {
 
 func TestStarterUnknownTokenIgnored(t *testing.T) {
 	sched, sys, _, _ := boot(t)
-	sys.RunOnServer("inject", 0, func() {
+	sys.RunOnServer("atms:inject", 0, func() {
 		sys.Starter().StartActivity(app.NewIntent("demo", "Main"), 999)
 	})
 	sched.Advance(time.Second)

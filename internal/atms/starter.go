@@ -3,6 +3,7 @@ package atms
 import (
 	"rchdroid/internal/app"
 	"rchdroid/internal/config"
+	"rchdroid/internal/ipc"
 )
 
 // StarterPolicy is the seam the RCHDroid patch adds to ActivityStarter
@@ -81,7 +82,7 @@ func (s *ActivityStarter) StartActivity(intent app.Intent, fromToken int) {
 	// The activity being covered pauses and stops; under RCHDroid its
 	// shadow partner is released at the same time (§3.5).
 	if prev := topNonShadow(task); prev != nil {
-		s.atms.bus.Transact(prev.Proc.Endpoint(), "moveToBackground", 64, 0, func() {
+		s.atms.bus.Transact(prev.Proc.Endpoint(), ipc.MoveToBackground, 64, 0, func() {
 			prev.Proc.Thread().ScheduleMoveToBackground(prev.Token)
 		})
 		prev.resumed = false
@@ -90,8 +91,8 @@ func (s *ActivityStarter) StartActivity(intent app.Intent, fromToken int) {
 	cfg := s.atms.globalConfig
 	// Reply in a follow-up server message so the record-setup charge
 	// delays the launch transaction, as the real stack walk would.
-	s.atms.RunOnServer("launchReply", 0, func() {
-		s.atms.bus.Transact(from.Proc.Endpoint(), "scheduleLaunch", 256, 0, func() {
+	s.atms.RunOnServer("atms:launchReply", 0, func() {
+		s.atms.bus.Transact(from.Proc.Endpoint(), ipc.ScheduleLaunch, 256, 0, func() {
 			from.Proc.Thread().ScheduleLaunch(rec.Class, rec.Token, cfg, app.LaunchOptions{})
 		})
 	})

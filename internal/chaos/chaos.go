@@ -338,8 +338,10 @@ func (p *Plan) draw(pt Point, max time.Duration) time.Duration {
 // injection onto the trace timeline. The trace instant is emitted even
 // past the log cap — the tracer has its own (ring) bound.
 func (p *Plan) record(pt Point, label, effect string) {
-	p.tracer.Instant(p.track, pt.String()+":"+label, "chaos",
-		trace.Arg{Key: "effect", Val: effect})
+	if p.tracer.Enabled() {
+		p.tracer.Instant(p.track, pt.String()+":"+label, "chaos",
+			trace.Arg{Key: "effect", Val: effect})
+	}
 	if len(p.log) >= maxLog {
 		p.truncated++
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"rchdroid/internal/atms"
 	"rchdroid/internal/config"
+	"rchdroid/internal/ipc"
 	"rchdroid/internal/trace"
 )
 
@@ -48,8 +49,8 @@ func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, f
 			trace.Arg{Key: "decision", Val: "cancel"},
 			trace.Arg{Key: "reason", Val: "covered"})
 		a.ChargeServer(model.ATMSStackSearch)
-		a.RunOnServer("sunnyCancelReply", 0, func() {
-			a.Bus().Transact(from.Proc.Endpoint(), "cancelSunny", 64, 0, func() {
+		a.RunOnServer("atms:sunnyCancelReply", 0, func() {
+			a.Bus().Transact(from.Proc.Endpoint(), ipc.CancelSunny, 64, 0, func() {
 				from.Proc.Thread().ScheduleSunnyCancel(from.Token)
 			})
 		})
@@ -61,18 +62,20 @@ func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, f
 		// shadow state, and push the requester into the shadow state.
 		p.flips++
 		a.Starter().CountFlip()
-		a.Tracer().Instant(a.Track(), "coinFlip", "rch",
-			trace.Arg{Key: "decision", Val: "flip"},
-			trace.Arg{Key: "shadowConfig", Val: shadowRec.Config.String()},
-			trace.Arg{Key: "newConfig", Val: newCfg.String()})
+		if a.Tracer().Enabled() {
+			a.Tracer().Instant(a.Track(), "coinFlip", "rch",
+				trace.Arg{Key: "decision", Val: "flip"},
+				trace.Arg{Key: "shadowConfig", Val: shadowRec.Config.String()},
+				trace.Arg{Key: "newConfig", Val: newCfg.String()})
+		}
 		task.MoveToTop(shadowRec)
 		shadowRec.SetShadow(false)
 		from.SetShadow(true)
 		// Charge the stack search, then answer in a follow-up server
 		// message so the charge delays the reply.
 		a.ChargeServer(model.ATMSStackSearch)
-		a.RunOnServer("flipReply", 0, func() {
-			a.Bus().Transact(shadowRec.Proc.Endpoint(), "scheduleFlip", 128, 0, func() {
+		a.RunOnServer("atms:flipReply", 0, func() {
+			a.Bus().Transact(shadowRec.Proc.Endpoint(), ipc.ScheduleFlip, 128, 0, func() {
 				shadowRec.Proc.Thread().ScheduleFlip(shadowRec.Token, newCfg)
 			})
 		})
@@ -95,8 +98,8 @@ func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, f
 	a.ChargeServer(model.ATMSStackSearch)
 	rec := a.Starter().CreateRecord(from.Class, from.Proc, task)
 	from.SetShadow(true)
-	a.RunOnServer("sunnyLaunchReply", 0, func() {
-		a.Bus().Transact(from.Proc.Endpoint(), "scheduleSunnyLaunch", 256, 0, func() {
+	a.RunOnServer("atms:sunnyLaunchReply", 0, func() {
+		a.Bus().Transact(from.Proc.Endpoint(), ipc.ScheduleSunnyLaunch, 256, 0, func() {
 			from.Proc.Thread().ScheduleSunnyLaunch(rec.Class, rec.Token, newCfg)
 		})
 	})
@@ -123,8 +126,8 @@ func (alwaysCreatePolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, 
 	a.ChargeServer(a.Model().ATMSStackSearch)
 	rec := a.Starter().CreateRecord(from.Class, from.Proc, task)
 	from.SetShadow(true)
-	a.RunOnServer("sunnyLaunchReply", 0, func() {
-		a.Bus().Transact(from.Proc.Endpoint(), "scheduleSunnyLaunch", 256, 0, func() {
+	a.RunOnServer("atms:sunnyLaunchReply", 0, func() {
+		a.Bus().Transact(from.Proc.Endpoint(), ipc.ScheduleSunnyLaunch, 256, 0, func() {
 			from.Proc.Thread().ScheduleSunnyLaunch(rec.Class, rec.Token, newCfg)
 		})
 	})

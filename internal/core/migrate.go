@@ -63,19 +63,18 @@ func BuildEssenceMappingQuadratic(shadowRoot, sunnyRoot view.View) int {
 // a coin flip: the old sunny tree (now shadow) gets peers pointing at the
 // old shadow tree (now sunny). It returns the number of inverted links.
 func InvertMapping(oldShadowRoot view.View) int {
-	type pair struct{ from, to view.View }
-	var pairs []pair
+	// Each link is relinked as the walk reaches it: the peers live in the
+	// other tree, so relinking never changes what the walk visits.
+	n := 0
 	view.Walk(oldShadowRoot, func(v view.View) bool {
 		if p := v.Base().SunnyPeer(); p != nil {
-			pairs = append(pairs, pair{from: v, to: p})
+			p.Base().SetSunnyPeer(v)
+			v.Base().SetSunnyPeer(nil)
+			n++
 		}
 		return true
 	})
-	for _, pr := range pairs {
-		pr.to.Base().SetSunnyPeer(pr.from)
-		pr.from.Base().SetSunnyPeer(nil)
-	}
-	return len(pairs)
+	return n
 }
 
 // MigrateView applies the Table 1 per-type migration policy: it reads the

@@ -94,17 +94,16 @@ func BootRig(s RigSpec) *Rig {
 // Change pushes a configuration change and runs the simulation until the
 // handling completes, returning its latency.
 func (r *Rig) Change(cfg config.Configuration) (time.Duration, error) {
-	before := len(r.Sys.HandlingTimes())
+	before := r.Sys.HandlingCount()
 	r.Sys.PushConfiguration(cfg)
 	r.Sched.Advance(3 * time.Second)
-	times := r.Sys.HandlingTimes()
-	if len(times) != before+1 {
+	if r.Sys.HandlingCount() != before+1 {
 		if r.Proc.Crashed() {
 			return 0, fmt.Errorf("experiments: app crashed during handling: %w", r.Proc.CrashCause())
 		}
 		return 0, fmt.Errorf("experiments: handling did not complete")
 	}
-	return times[len(times)-1], nil
+	return r.Sys.LastHandlingTime(), nil
 }
 
 // Rotate alternates between landscape and portrait starting from the

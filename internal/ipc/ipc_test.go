@@ -17,7 +17,7 @@ func setup() (*sim.Scheduler, *Endpoint, *Bus) {
 func TestTransactPaysHopLatency(t *testing.T) {
 	s, ep, bus := setup()
 	var at sim.Time
-	bus.Transact(ep, "startActivity", 128, 500*time.Microsecond, func() { at = s.Now() })
+	bus.Transact(ep, StartActivity, 128, 500*time.Microsecond, func() { at = s.Now() })
 	s.Run()
 	if at != sim.Time(1200*time.Microsecond) {
 		t.Fatalf("delivered at %v, want 1.2ms", at)
@@ -30,7 +30,7 @@ func TestTransactPaysHopLatency(t *testing.T) {
 func TestTransactionAccounting(t *testing.T) {
 	s, ep, bus := setup()
 	for i := 0; i < 3; i++ {
-		bus.Transact(ep, "msg", 100, 0, func() {})
+		bus.Transact(ep, ActivityResumed, 100, 0, func() {})
 	}
 	s.Run()
 	if bus.Transactions() != 3 {
@@ -44,8 +44,8 @@ func TestTransactionAccounting(t *testing.T) {
 func TestTransactionsSerializeOnTargetLooper(t *testing.T) {
 	s, ep, bus := setup()
 	var starts []sim.Time
-	bus.Transact(ep, "a", 0, 10*time.Millisecond, func() { starts = append(starts, s.Now()) })
-	bus.Transact(ep, "b", 0, 10*time.Millisecond, func() { starts = append(starts, s.Now()) })
+	bus.Transact(ep, ScheduleLaunch, 0, 10*time.Millisecond, func() { starts = append(starts, s.Now()) })
+	bus.Transact(ep, RuntimeChange, 0, 10*time.Millisecond, func() { starts = append(starts, s.Now()) })
 	s.Run()
 	if len(starts) != 2 {
 		t.Fatalf("delivered %d", len(starts))
@@ -65,8 +65,8 @@ func TestRoundTripCostsTwoHops(t *testing.T) {
 
 	var done sim.Time
 	// app -> system -> app, as in a startActivity round trip.
-	bus.Transact(system, "request", 0, 0, func() {
-		bus.Transact(app, "reply", 0, 0, func() { done = s.Now() })
+	bus.Transact(system, StartActivity, 0, 0, func() {
+		bus.Transact(app, ScheduleLaunch, 0, 0, func() { done = s.Now() })
 	})
 	s.Run()
 	if done != sim.Time(2*time.Millisecond) {
@@ -77,7 +77,7 @@ func TestRoundTripCostsTwoHops(t *testing.T) {
 func TestTransactAtDelaysDispatch(t *testing.T) {
 	s, ep, bus := setup()
 	var at sim.Time
-	bus.TransactAt(sim.Time(10*time.Millisecond), ep, "later", 0, 0, func() { at = s.Now() })
+	bus.TransactAt(sim.Time(10*time.Millisecond), ep, RuntimeChange, 0, 0, func() { at = s.Now() })
 	s.Run()
 	want := sim.Time(10*time.Millisecond + 1200*time.Microsecond)
 	if at != want {
@@ -89,10 +89,31 @@ func TestTransactAtInPastBehavesLikeTransact(t *testing.T) {
 	s, ep, bus := setup()
 	s.Advance(5 * time.Millisecond)
 	var at sim.Time
-	bus.TransactAt(sim.Time(time.Millisecond), ep, "past", 0, 0, func() { at = s.Now() })
+	bus.TransactAt(sim.Time(time.Millisecond), ep, RuntimeChange, 0, 0, func() { at = s.Now() })
 	s.Run()
 	want := sim.Time(5*time.Millisecond + 1200*time.Microsecond)
 	if at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
+	}
+}
+
+// A transaction runs as "binder:<endpoint>:<txn>", a name each endpoint
+// builds once per transaction code rather than on every call.
+func TestTransactNameBuiltOnce(t *testing.T) {
+	s, ep, bus := setup()
+	var got string
+	ep.Looper.SetBusyObserver(func(_ sim.Time, _ time.Duration, name string) { got = name })
+	noop := func() {}
+	bus.Transact(ep, StartActivity, 0, 0, noop)
+	s.Run()
+	if got != "binder:atms:startActivity" {
+		t.Fatalf("message name = %q, want binder:atms:startActivity", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		bus.Transact(ep, StartActivity, 0, 0, noop)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("transact+dispatch made %.0f allocations, want 0", allocs)
 	}
 }

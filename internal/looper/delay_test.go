@@ -95,14 +95,14 @@ func TestInjectedDropNeverRunsAndReportsCancelled(t *testing.T) {
 	})
 	ran := false
 	survived := false
-	m := l.Post("doomed", time.Millisecond, func() { ran = true })
+	queued := l.Post("doomed", time.Millisecond, func() { ran = true })
 	l.Post("other", time.Millisecond, func() { survived = true })
 	s.Run()
 	if ran {
 		t.Fatal("dropped message ran")
 	}
-	if !m.Cancelled() {
-		t.Fatal("dropped message not reported as cancelled to the poster")
+	if queued {
+		t.Fatal("dropped message reported queued to the poster")
 	}
 	if !survived {
 		t.Fatal("drop of one message lost another")

@@ -14,14 +14,15 @@ import (
 // Forking is only legal at quiescence: queued or in-flight messages hold
 // closures over the old world, and an armed fault injector belongs to the
 // old world's chaos arm. Observers and tracers are deliberately not
-// carried over — each fork re-arms its own (the process fork rewires the
-// busy observer; chaos/guard/metrics arm post-fork).
+// carried over, and neither is the uncaught handler — each fork re-arms
+// its own (the process fork rebinds the uncaught handler to the forked
+// process; chaos/guard/metrics arm post-fork).
 func (l *Looper) Fork(sched *sim.Scheduler) (*Looper, error) {
 	switch {
 	case len(l.queue) > 0:
 		return nil, fmt.Errorf("looper %s: fork with %d queued messages", l.name, len(l.queue))
-	case l.current != nil:
-		return nil, fmt.Errorf("looper %s: fork mid-dispatch of %q", l.name, l.current.Name)
+	case l.dispatching:
+		return nil, fmt.Errorf("looper %s: fork mid-dispatch of %q", l.name, l.running)
 	case l.pump != nil && l.pump.Pending():
 		return nil, fmt.Errorf("looper %s: fork with pump scheduled", l.name)
 	case l.quit:

@@ -1,5 +1,5 @@
-// Package looper reimplements Android's Looper/MessageQueue/Handler trio
-// on the virtual clock. Every app process has one UI looper (the activity
+// Package looper reimplements Android's Looper and MessageQueue on the
+// virtual clock. Every app process has one UI looper (the activity
 // thread); only code running on it may touch the view tree, exactly as on
 // Android. Asynchronous tasks run elsewhere and deliver their results by
 // posting messages here — the delivery point where RCHDroid's lazy
@@ -19,27 +19,22 @@ import (
 	"rchdroid/internal/trace"
 )
 
-// Message is one unit of work queued on a looper.
-type Message struct {
-	// Name labels the message in traces.
-	Name string
-	// When is the earliest virtual time the message may run.
-	When sim.Time
-	// Cost is how long the message occupies the thread.
-	Cost time.Duration
-	// Run is the message body.
-	Run func()
-
-	seq       uint64
-	cancelled bool
+// message is one unit of work queued on a looper. The queue holds
+// messages by value, so a post allocates nothing of its own.
+type message struct {
+	name string
+	// when is the earliest virtual time the message may run.
+	when sim.Time
+	// cost is how long the message occupies the thread.
+	cost time.Duration
+	seq  uint64
+	// run is the body; a charged message has charged instead, whose
+	// result is charged to the message once it returns.
+	run     func()
+	charged func() time.Duration
+	// caught runs the body under the looper's uncaught handler.
+	caught bool
 }
-
-// Cancel prevents a queued message from running. Cancelling a message that
-// already ran is a no-op.
-func (m *Message) Cancel() { m.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (m *Message) Cancelled() bool { return m.cancelled }
 
 // Fault is a per-message fault decision returned by a FaultInjector.
 // The zero value means "deliver normally".
@@ -54,8 +49,8 @@ type Fault struct {
 	// events) — delaying one phase of a lifecycle chain reorders the
 	// chain.
 	Delay time.Duration
-	// Drop swallows the message: it is returned to the poster as an
-	// already-cancelled message and never runs.
+	// Drop swallows the message: the post reports it was not queued and
+	// it never runs.
 	Drop bool
 }
 
@@ -79,14 +74,22 @@ func (l *Looper) SetDispatchObserver(fn func(name string, start sim.Time, occupa
 type Looper struct {
 	name      string
 	sched     *sim.Scheduler
-	queue     []*Message
+	queue     []message
 	seq       uint64
 	busyUntil sim.Time
 	totalBusy time.Duration
 	processed uint64
 	quit      bool
-	current   *Message
 	fault     FaultInjector
+
+	// dispatching is set while a message body runs; running is that
+	// message's name, the label Charge attributes to.
+	dispatching bool
+	running     string
+
+	// uncaught, if set, receives whatever a caught message's body panics
+	// with; it re-panics what it does not handle.
+	uncaught func(r any)
 
 	// pump is the looper's one wakeup event, allocated on the first arm
 	// and re-armed in place for the looper's whole life. Only the looper
@@ -129,6 +132,13 @@ func (l *Looper) SetTracer(tr *trace.Tracer, track trace.TrackID) {
 	l.track = track
 }
 
+// SetUncaughtHandler installs (or, with nil, removes) the handler a
+// caught message's panic is recovered into, the looper's equivalent of
+// Thread.UncaughtExceptionHandler. fn re-panics values it does not
+// handle. Without a handler a caught message runs like any other and
+// its panic propagates.
+func (l *Looper) SetUncaughtHandler(fn func(r any)) { l.uncaught = fn }
+
 // SetBusyObserver installs (or, with nil, removes) a callback invoked
 // for each executed message and each charge with its start time and cost.
 func (l *Looper) SetBusyObserver(fn func(start sim.Time, cost time.Duration, name string)) {
@@ -155,46 +165,67 @@ func (l *Looper) Quit() {
 // Quitted reports whether Quit was called.
 func (l *Looper) Quitted() bool { return l.quit }
 
-// Post enqueues a message to run as soon as the thread is free.
-func (l *Looper) Post(name string, cost time.Duration, fn func()) *Message {
-	return l.PostDelayed(0, name, cost, fn)
+// Post enqueues a message to run as soon as the thread is free. It
+// reports whether the message was queued.
+func (l *Looper) Post(name string, cost time.Duration, fn func()) bool {
+	return l.post(0, message{name: name, cost: cost, run: fn})
 }
 
-// PostDelayed enqueues a message that becomes runnable after delay.
-// Posting to a quit looper returns nil, mirroring Handler.post returning
-// false after Looper.quit.
-func (l *Looper) PostDelayed(delay time.Duration, name string, cost time.Duration, fn func()) *Message {
+// PostDelayed enqueues a message that becomes runnable after delay. It
+// reports whether the message was queued: posting to a quit looper
+// returns false, mirroring Handler.post after Looper.quit, and so does
+// an injected drop.
+func (l *Looper) PostDelayed(delay time.Duration, name string, cost time.Duration, fn func()) bool {
+	return l.post(delay, message{name: name, cost: cost, run: fn})
+}
+
+// PostCaught is Post for a caught message: a panic escaping fn is
+// recovered into the uncaught handler instead of unwinding the
+// scheduler.
+func (l *Looper) PostCaught(name string, cost time.Duration, fn func()) bool {
+	return l.post(0, message{name: name, cost: cost, run: fn, caught: true})
+}
+
+// PostCharged enqueues a caught, zero-cost message whose body reports
+// its own cost: fn runs at dispatch and the duration it returns is
+// charged to the message, as Charge would. A body that panics charges
+// nothing.
+func (l *Looper) PostCharged(name string, fn func() time.Duration) bool {
+	return l.post(0, message{name: name, charged: fn, caught: true})
+}
+
+// post consults the fault injector and queues m after delay.
+func (l *Looper) post(delay time.Duration, m message) bool {
 	if l.quit {
-		return nil
+		return false
 	}
 	if delay < 0 {
 		delay = 0
 	}
 	if l.fault != nil {
-		f := l.fault(name, cost)
+		f := l.fault(m.name, m.cost)
 		if f.Drop {
-			l.tracer.Instant(l.track, name, "looper", trace.Arg{Key: "dropped", Val: true})
-			return &Message{Name: name, Cost: cost, Run: fn, cancelled: true}
+			if l.tracer.Enabled() {
+				l.tracer.Instant(l.track, m.name, "looper", trace.Arg{Key: "dropped", Val: true})
+			}
+			return false
 		}
 		if f.Delay > 0 {
-			l.tracer.Instant(l.track, name, "looper", trace.Arg{Key: "delayed", Val: f.Delay})
+			if l.tracer.Enabled() {
+				l.tracer.Instant(l.track, m.name, "looper", trace.Arg{Key: "delayed", Val: f.Delay})
+			}
 			delay += f.Delay
 		}
 		if f.Stall > 0 {
 			l.Stall(f.Stall)
 		}
 	}
-	m := &Message{
-		Name: name,
-		When: l.sched.Now().Add(delay),
-		Cost: cost,
-		Run:  fn,
-		seq:  l.seq,
-	}
+	m.when = l.sched.Now().Add(delay)
+	m.seq = l.seq
 	l.seq++
 	l.insert(m)
 	l.schedulePump()
-	return m
+	return true
 }
 
 // Stall occupies the thread for d without doing work: queued messages keep
@@ -205,7 +236,9 @@ func (l *Looper) Stall(d time.Duration) {
 	if d <= 0 || l.quit {
 		return
 	}
-	l.tracer.Instant(l.track, "stall", "looper", trace.Arg{Key: "dur", Val: d})
+	if l.tracer.Enabled() {
+		l.tracer.Instant(l.track, "stall", "looper", trace.Arg{Key: "dur", Val: d})
+	}
 	start := l.busyUntil
 	if now := l.sched.Now(); start < now {
 		start = now
@@ -214,17 +247,17 @@ func (l *Looper) Stall(d time.Duration) {
 	l.schedulePump()
 }
 
-// insert keeps the queue ordered by (When, seq).
-func (l *Looper) insert(m *Message) {
+// insert keeps the queue ordered by (when, seq).
+func (l *Looper) insert(m message) {
 	i := len(l.queue)
 	for i > 0 {
-		p := l.queue[i-1]
-		if p.When < m.When || (p.When == m.When && p.seq < m.seq) {
+		p := &l.queue[i-1]
+		if p.when < m.when || (p.when == m.when && p.seq < m.seq) {
 			break
 		}
 		i--
 	}
-	l.queue = append(l.queue, nil)
+	l.queue = append(l.queue, message{})
 	copy(l.queue[i+1:], l.queue[i:])
 	l.queue[i] = m
 }
@@ -234,7 +267,7 @@ func (l *Looper) schedulePump() {
 	if l.quit || len(l.queue) == 0 {
 		return
 	}
-	at := l.queue[0].When
+	at := l.queue[0].when
 	if l.busyUntil > at {
 		at = l.busyUntil
 	}
@@ -255,52 +288,65 @@ func (l *Looper) dispatch() {
 		return
 	}
 	now := l.sched.Now()
-	if now < l.busyUntil {
+	if now < l.busyUntil || len(l.queue) == 0 || l.queue[0].when > now {
 		l.schedulePump()
 		return
 	}
-	// Pop the first non-cancelled eligible message.
-	for len(l.queue) > 0 {
-		m := l.queue[0]
-		if m.When > now {
-			break
+	m := l.queue[0]
+	// Pop by shifting down in place: reslicing past the head would shed a
+	// slot of capacity per pop and make insert reallocate.
+	n := copy(l.queue, l.queue[1:])
+	l.queue[n] = message{}
+	l.queue = l.queue[:n]
+	l.busyUntil = now.Add(m.cost)
+	l.totalBusy += m.cost
+	l.processed++
+	if l.onBusy != nil {
+		l.onBusy(now, m.cost, m.name)
+	}
+	if l.tracer.Enabled() {
+		// Dispatch with a real cost is a span; a zero-cost control
+		// message is a point on the timeline. The wait argument is the
+		// queueing delay past the message's earliest runnable time.
+		if m.cost > 0 {
+			l.tracer.Complete(l.track, m.name, "looper", now, m.cost,
+				trace.Arg{Key: "wait", Val: now.Sub(m.when)})
+		} else {
+			l.tracer.Instant(l.track, m.name, "looper")
 		}
-		// Pop by shifting down in place: reslicing past the head would
-		// shed a slot of capacity per pop and make insert reallocate.
-		n := copy(l.queue, l.queue[1:])
-		l.queue[n] = nil
-		l.queue = l.queue[:n]
-		if m.cancelled {
-			continue
-		}
-		l.busyUntil = now.Add(m.Cost)
-		l.totalBusy += m.Cost
-		l.processed++
-		if l.onBusy != nil {
-			l.onBusy(now, m.Cost, m.Name)
-		}
-		if l.tracer.Enabled() {
-			// Dispatch with a real cost is a span; a zero-cost control
-			// message is a point on the timeline. The wait argument is the
-			// queueing delay past the message's earliest runnable time.
-			if m.Cost > 0 {
-				l.tracer.Complete(l.track, m.Name, "looper", now, m.Cost,
-					trace.Arg{Key: "wait", Val: now.Sub(m.When)})
-			} else {
-				l.tracer.Instant(l.track, m.Name, "looper")
-			}
-		}
-		l.current = m
-		m.Run()
-		l.current = nil
-		if l.onDispatch != nil {
-			// Occupancy measured after Run so it includes every Charge
-			// and injected stall folded into the message.
-			l.onDispatch(m.Name, now, l.busyUntil.Sub(now))
-		}
-		break
+	}
+	l.dispatching, l.running = true, m.name
+	if m.caught && l.uncaught != nil {
+		l.runCaught(&m)
+	} else {
+		l.run(&m)
+	}
+	l.dispatching, l.running = false, ""
+	if l.onDispatch != nil {
+		// Occupancy measured after the body so it includes every Charge
+		// and injected stall folded into the message.
+		l.onDispatch(m.name, now, l.busyUntil.Sub(now))
 	}
 	l.schedulePump()
+}
+
+// run executes m's body, charging a charged message what it reports.
+func (l *Looper) run(m *message) {
+	if m.charged != nil {
+		l.ChargeNamed(m.charged(), m.name)
+		return
+	}
+	m.run()
+}
+
+// runCaught runs m's body, recovering a panic into the uncaught handler.
+func (l *Looper) runCaught(m *message) {
+	defer func() {
+		if r := recover(); r != nil {
+			l.uncaught(r)
+		}
+	}()
+	l.run(m)
 }
 
 // BusyUntil returns the virtual time the thread becomes free again.
@@ -314,8 +360,8 @@ func (l *Looper) BusyUntil() sim.Time { return l.busyUntil }
 // starting now.
 func (l *Looper) Charge(cost time.Duration) {
 	name := "charge"
-	if l.current != nil {
-		name = l.current.Name
+	if l.dispatching {
+		name = l.running
 	}
 	l.ChargeNamed(cost, name)
 }
@@ -342,28 +388,4 @@ func (l *Looper) ChargeNamed(cost time.Duration, name string) {
 
 func (l *Looper) String() string {
 	return fmt.Sprintf("looper(%s, queued=%d, busy=%v)", l.name, len(l.queue), l.totalBusy)
-}
-
-// Handler mirrors android.os.Handler: a named front-end to a looper.
-type Handler struct {
-	looper *Looper
-	tag    string
-}
-
-// NewHandler returns a handler posting to l with names prefixed by tag.
-func NewHandler(l *Looper, tag string) *Handler {
-	return &Handler{looper: l, tag: tag}
-}
-
-// Looper returns the underlying looper.
-func (h *Handler) Looper() *Looper { return h.looper }
-
-// Post enqueues fn with the given cost.
-func (h *Handler) Post(name string, cost time.Duration, fn func()) *Message {
-	return h.looper.Post(h.tag+":"+name, cost, fn)
-}
-
-// PostDelayed enqueues fn to become runnable after delay.
-func (h *Handler) PostDelayed(delay time.Duration, name string, cost time.Duration, fn func()) *Message {
-	return h.looper.PostDelayed(delay, h.tag+":"+name, cost, fn)
 }

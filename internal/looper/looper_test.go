@@ -80,25 +80,6 @@ func TestSameTimeIsFIFO(t *testing.T) {
 	}
 }
 
-func TestCancelledMessageSkipped(t *testing.T) {
-	s, l := newTestLooper()
-	ran := false
-	m := l.Post("m", time.Millisecond, func() { ran = true })
-	m.Cancel()
-	after := false
-	l.Post("after", time.Millisecond, func() { after = true })
-	s.Run()
-	if ran {
-		t.Fatal("cancelled message ran")
-	}
-	if !after {
-		t.Fatal("subsequent message did not run")
-	}
-	if !m.Cancelled() {
-		t.Fatal("Cancelled() = false")
-	}
-}
-
 func TestNestedPostRunsAfterCurrent(t *testing.T) {
 	s, l := newTestLooper()
 	var order []string
@@ -122,8 +103,8 @@ func TestQuitDropsQueueAndRejectsPosts(t *testing.T) {
 	ran := false
 	l.Post("m", time.Millisecond, func() { ran = true })
 	l.Quit()
-	if m := l.Post("rejected", 0, func() {}); m != nil {
-		t.Fatal("post after quit returned a message")
+	if l.Post("rejected", 0, func() {}) {
+		t.Fatal("post after quit reported the message queued")
 	}
 	s.Run()
 	if ran {
@@ -153,32 +134,6 @@ func TestBusyObserverSeesEveryMessage(t *testing.T) {
 	}
 	if total != 3*time.Millisecond {
 		t.Fatalf("total = %v", total)
-	}
-}
-
-func TestHandlerPrefixesNames(t *testing.T) {
-	s, l := newTestLooper()
-	h := NewHandler(l, "async")
-	var got string
-	l.SetBusyObserver(func(_ sim.Time, _ time.Duration, name string) { got = name })
-	h.Post("done", 0, func() {})
-	s.Run()
-	if got != "async:done" {
-		t.Fatalf("name = %q", got)
-	}
-	if h.Looper() != l {
-		t.Fatal("Looper() mismatch")
-	}
-}
-
-func TestHandlerPostDelayed(t *testing.T) {
-	s, l := newTestLooper()
-	h := NewHandler(l, "h")
-	var at sim.Time
-	h.PostDelayed(30*time.Millisecond, "late", 0, func() { at = s.Now() })
-	s.Run()
-	if at != sim.Time(30*time.Millisecond) {
-		t.Fatalf("at = %v", at)
 	}
 }
 
@@ -322,21 +277,29 @@ func TestPumpRearmAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Popping the queue head keeps its capacity: a looper that posts and
-// dispatches one message at a time never grows its queue again after
-// the first post.
+// Posting and dispatching allocate nothing: the queue holds messages by
+// value and reuses the slots it pops, and a charged message carries its
+// cost function itself, not a wrapper closure.
 func TestQueuePopKeepsCapacity(t *testing.T) {
 	s, l := newTestLooper()
+	l.SetUncaughtHandler(func(r any) { panic(r) })
 	noop := func() {}
+	charge := func() time.Duration { return time.Millisecond }
 	l.Post("warm", 0, noop)
+	l.PostCharged("warm", charge)
 	s.Run()
 	allocs := testing.AllocsPerRun(100, func() {
 		l.Post("m", 0, noop)
+		l.PostCharged("c", charge)
 		s.Run()
 	})
-	// One Message per post; the queue slot is reused.
-	if allocs != 1 {
-		t.Fatalf("post+dispatch made %.0f allocations, want 1 (the message)", allocs)
+	if allocs != 0 {
+		t.Fatalf("post+dispatch made %.0f allocations, want 0", allocs)
+	}
+	// The warm-up, AllocsPerRun's own warm-up run and the 100 measured
+	// runs each charged 1ms.
+	if l.TotalBusy() != 102*time.Millisecond {
+		t.Fatalf("TotalBusy = %v, want 102ms of charges", l.TotalBusy())
 	}
 }
 

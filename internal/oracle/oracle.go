@@ -101,7 +101,7 @@ func (a *Arm) Sample(proc *app.Process, cfg InvariantConfig, step int, kind stri
 func (a *Arm) Finish(sys *atms.ATMS, plan *chaos.Plan, inst Installer) {
 	hs := sys.HandlingTimes()
 	a.Handlings = len(hs)
-	a.HandlingTimes = append([]time.Duration(nil), hs...)
+	a.HandlingTimes = hs
 	for i, d := range hs {
 		if d <= 0 || d > time.Second {
 			a.HandlingViolation = fmt.Sprintf("handling %d took %v, want (0, 1s]", i, d)

@@ -194,7 +194,7 @@ func compile(fields []string) (func(*Env) error, error) {
 				return nil, fmt.Errorf("bad count %q", fields[2])
 			}
 			return func(e *Env) error {
-				if got := len(e.Sys.HandlingTimes()); got != n {
+				if got := e.Sys.HandlingCount(); got != n {
 					return fmt.Errorf("expected %d handled changes, have %d", n, got)
 				}
 				return nil

@@ -105,8 +105,8 @@ echo "==> allocs/op gate (bundle save/restore, transfer checksum, runtime change
 # pass.
 ALLOC_CEILINGS="BenchmarkBundleSaveRestore64Views=135
 BenchmarkBundleTransferChecksum64Views=135
-BenchmarkSimulatedRuntimeChange=94
-BenchmarkGuardedRuntimeChange=99"
+BenchmarkSimulatedRuntimeChange=35
+BenchmarkGuardedRuntimeChange=37"
 mkdir -p artifacts
 go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|SimulatedRuntimeChange|GuardedRuntimeChange)$' \
     -benchtime=200x -benchmem . > artifacts/bench.allocs.txt
