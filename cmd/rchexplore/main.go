@@ -106,9 +106,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		total += int(n)
 	}
 	prog := obs.StartProgress(stderr, "schedules", total, shared.Progress, func() (int64, int64) {
-		done := reg.CounterValue("sweep_seeds_total")
-		failed := reg.CounterValue("sweep_seed_failures_total") + reg.CounterValue("sweep_seed_panics_total")
-		return done, failed
+		snap := reg.Snapshot()
+		done, _ := snap.Value("sweep_seeds_total")
+		failures, _ := snap.Value("sweep_seed_failures_total")
+		panics, _ := snap.Value("sweep_seed_panics_total")
+		return done, failures + panics
 	})
 
 	stop, signaled, release := cliflags.StopOnSignals("rchexplore", stderr)

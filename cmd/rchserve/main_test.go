@@ -367,28 +367,32 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestBadLineGetsExplicitReply checks the wire rejects garbage without
+// TestBadLineGetsExplicitReply checks the wire rejects garbage and an
+// oversize (over 1 MiB) request line with an explicit reply, without
 // dropping the connection.
 func TestBadLineGetsExplicitReply(t *testing.T) {
 	addr, codeCh, errOut := startServer(t, "-shards=1")
 	c := dial(t, addr)
-	if _, err := c.conn.Write([]byte("not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp serve.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != serve.CodeBadRequest {
-		t.Fatalf("garbage line got %+v, want bad_request", resp)
-	}
-	// The connection still works.
-	if h := c.do(t, serve.Request{Op: serve.OpHealth}); !h.OK {
-		t.Fatalf("connection dead after bad line: %+v", h)
+	oversize := `{"op":"boot","device":"` + strings.Repeat("x", 1<<20) + `"}`
+	for _, bad := range []string{"not json", oversize} {
+		if _, err := c.conn.Write([]byte(bad + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		line, err := c.r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("%d-byte bad line: %v", len(bad), err)
+		}
+		var resp serve.Response
+		if err := json.Unmarshal(line, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK || resp.Code != serve.CodeBadRequest {
+			t.Fatalf("%d-byte bad line got %+v, want bad_request", len(bad), resp)
+		}
+		// The connection still works.
+		if h := c.do(t, serve.Request{Op: serve.OpHealth}); !h.OK {
+			t.Fatalf("connection dead after a %d-byte bad line: %+v", len(bad), h)
+		}
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

@@ -109,9 +109,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reg := obs.NewRegistry()
 	cfg := sweep.Config{Mode: *mode, Start: *start, Count: *seeds, Workers: *workers, Replay: replay, Obs: reg, Stop: stop}
 	prog := obs.StartProgress(stderr, "seeds", *seeds, shared.Progress, func() (int64, int64) {
-		done := reg.CounterValue("sweep_seeds_total")
-		failed := reg.CounterValue("sweep_seed_failures_total") + reg.CounterValue("sweep_seed_panics_total")
-		return done, failed
+		snap := reg.Snapshot()
+		done, _ := snap.Value("sweep_seeds_total")
+		failures, _ := snap.Value("sweep_seed_failures_total")
+		panics, _ := snap.Value("sweep_seed_panics_total")
+		return done, failures + panics
 	})
 	rep := sweep.RunObs(cfg, fn)
 	prog.Stop()

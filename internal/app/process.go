@@ -190,13 +190,6 @@ func (p *Process) SetTracer(tr *trace.Tracer) {
 	p.uiLooper.SetTracer(tr, p.uiTrack)
 }
 
-// Tracer returns the armed tracer (nil when tracing is off). The nil
-// tracer is inert, so callers may emit unconditionally.
-func (p *Process) Tracer() *trace.Tracer { return p.tracer }
-
-// UITrack returns the UI thread's trace track.
-func (p *Process) UITrack() trace.TrackID { return p.uiTrack }
-
 // Memory returns the memory meter. Its series records only in a
 // profiled process.
 func (p *Process) Memory() *metrics.MemoryMeter { return p.mem }

@@ -55,7 +55,6 @@ func (a *ATMS) Fork(sched *sim.Scheduler, procMap map[*app.Process]*app.Process)
 	na.starter = &ActivityStarter{
 		atms:           na,
 		createdRecords: a.starter.createdRecords,
-		flips:          a.starter.flips,
 		suppressed:     a.starter.suppressed,
 	}
 	if len(a.handlingTimes) > 0 {

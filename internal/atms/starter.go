@@ -24,7 +24,6 @@ type ActivityStarter struct {
 
 	// Counters for reports and tests.
 	createdRecords int
-	flips          int
 	suppressed     int
 }
 
@@ -41,16 +40,10 @@ func (s *ActivityStarter) Policy() StarterPolicy { return s.policy }
 // CreatedRecords returns how many new records the starter made.
 func (s *ActivityStarter) CreatedRecords() int { return s.createdRecords }
 
-// Flips returns how many coin flips the starter performed.
-func (s *ActivityStarter) Flips() int { return s.flips }
-
 // Suppressed returns how many same-activity default starts were dropped
 // (the stock "creating one activity that is the same as itself will
 // finish with creating nothing" rule).
 func (s *ActivityStarter) Suppressed() int { return s.suppressed }
-
-// CountFlip lets a policy record a coin flip.
-func (s *ActivityStarter) CountFlip() { s.flips++ }
 
 // StartActivity is startActivityUnchecked: resolve the intent against the
 // stack and either reuse, suppress, or create a record.

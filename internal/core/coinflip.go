@@ -61,7 +61,6 @@ func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, f
 		// Coin flip: reorder the shadow record to the top, clear its
 		// shadow state, and push the requester into the shadow state.
 		p.flips++
-		a.Starter().CountFlip()
 		if a.Tracer().Enabled() {
 			a.Tracer().Instant(a.Track(), "coinFlip", "rch",
 				trace.Arg{Key: "decision", Val: "flip"},

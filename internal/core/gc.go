@@ -61,9 +61,6 @@ func NewThresholdGC(cfg GCConfig, m *Migrator) *ThresholdGC {
 	return &ThresholdGC{cfg: cfg, migrator: m}
 }
 
-// Config returns the active parameters.
-func (g *ThresholdGC) Config() GCConfig { return g.cfg }
-
 // Sweeps returns how many GC passes have run.
 func (g *ThresholdGC) Sweeps() int { return g.sweeps }
 

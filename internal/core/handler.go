@@ -133,9 +133,6 @@ func (h *ShadowHandler) StockRouted() int { return h.stockRouted }
 // race.
 func (h *ShadowHandler) SupersededStockRoutes() int { return h.supersededRoutes }
 
-// Guard returns the supervising guard, or nil.
-func (h *ShadowHandler) Guard() *guard.Guard { return h.guard }
-
 // Migrator returns the lazy-migration engine.
 func (h *ShadowHandler) Migrator() *Migrator { return h.migrator }
 

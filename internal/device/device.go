@@ -117,7 +117,6 @@ func (w *World) Relaunch(saved *bundle.Bundle, rearm func(*app.Process)) *app.Pr
 // isolated copies. Templates are safe for concurrent Fork calls — every
 // fork only reads the base world.
 type Template struct {
-	spec Spec
 	base *World
 }
 
@@ -126,7 +125,7 @@ type Template struct {
 // no armed hooks, every view and extra deep-copyable). An error means
 // worlds of this spec must be built fresh per seed.
 func NewTemplate(spec Spec) (*Template, error) {
-	t := &Template{spec: spec, base: New(spec, 0, nil)}
+	t := &Template{base: New(spec, 0, nil)}
 	// A trial fork exercises every copy precondition up front; the base
 	// world never runs again, so later forks cannot fail differently.
 	if _, err := t.Fork(0, nil); err != nil {
@@ -134,9 +133,6 @@ func NewTemplate(spec Spec) (*Template, error) {
 	}
 	return t, nil
 }
-
-// Spec returns the spec the template was built from.
-func (t *Template) Spec() Spec { return t.spec }
 
 // Fork stamps out an isolated world for seed and arms it. Mutable state
 // — scheduler counters, loopers, process, activity instances, view

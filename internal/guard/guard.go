@@ -268,9 +268,6 @@ func New(cfg Config, sched *sim.Scheduler, proc *app.Process, sys *atms.ATMS) *G
 	}
 }
 
-// Config returns the active parameters.
-func (g *Guard) Config() Config { return g.cfg }
-
 // Enabled reports whether supervision is on — false for nil.
 func (g *Guard) Enabled() bool { return g != nil }
 

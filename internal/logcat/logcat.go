@@ -74,11 +74,6 @@ func New(sched *sim.Scheduler, capacity int) *Log {
 	return &Log{sched: sched, entries: make([]Entry, capacity)}
 }
 
-// BindClock attaches (or replaces) the scheduler stamping entries —
-// used when a log outlives the scheduler it was created with (a reboot
-// in a stress run) or was created before one existed.
-func (l *Log) BindClock(sched *sim.Scheduler) { l.sched = sched }
-
 // SetTracer mirrors every appended line onto the trace timeline as an
 // instant on a dedicated "logcat" process row, interleaving the textual
 // log with the structured spans. A nil tracer disables it.

@@ -349,9 +349,6 @@ func (l *Looper) runCaught(m *message) {
 	l.run(m)
 }
 
-// BusyUntil returns the virtual time the thread becomes free again.
-func (l *Looper) BusyUntil() sim.Time { return l.busyUntil }
-
 // Charge extends the currently-executing message's occupancy by cost.
 // It exists for work whose cost is only known after the fact — e.g. a
 // lifecycle phase whose cost depends on how many views the app's own

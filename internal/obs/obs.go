@@ -132,27 +132,6 @@ func (r *Registry) define(name string, kind Kind, domain Domain, help string, bo
 	return d
 }
 
-// CounterValue sums the named counter across all shards — the live read
-// the progress line uses. Zero for an unknown name.
-func (r *Registry) CounterValue(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	shards := r.shards
-	r.mu.Unlock()
-	var total int64
-	for _, s := range shards {
-		s.mu.Lock()
-		c := s.counters[name]
-		s.mu.Unlock()
-		if c != nil {
-			total += c.v.Load()
-		}
-	}
-	return total
-}
-
 // Shard is one worker's private write surface. Metric handles are
 // cached per shard; the write path is a single atomic op.
 type Shard struct {

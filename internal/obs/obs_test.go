@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -24,6 +25,7 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	for _, v := range []int64{5, 10, 11, 100, 101, 1000} {
 		h.Observe(v)
 	}
+	sh.Histogram("idle_ns", "defined, never observed", Sim, []int64{10})
 
 	snap := reg.Snapshot()
 	byName := map[string]Metric{}
@@ -52,6 +54,9 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	}
 	if hist.Min != 5 || hist.Max != 1000 {
 		t.Errorf("min=%d max=%d, want 5 / 1000", hist.Min, hist.Max)
+	}
+	if idle := byName["idle_ns"].Hist; idle.Count != 0 || idle.Min != 0 || idle.Max != 0 {
+		t.Errorf("empty histogram = %+v, want count/min/max 0", idle)
 	}
 }
 
@@ -93,7 +98,10 @@ func TestHistogramQuantiles(t *testing.T) {
 
 // TestMergeCommutative is the shard/merge contract: the same
 // observations partitioned across any number of shards, in any
-// interleaving, must merge to byte-identical canonical dumps.
+// interleaving, must merge to byte-identical canonical dumps. Each
+// partition also carries an idle shard that defines every metric and
+// observes nothing, as an idle fleet shard does; it must not drag the
+// histogram's min or max away from the observed extremes.
 func TestMergeCommutative(t *testing.T) {
 	type op struct {
 		kind string
@@ -130,6 +138,12 @@ func TestMergeCommutative(t *testing.T) {
 		apply(one, o)
 	}
 	want := ref.Snapshot().MarshalCanonical()
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, o := range ops {
+		if o.kind == "h" {
+			lo, hi = min(lo, o.v), max(hi, o.v)
+		}
+	}
 
 	for _, workers := range []int{2, 3, 8} {
 		reg := NewRegistry()
@@ -137,6 +151,10 @@ func TestMergeCommutative(t *testing.T) {
 		for i := range shards {
 			shards[i] = reg.Shard()
 		}
+		idle := reg.Shard()
+		idle.Counter("events_total", "", Sim)
+		idle.Gauge("frontier", "", Sim)
+		idle.Histogram("lat_ns", "", Sim, SimDurationBounds)
 		// Random partition, concurrent application.
 		var wg sync.WaitGroup
 		perShard := make([][]op, workers)
@@ -154,11 +172,38 @@ func TestMergeCommutative(t *testing.T) {
 			}(shards[i], perShard[i])
 		}
 		wg.Wait()
-		got := reg.Snapshot().MarshalCanonical()
-		if !bytes.Equal(got, want) {
+		snap := reg.Snapshot()
+		if got := snap.MarshalCanonical(); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: canonical dump differs from single-shard reference\n--- want\n%s--- got\n%s",
 				workers, want, got)
 		}
+		for _, m := range snap.Metrics {
+			if m.Hist != nil && (m.Hist.Min != lo || m.Hist.Max != hi) {
+				t.Errorf("workers=%d: %s min/max = %d/%d, want the observed %d/%d",
+					workers, m.Name, m.Hist.Min, m.Hist.Max, lo, hi)
+			}
+		}
+	}
+}
+
+// TestMergeSnapshotsEmptyHistogram: a shard that defined a histogram but
+// never observed into it must not drag the merged min to zero; with no
+// observation anywhere, min and max render 0 as a single shard does.
+func TestMergeSnapshotsEmptyHistogram(t *testing.T) {
+	reg := NewRegistry()
+	a, b := reg.Shard(), reg.Shard()
+	a.Histogram("lat_ns", "h", Sim, SimDurationBounds).Observe(int64(50 * time.Millisecond))
+	b.Histogram("lat_ns", "h", Sim, SimDurationBounds) // defined, empty
+	h := reg.Snapshot().Metrics[0].Hist
+	if h.Count != 1 || h.Min != int64(50*time.Millisecond) || h.Max != int64(50*time.Millisecond) {
+		t.Fatalf("empty histogram polluted the merge: %+v", h)
+	}
+
+	reg = NewRegistry()
+	reg.Shard().Histogram("lat_ns", "h", Sim, SimDurationBounds)
+	reg.Shard().Histogram("lat_ns", "h", Sim, SimDurationBounds)
+	if h := reg.Snapshot().Metrics[0].Hist; h.Count != 0 || h.Min != 0 || h.Max != 0 {
+		t.Fatalf("all-empty merge should render min=max=0: %+v", h)
 	}
 }
 
@@ -256,11 +301,12 @@ func TestNilSafety(t *testing.T) {
 	sh.Counter("x", "", Sim).Inc()
 	sh.Gauge("x", "", Sim).Set(1)
 	sh.Histogram("x", "", Sim, nil).Observe(1)
-	if v := reg.CounterValue("x"); v != 0 {
-		t.Errorf("nil registry CounterValue = %d", v)
-	}
-	if got := reg.Snapshot(); len(got.Metrics) != 0 {
+	got := reg.Snapshot()
+	if len(got.Metrics) != 0 {
 		t.Errorf("nil registry snapshot has %d metrics", len(got.Metrics))
+	}
+	if v, ok := got.Value("x"); v != 0 || ok {
+		t.Errorf("nil registry Value(x) = %d, %v; want 0, false", v, ok)
 	}
 	var p *Progress
 	p.Stop() // no-op
@@ -278,16 +324,19 @@ func TestConflictingRedefinitionPanics(t *testing.T) {
 	sh.Gauge("m", "", Sim)
 }
 
+// TestLiveCounterValue: the progress line's read, a snapshot's Value,
+// sums a counter across shards and reports an absent name as not ok.
 func TestLiveCounterValue(t *testing.T) {
 	reg := NewRegistry()
 	a, b := reg.Shard(), reg.Shard()
 	a.Counter("done", "", Sim).Add(3)
 	b.Counter("done", "", Sim).Add(4)
-	if v := reg.CounterValue("done"); v != 7 {
-		t.Errorf("CounterValue = %d, want 7", v)
+	snap := reg.Snapshot()
+	if v, _ := snap.Value("done"); v != 7 {
+		t.Errorf("Value(done) = %d, want 7", v)
 	}
-	if v := reg.CounterValue("absent"); v != 0 {
-		t.Errorf("CounterValue(absent) = %d, want 0", v)
+	if v, ok := snap.Value("absent"); v != 0 || ok {
+		t.Errorf("Value(absent) = %d, %v; want 0, false", v, ok)
 	}
 }
 

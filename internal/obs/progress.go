@@ -10,7 +10,7 @@ import (
 // ProgressFunc samples the live state of a run: how many units have
 // completed and how many of those failed. It is called from the
 // progress goroutine, so it must be safe to call concurrently with the
-// workers (Registry.CounterValue is).
+// workers (a live Registry.Snapshot is).
 type ProgressFunc func() (done, failed int64)
 
 // Progress is a periodic one-line status printer for long sweeps: units

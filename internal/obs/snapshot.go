@@ -45,15 +45,6 @@ func (h *Hist) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// Mean returns the exact mean of the observations (the histogram keeps
-// the true sum, not a bucketed approximation). Zero for empty.
-func (h *Hist) Mean() float64 {
-	if h == nil || h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Metric is one merged metric in a snapshot.
 type Metric struct {
 	Name   string `json:"name"`

@@ -164,7 +164,10 @@ func TestBatchOverloadShed(t *testing.T) {
 		}
 	}
 	jam()
-	waitFor("shard never took the first sleep", func() bool { return sh.reg.CounterValue("serve_requests_total") == 1 })
+	waitFor("shard never took the first sleep", func() bool {
+		n, _ := s.reg.Snapshot().Value("serve_requests_total")
+		return n == 1
+	})
 	jam()
 	// Wait until the queue is actually full so the batch's non-blocking
 	// enqueue must refuse.

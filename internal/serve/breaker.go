@@ -56,12 +56,11 @@ func (c BreakerConfig) probation() int32 {
 // quarantined→probation promotion); everything is atomic so admission
 // never takes a lock.
 type breaker struct {
-	cfg       BreakerConfig
-	state     atomic.Int32
-	openedAt  atomic.Int64 // wall nanos at quarantine
-	fails     atomic.Int32 // consecutive device failures
-	probeOKs  atomic.Int32 // consecutive successes in probation
-	openCount atomic.Int64 // total times the breaker opened
+	cfg      BreakerConfig
+	state    atomic.Int32
+	openedAt atomic.Int64 // wall nanos at quarantine
+	fails    atomic.Int32 // consecutive device failures
+	probeOKs atomic.Int32 // consecutive successes in probation
 }
 
 // allow decides admission. An open breaker whose OpenFor has elapsed
@@ -82,24 +81,23 @@ func (b *breaker) allow(now time.Time) bool {
 }
 
 // onFailure records a device-level failure and opens (or re-opens) the
-// breaker when the ladder says so.
-func (b *breaker) onFailure(now time.Time) {
+// breaker when the ladder says so, reporting whether it did.
+func (b *breaker) onFailure(now time.Time) bool {
 	b.probeOKs.Store(0)
 	switch b.state.Load() {
+	case stateServing:
+		if b.fails.Add(1) < b.cfg.threshold() {
+			return false
+		}
 	case stateProbation:
 		// A failed probe goes straight back to quarantine.
-		b.openedAt.Store(now.UnixNano())
-		b.state.Store(stateQuarantined)
-		b.openCount.Add(1)
-		b.fails.Store(0)
-	case stateServing:
-		if b.fails.Add(1) >= b.cfg.threshold() {
-			b.openedAt.Store(now.UnixNano())
-			b.state.Store(stateQuarantined)
-			b.openCount.Add(1)
-			b.fails.Store(0)
-		}
+	default:
+		return false
 	}
+	b.openedAt.Store(now.UnixNano())
+	b.state.Store(stateQuarantined)
+	b.fails.Store(0)
+	return true
 }
 
 // onSuccess records a cleanly served device request; enough of them in

@@ -14,7 +14,8 @@ import (
 // Config tunes the fleet service. Zero values get serviceable defaults.
 type Config struct {
 	// Shards is the goroutine-pool width (≤ 0 means 4). Each shard owns
-	// its devices, its queue, its breaker, and its metrics registry.
+	// its devices, its queue, its breaker, and its shard of the server's
+	// metrics registry.
 	Shards int
 	// QueueDepth bounds each shard's request queue (≤ 0 means 16). A
 	// full queue sheds with CodeOverloaded — admission control, never
@@ -61,12 +62,13 @@ var errForcedAbort = errors.New("serve: drain deadline expired; forced abort")
 // (as opposed to a double drain).
 func ForcedAbort(err error) bool { return errors.Is(err, errForcedAbort) }
 
-// Server is the fleet: shards, their template cache, and the drain
-// machinery.
+// Server is the fleet: shards, their template cache and metrics
+// registry, and the drain machinery.
 type Server struct {
 	cfg    Config
 	shards []*shard
 	forker *device.TemplateCache
+	reg    *obs.Registry
 
 	// admitMu serializes admission against the drain flip: Submit holds
 	// the read side across its draining-check + enqueue, Drain takes the
@@ -89,6 +91,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		forker:  device.NewTemplateCache(),
+		reg:     obs.NewRegistry(),
 		abortCh: make(chan struct{}),
 	}
 	for i := 0; i < cfg.shards(); i++ {
@@ -143,23 +146,12 @@ func (s *Server) Submit(req Request) Response {
 		sh.counter("serve_shed_draining_total").Inc()
 		return Response{ID: req.ID, OK: false, Code: CodeDraining, Shard: sh.idx, Detail: "server is draining"}
 	}
-	if !sh.brk.allow(time.Now()) {
-		s.admitMu.RUnlock()
-		sh.counter("serve_shed_quarantined_total").Inc()
-		return Response{ID: req.ID, OK: false, Code: CodeQuarantined, Shard: sh.idx,
-			Detail: "shard quarantined by its circuit breaker"}
-	}
 	p := &pending{req: req, admitted: time.Now(), reply: make(chan Response, 1)}
-	select {
-	case sh.queue <- p:
-		s.admitMu.RUnlock()
-	default:
-		s.admitMu.RUnlock()
-		sh.counter("serve_shed_overload_total").Inc()
-		return Response{ID: req.ID, OK: false, Code: CodeOverloaded, Shard: sh.idx,
-			Detail: "shard queue full; request shed"}
+	code, detail := sh.admit(p, 1)
+	s.admitMu.RUnlock()
+	if code != "" {
+		return Response{ID: req.ID, OK: false, Code: code, Shard: sh.idx, Detail: detail}
 	}
-
 	return s.awaitReply(p, sh)
 }
 
@@ -201,6 +193,7 @@ func (s *Server) submitBatch(req Request) Response {
 		sh    *shard
 		steps []BatchStep
 		idx   []int
+		p     *pending // set once the shard admitted the group
 	}
 	var groups []*group
 	byShard := make(map[*shard]*group)
@@ -225,40 +218,28 @@ func (s *Server) submitBatch(req Request) Response {
 		}
 		return Response{ID: req.ID, OK: false, Code: CodeDraining, Shard: -1, Detail: "server is draining"}
 	}
-	var enqueued []*pending
-	var waiting []*group
 	for _, g := range groups {
-		if !g.sh.brk.allow(time.Now()) {
-			g.sh.counter("serve_shed_quarantined_total").Add(int64(len(g.steps)))
-			for _, i := range g.idx {
-				results[i] = BatchResult{Index: i, OK: false, Code: CodeQuarantined, Shard: g.sh.idx,
-					Detail: "shard quarantined by its circuit breaker"}
-			}
-			continue
-		}
 		p := &pending{
 			req:      Request{ID: req.ID, Op: OpBatch, Batch: g.steps},
 			batchIdx: g.idx,
 			admitted: time.Now(),
 			reply:    make(chan Response, 1),
 		}
-		select {
-		case g.sh.queue <- p:
-			enqueued = append(enqueued, p)
-			waiting = append(waiting, g)
-		default:
-			g.sh.counter("serve_shed_overload_total").Add(int64(len(g.steps)))
+		if code, detail := g.sh.admit(p, len(g.steps)); code != "" {
 			for _, i := range g.idx {
-				results[i] = BatchResult{Index: i, OK: false, Code: CodeOverloaded, Shard: g.sh.idx,
-					Detail: "shard queue full; request shed"}
+				results[i] = BatchResult{Index: i, OK: false, Code: code, Shard: g.sh.idx, Detail: detail}
 			}
+			continue
 		}
+		g.p = p
 	}
 	s.admitMu.RUnlock()
 
-	for k, p := range enqueued {
-		g := waiting[k]
-		resp := s.awaitReply(p, g.sh)
+	for _, g := range groups {
+		if g.p == nil {
+			continue
+		}
+		resp := s.awaitReply(g.p, g.sh)
 		if len(resp.Results) > 0 {
 			for _, r := range resp.Results {
 				results[r.Index] = r
@@ -316,24 +297,18 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 }
 
-// MergedSnapshot folds every shard's registry into one aggregate under
-// obs.MergeSnapshots' commutative semantics: the canonical (sim-domain)
-// rendering is byte-identical regardless of shard count or how devices
-// and canary seeds were partitioned.
+// MergedSnapshot is the server registry's snapshot, which merges every
+// shard's obs.Shard under the registry's commutative semantics: the
+// canonical (sim-domain) rendering is byte-identical regardless of
+// shard count or how devices and canary seeds were partitioned. The
+// error is always nil.
 func (s *Server) MergedSnapshot() (*obs.Snapshot, error) {
-	snaps := make([]*obs.Snapshot, len(s.shards))
-	for i, sh := range s.shards {
-		snaps[i] = sh.reg.Snapshot()
-	}
-	return obs.MergeSnapshots(snaps...)
+	return s.reg.Snapshot(), nil
 }
 
 // statsResponse renders the merged snapshot.
 func (s *Server) statsResponse(id string) Response {
-	snap, err := s.MergedSnapshot()
-	if err != nil {
-		return Response{ID: id, OK: false, Code: CodeBadRequest, Shard: -1, Detail: err.Error()}
-	}
+	snap := s.reg.Snapshot()
 	return Response{ID: id, OK: true, Shard: -1,
 		Metrics:   snap.MarshalAll(),
 		Canonical: snap.MarshalCanonical(),

@@ -198,9 +198,10 @@ func TestRequestDeadline(t *testing.T) {
 }
 
 // TestBreakerLadder walks the full shard-scope ladder: repeated device
-// panics quarantine the shard (admission sheds with CodeQuarantined),
-// the OpenFor window expires into probation, probe successes recover
-// it, and a probe failure re-opens it.
+// panics quarantine the shard (admission sheds a request, and each step
+// of a batch, with CodeQuarantined), the OpenFor window expires into
+// probation, probe successes recover it, and a probe failure re-opens
+// it.
 func TestBreakerLadder(t *testing.T) {
 	s := New(Config{Shards: 1, Breaker: BreakerConfig{
 		Threshold: 2, OpenFor: 30 * time.Millisecond, ProbationSuccesses: 2,
@@ -236,6 +237,26 @@ func TestBreakerLadder(t *testing.T) {
 	if h := submit(s, Request{Op: OpHealth}); h.OK || h.Shards[0].State != "quarantined" {
 		t.Fatalf("health during quarantine: %+v", h)
 	}
+	// A batch meets the same gate: every step is refused and counted.
+	r = submit(s, Request{Op: OpBatch, Batch: []BatchStep{
+		{Device: "b1", Kind: KindRotate},
+		{Device: "b2", Kind: KindTrim},
+	}})
+	if r.OK || len(r.Results) != 2 {
+		t.Fatalf("quarantined shard admitted a batch: %+v", r)
+	}
+	for _, res := range r.Results {
+		if res.OK || res.Code != CodeQuarantined || res.Detail != "shard quarantined by its circuit breaker" {
+			t.Fatalf("batch step not refused by the breaker: %+v", res)
+		}
+	}
+	snap, err := s.MergedSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, snap, "serve_shed_quarantined_total"); got != 3 {
+		t.Fatalf("serve_shed_quarantined_total = %d, want 3 (one request, two batch steps)", got)
+	}
 	// Past the window: probes flow; two successes recover the shard.
 	time.Sleep(40 * time.Millisecond)
 	for i := 0; i < 2; i++ {
@@ -264,7 +285,7 @@ func TestBreakerLadder(t *testing.T) {
 	if r := submit(s, Request{Op: OpBoot, Device: "again", Seed: 1}); r.Code != CodeQuarantined {
 		t.Fatalf("failed probe must re-quarantine: %+v", r)
 	}
-	snap, err := s.MergedSnapshot()
+	snap, err = s.MergedSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

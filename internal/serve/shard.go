@@ -43,15 +43,15 @@ type pending struct {
 }
 
 // shard owns a slice of the fleet: its device sessions, its bounded
-// queue, its breaker, and its private metrics registry. One goroutine
-// per shard runs the loop; everything the admission path reads
-// (breaker state, queue capacity) is atomic or channel-based.
+// queue, its breaker, and its obs.Shard of the server's registry, whose
+// instruments are lock-free atomics. One goroutine per shard runs the
+// loop; everything the admission path reads (breaker state, queue
+// capacity) is atomic or channel-based.
 type shard struct {
 	idx    int
 	srv    *Server
 	queue  chan *pending
 	brk    breaker
-	reg    *obs.Registry
 	sh     *obs.Shard
 	seed   *sweep.SeedObs
 	canary sweep.ObsRunner
@@ -63,14 +63,12 @@ type shard struct {
 }
 
 func newShard(idx int, srv *Server) *shard {
-	reg := obs.NewRegistry()
-	sh := reg.Shard()
+	sh := srv.reg.Shard()
 	s := &shard{
 		idx:      idx,
 		srv:      srv,
 		queue:    make(chan *pending, srv.cfg.queueDepth()),
 		brk:      breaker{cfg: srv.cfg.Breaker},
-		reg:      reg,
 		sh:       sh,
 		seed:     sweep.NewSeedObs(sh),
 		canary:   sweep.OracleRunnerForked(srv.forker),
@@ -92,6 +90,24 @@ func newShard(idx int, srv *Server) *shard {
 		s.counter(name)
 	}
 	return s
+}
+
+// admit is the admission gate for a request of n steps: the breaker
+// first, then a non-blocking enqueue of p. A refusal counts n shed
+// steps and returns the code and detail each refused step carries; an
+// empty code means p is queued.
+func (s *shard) admit(p *pending, n int) (ErrCode, string) {
+	if !s.brk.allow(time.Now()) {
+		s.counter("serve_shed_quarantined_total").Add(int64(n))
+		return CodeQuarantined, "shard quarantined by its circuit breaker"
+	}
+	select {
+	case s.queue <- p:
+		return "", ""
+	default:
+		s.counter("serve_shed_overload_total").Add(int64(n))
+		return CodeOverloaded, "shard queue full; request shed"
+	}
 }
 
 // counter returns the shard's wall-domain serve counter. Help strings
@@ -379,9 +395,7 @@ func (s *shard) runCanary(req Request) Response {
 // deviceFailure feeds one device-level failure (panic or failed boot)
 // to the breaker, counting the open transition when it happens.
 func (s *shard) deviceFailure() {
-	before := s.brk.openCount.Load()
-	s.brk.onFailure(time.Now())
-	if s.brk.openCount.Load() > before {
+	if s.brk.onFailure(time.Now()) {
 		s.counter("serve_breaker_opens_total").Inc()
 	}
 }

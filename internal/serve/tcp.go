@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 )
 
@@ -24,23 +26,33 @@ func (s *Server) ServeListener(ln net.Listener) error {
 	}
 }
 
+// maxLine bounds one request line. A longer line is read to its
+// newline, dropped, and answered bad_request; the connection keeps
+// serving.
+const maxLine = 1 << 20
+
 // serveConn handles one client. Requests on a connection run serially;
 // clients that want parallelism open more connections — each in-flight
 // request costs one parked goroutine here, and real concurrency is the
 // shard pool's business.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	r := bufio.NewReaderSize(conn, 64*1024)
 	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	for {
+		line, tooLong, err := readLine(r)
+		if err != nil {
+			return
+		}
+		if len(line) == 0 && !tooLong {
 			continue
 		}
 		var req Request
 		var resp Response
-		if err := json.Unmarshal(line, &req); err != nil {
+		if tooLong {
+			resp = Response{OK: false, Code: CodeBadRequest, Shard: -1,
+				Detail: fmt.Sprintf("bad request line: longer than %d bytes", maxLine)}
+		} else if err := json.Unmarshal(line, &req); err != nil {
 			resp = Response{OK: false, Code: CodeBadRequest, Shard: -1, Detail: "bad request line: " + err.Error()}
 		} else {
 			resp = s.Submit(req)
@@ -49,4 +61,32 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// readLine returns the next line without its newline or a carriage
+// return before it. A line that fits the reader's buffer is returned in
+// place, valid until the next read; a longer one is gathered into a
+// fresh slice. tooLong reports a line over maxLine, consumed and
+// dropped. A final line without a newline is still returned; err is set
+// only once no line is left.
+func readLine(r *bufio.Reader) (line []byte, tooLong bool, err error) {
+	line, err = r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		buf, n := append([]byte(nil), line...), len(line)
+		for err == bufio.ErrBufferFull {
+			line, err = r.ReadSlice('\n')
+			if n += len(line); n <= maxLine {
+				buf = append(buf, line...)
+			}
+		}
+		if n > maxLine {
+			return nil, true, nil
+		}
+		line = buf
+	}
+	if err != nil && len(line) == 0 {
+		return nil, false, err
+	}
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	return bytes.TrimSuffix(line, []byte{'\r'}), false, nil
 }

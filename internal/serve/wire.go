@@ -16,12 +16,13 @@
 //   - Graceful drain: stop admitting, finish or cancel queued work under
 //     a drain deadline, flush metrics, and report clean-vs-forced.
 //
-// Each shard owns a private obs.Registry; obs.MergeSnapshots folds them
-// into one aggregate whose canonical (sim-domain) rendering is
-// byte-identical regardless of shard count. Every serve-layer metric is
-// wall-domain by design: the canonical surface carries only what canary
-// runs record through the sweep runners, so a fleet canary dump
-// byte-compares equal to an rchsweep dump over the same seeds.
+// The server keeps one obs.Registry and each shard writes through its
+// own obs.Shard of it, so the registry's snapshot is the aggregate, and
+// its canonical (sim-domain) rendering is byte-identical regardless of
+// shard count. Every serve-layer metric is wall-domain by design: the
+// canonical surface carries only what canary runs record through the
+// sweep runners, so a fleet canary dump byte-compares equal to an
+// rchsweep dump over the same seeds.
 //
 // The package is fork-critical (worlds fork inside shards), so it keeps
 // zero package-level mutable state — internal/forksafety enforces it.

@@ -215,10 +215,6 @@ func (s *Scheduler) Advance(d time.Duration) {
 	s.RunUntil(s.now.Add(d))
 }
 
-// RunFor is a synonym for Advance provided for readability in experiment
-// scripts ("run the workload for ten minutes").
-func (s *Scheduler) RunFor(d time.Duration) { s.Advance(d) }
-
 // Tracer observes fired events.
 type Tracer interface {
 	Trace(at Time, name string)

@@ -160,16 +160,13 @@ func MonkeyRunner() ObsRunner {
 	}
 }
 
-// BootRunner measures device spin-up throughput: each seed stamps out
-// one settled pre-chaos world and verifies it is ready to run. This is
-// the rchserve workload — worlds/sec, nothing else — and the sweep mode
-// where the fork facility's construction speedup is visible undiluted:
-// a chaos sweep amortizes construction against the run, a boot sweep is
-// construction.
-func BootRunner() ObsRunner { return BootRunnerForked(nil) }
-
-// BootRunnerForked is BootRunner through the fork path when a cache is
-// given: every seed's world forks from one settled template.
+// BootRunnerForked measures device spin-up throughput: each seed stamps
+// out one settled pre-chaos world and verifies it is ready to run. This
+// is the rchserve workload — worlds/sec, nothing else — and the sweep
+// mode where the fork facility's construction speedup is visible
+// undiluted: a chaos sweep amortizes construction against the run, a
+// boot sweep is construction. With a cache, every seed's world forks
+// from one settled template; with nil, each is built fresh.
 func BootRunnerForked(forker *device.TemplateCache) ObsRunner {
 	spec := device.Spec{App: func() *app.App { return oracle.OracleApp(16) }}
 	return func(seed uint64, sh *obs.Shard) Outcome {

@@ -52,11 +52,11 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 				t.Fatalf("canonical metric dumps differ between -workers=1 and -workers=8:\n--- sequential\n%s\n--- parallel\n%s",
 					seqCanon, parCanon)
 			}
-			if seqReg.CounterValue("sweep_seeds_total") != 24 {
-				t.Fatalf("sweep_seeds_total = %d, want 24", seqReg.CounterValue("sweep_seeds_total"))
-			}
-			if seqReg.CounterValue("oracle_runs_total") != 24 {
-				t.Fatalf("oracle_runs_total = %d, want 24", seqReg.CounterValue("oracle_runs_total"))
+			snap := seqReg.Snapshot()
+			for _, name := range []string{"sweep_seeds_total", "oracle_runs_total"} {
+				if n, _ := snap.Value(name); n != 24 {
+					t.Fatalf("%s = %d, want 24", name, n)
+				}
 			}
 		})
 	}
@@ -88,7 +88,7 @@ func TestMonkeyModeParallel(t *testing.T) {
 	if s, p := string(seqReg.Snapshot().MarshalCanonical()), string(parReg.Snapshot().MarshalCanonical()); s != p {
 		t.Fatalf("monkey canonical metric dumps differ:\n--- sequential\n%s\n--- parallel\n%s", s, p)
 	}
-	if n := seqReg.CounterValue("monkey_runs_total"); n != 6 {
+	if n, _ := seqReg.Snapshot().Value("monkey_runs_total"); n != 6 {
 		t.Fatalf("monkey_runs_total = %d, want 6", n)
 	}
 }

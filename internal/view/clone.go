@@ -11,28 +11,11 @@ import "fmt"
 // makes the tree unforkable (an error, so callers fall back to a fresh
 // build rather than sharing state across worlds).
 
-// CloneTree deep-copies the view tree rooted at v. If remap is non-nil,
-// every original view is recorded against its clone so callers can
-// translate retained pointers into the new tree. (CloneDecor tracks a
-// single retained pointer without the map — the fork hot path.)
-//
-// CloneTree fails when the tree is entangled with its world: a released
-// view, a Button with a click handler, an essence-mapped sunny peer, or a
-// DecorView with an OnInvalidate hook installed. Those only appear once
-// chaos/core arms are live or a flip is in flight — never in a settled
-// pre-chaos world.
-func CloneTree(v View, remap map[View]View) (View, error) {
-	return (&cloner{remap: remap}).clone(v)
-}
-
 // cloner carries the pointer-translation state through one deep copy:
-// either the full remap map (CloneTree) or a single want→got pair
-// (CloneDecor, which forks thousands of trees per sweep and must not
-// pay a map allocation per activity).
+// the one retained pointer want and its clone got.
 type cloner struct {
-	remap map[View]View
-	want  View
-	got   View
+	want View
+	got  View
 }
 
 func (c *cloner) clone(v View) (View, error) {
@@ -125,9 +108,6 @@ func (c *cloner) clone(v View) (View, error) {
 	nb.parent = nil
 	nb.attach = nil
 	nb.sunnyPeer = nil
-	if c.remap != nil {
-		c.remap[v] = out
-	}
 	if v == c.want {
 		c.got = out
 	}
@@ -152,9 +132,15 @@ func (c *cloner) clone(v View) (View, error) {
 	return out, nil
 }
 
-// CloneDecor is CloneTree specialised to a window root, translating the
-// one retained pointer an activity holds into its tree (want may be nil).
-// It returns the cloned decor and want's clone.
+// CloneDecor deep-copies the view tree rooted at a window's decor,
+// translating the one retained pointer an activity holds into its tree
+// (want may be nil). It returns the cloned decor and want's clone.
+//
+// CloneDecor fails when the tree is entangled with its world: a released
+// view, a Button with a click handler, an essence-mapped sunny peer, or a
+// DecorView with an OnInvalidate hook installed. Those only appear once
+// chaos/core arms are live or a flip is in flight — never in a settled
+// pre-chaos world.
 func CloneDecor(d *DecorView, want View) (*DecorView, View, error) {
 	c := &cloner{want: want}
 	out, err := c.clone(d)

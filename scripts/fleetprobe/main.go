@@ -10,16 +10,14 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
 	"rchdroid/internal/obs"
 	"rchdroid/internal/serve"
+	"rchdroid/internal/workload"
 )
 
 // storms is how many rotations hit the panic-on-relaunch device. The
@@ -42,52 +40,18 @@ func main() {
 	fmt.Printf("fleetprobe: fleet contract holds (%d contained panics, deadline shed, all shards serving)\n", storms)
 }
 
-type client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	enc  *json.Encoder
-}
-
-func dial(addr string) (*client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return &client{conn: conn, r: bufio.NewReader(conn), enc: json.NewEncoder(conn)}, nil
-}
-
-func (c *client) send(req serve.Request) error { return c.enc.Encode(req) }
-
-func (c *client) recv() (serve.Response, error) {
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		return serve.Response{}, err
-	}
-	var resp serve.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return serve.Response{}, fmt.Errorf("bad reply line %q: %v", line, err)
-	}
-	return resp, nil
-}
-
-func (c *client) call(req serve.Request) (serve.Response, error) {
-	if err := c.send(req); err != nil {
-		return serve.Response{}, err
-	}
-	return c.recv()
-}
-
 func probe(addr string) error {
-	c, err := dial(addr)
+	dial := workload.TCPDialer(addr)
+	c, err := dial()
 	if err != nil {
 		return err
 	}
-	defer c.conn.Close()
+	defer c.Close()
 
 	// A small resident fleet on the default oracle spec.
 	for i := 1; i <= 4; i++ {
 		name := fmt.Sprintf("d%d", i)
-		r, err := c.call(serve.Request{Op: serve.OpBoot, Device: name, Seed: uint64(i)})
+		r, err := c.Call(serve.Request{Op: serve.OpBoot, Device: name, Seed: uint64(i)})
 		if err != nil {
 			return fmt.Errorf("boot %s: %v", name, err)
 		}
@@ -100,12 +64,12 @@ func probe(addr string) error {
 	// simulated crash) on every stock-routed relaunch. Each rotation must
 	// come back as a contained device_panic reply on a live connection —
 	// a dropped connection here means the panic escaped the shard.
-	if r, err := c.call(serve.Request{Op: serve.OpBoot, Device: "storm",
+	if r, err := c.Call(serve.Request{Op: serve.OpBoot, Device: "storm",
 		Spec: serve.SpecPanicRelaunch, Handler: serve.HandlerStock, Seed: 99}); err != nil || !r.OK {
 		return fmt.Errorf("boot storm device: err=%v code=%s detail=%s", err, r.Code, r.Detail)
 	}
 	for i := 0; i < storms; i++ {
-		r, err := c.call(serve.Request{Op: serve.OpDrive, Device: "storm", Kind: serve.KindRotate})
+		r, err := c.Call(serve.Request{Op: serve.OpDrive, Device: "storm", Kind: serve.KindRotate})
 		if err != nil {
 			return fmt.Errorf("storm rotation %d: connection died — panic escaped containment: %v", i+1, err)
 		}
@@ -119,7 +83,7 @@ func probe(addr string) error {
 	// devices.
 	for i := 1; i <= 4; i++ {
 		name := fmt.Sprintf("d%d", i)
-		r, err := c.call(serve.Request{Op: serve.OpDrive, Device: name, Kind: serve.KindRotate})
+		r, err := c.Call(serve.Request{Op: serve.OpDrive, Device: name, Kind: serve.KindRotate})
 		if err != nil {
 			return fmt.Errorf("post-storm rotate %s: %v", name, err)
 		}
@@ -134,16 +98,21 @@ func probe(addr string) error {
 	// deadline code, not served late. The stall (600ms) dwarfs the ci
 	// stage's -deadline (200ms), so the queue wait is over budget by
 	// construction.
-	c2, err := dial(addr)
+	c2, err := dial()
 	if err != nil {
 		return err
 	}
-	defer c2.conn.Close()
-	if err := c2.send(serve.Request{Op: serve.OpDrive, Device: "z", Kind: serve.KindSleep, Millis: 600}); err != nil {
-		return fmt.Errorf("send stall: %v", err)
-	}
+	defer c2.Close()
+	stalled := make(chan error, 1)
+	go func() {
+		r, err := c2.Call(serve.Request{Op: serve.OpDrive, Device: "z", Kind: serve.KindSleep, Millis: 600})
+		if err == nil && !r.OK {
+			err = fmt.Errorf("code=%s detail=%s", r.Code, r.Detail)
+		}
+		stalled <- err
+	}()
 	time.Sleep(100 * time.Millisecond) // let the stall reach the shard goroutine
-	r, err := c.call(serve.Request{Op: serve.OpDrive, Device: "z", Kind: serve.KindSleep, Millis: 1})
+	r, err := c.Call(serve.Request{Op: serve.OpDrive, Device: "z", Kind: serve.KindSleep, Millis: 1})
 	if err != nil {
 		return fmt.Errorf("queued-behind-stall request: %v", err)
 	}
@@ -151,15 +120,15 @@ func probe(addr string) error {
 		return fmt.Errorf("request queued behind a 600ms stall: want deadline shed, got ok=%v code=%s detail=%s",
 			r.OK, r.Code, r.Detail)
 	}
-	if r, err := c2.recv(); err != nil || !r.OK {
-		return fmt.Errorf("stall reply: err=%v code=%s detail=%s", err, r.Code, r.Detail)
+	if err := <-stalled; err != nil {
+		return fmt.Errorf("stall reply: %v", err)
 	}
 
 	// Canary seeds record through the sweep runners; the cmd/rchserve
 	// tests assert their canonical dump byte-compares to rchsweep's, so
 	// here they just have to pass.
 	for _, seed := range []uint64{1, 2} {
-		r, err := c.call(serve.Request{Op: serve.OpCanary, Seed: seed})
+		r, err := c.Call(serve.Request{Op: serve.OpCanary, Seed: seed})
 		if err != nil {
 			return fmt.Errorf("canary %d: %v", seed, err)
 		}
@@ -169,7 +138,7 @@ func probe(addr string) error {
 	}
 
 	// The merged counters must account for exactly what happened.
-	stats, err := c.call(serve.Request{Op: serve.OpStats})
+	stats, err := c.Call(serve.Request{Op: serve.OpStats})
 	if err != nil {
 		return fmt.Errorf("stats: %v", err)
 	}
@@ -196,7 +165,7 @@ func probe(addr string) error {
 
 	// Health: every shard serving, the fleet still 5 devices strong
 	// (d1..d4 plus the respawned storm device).
-	health, err := c.call(serve.Request{Op: serve.OpHealth})
+	health, err := c.Call(serve.Request{Op: serve.OpHealth})
 	if err != nil {
 		return fmt.Errorf("health: %v", err)
 	}
