@@ -14,7 +14,9 @@ import (
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/core"
 	"rchdroid/internal/experiments"
+	"rchdroid/internal/explore"
 	"rchdroid/internal/guard"
+	"rchdroid/internal/oracle/corpus"
 	"rchdroid/internal/view"
 )
 
@@ -326,6 +328,34 @@ func BenchmarkGuardedRuntimeChange(b *testing.B) {
 		if _, err := rig.Rotate(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExploreSchedule is the schedule explorer's unit of work: one
+// depth-3 double-rotation schedule (an extra rotation mid-edit, a
+// process kill between the two scripted rotations, then a deferred
+// migration flush) run under stock and RCHDroid and judged.
+func BenchmarkExploreSchedule(b *testing.B) {
+	sc, ok := corpus.ByName("double-rotation")
+	if !ok {
+		b.Fatal("corpus lost double-rotation")
+	}
+	sp := explore.SpaceFor(&sc, 3)
+	idx, ok := sp.IndexOf(explore.Schedule{
+		{Edge: 2, Action: explore.ActConfig},
+		{Edge: 7, Action: explore.ActKill},
+		{Edge: 8, Action: explore.ActFlush},
+	})
+	if !ok {
+		b.Fatal("schedule outside the depth-3 space")
+	}
+	var v explore.Verdict
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v = explore.RunIndex(&sc, sp, idx)
+	}
+	if !v.OK() {
+		b.Fatalf("schedule %d failed:\n%s", idx, v.String())
 	}
 }
 

@@ -213,7 +213,9 @@ func replayOne(sc *corpus.Scenario, depth int, idx uint64, stdout, stderr io.Wri
 }
 
 // resumeFrom loads the frontier checkpoint, validating that it matches
-// the requested walk. A missing file starts from index 0.
+// the requested walk: same scenario and depth, the same space size (a
+// scenario whose steps or actions changed renumbers every schedule), and
+// a frontier inside the space. A missing file starts from index 0.
 func resumeFrom(path string, sc *corpus.Scenario, depth int) (uint64, error) {
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -229,6 +231,13 @@ func resumeFrom(path string, sc *corpus.Scenario, depth int) (uint64, error) {
 	if f.Scenario != sc.Name || f.Depth != depth {
 		return 0, fmt.Errorf("checkpoint %s is for %s depth=%d, not %s depth=%d",
 			path, f.Scenario, f.Depth, sc.Name, depth)
+	}
+	if size := explore.SpaceFor(sc, depth).Size(); f.Total != size {
+		return 0, fmt.Errorf("checkpoint %s has total=%d, but %s depth=%d has %d schedules: the space changed since it was written",
+			path, f.Total, sc.Name, depth, size)
+	}
+	if f.Next > f.Total {
+		return 0, fmt.Errorf("checkpoint %s has next=%d past its total=%d", path, f.Next, f.Total)
 	}
 	return f.Next, nil
 }

@@ -154,6 +154,34 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsStaleFrontier: a checkpoint whose total no
+// longer matches the space, or whose frontier lies past its end, names a
+// different walk than the one requested. Resuming from it would run the
+// wrong schedules or none, so it must be refused with exit 2.
+func TestCheckpointRejectsStaleFrontier(t *testing.T) {
+	sc, ok := corpus.ByName("double-rotation")
+	if !ok {
+		t.Fatal("double-rotation missing from corpus")
+	}
+	total := explore.SpaceFor(&sc, 1).Size()
+	for _, c := range []struct {
+		f    explore.Frontier
+		want string
+	}{
+		{explore.Frontier{Scenario: sc.Name, Depth: 1, Total: total + 4, Next: 3}, "total="},
+		{explore.Frontier{Scenario: sc.Name, Depth: 1, Total: total, Next: total + 1}, "past its total"},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "frontier.json")
+		if err := os.WriteFile(ckpt, explore.EncodeFrontier(c.f), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out, stderr := runCLI("-scenario=double-rotation", "-depth=1", "-chunk=3", "-checkpoint="+ckpt)
+		if code != 2 || !strings.Contains(stderr, c.want) {
+			t.Errorf("checkpoint %+v: exit %d, stderr %q, stdout %q; want exit 2 naming %q", c.f, code, stderr, out, c.want)
+		}
+	}
+}
+
 // TestExploreMetricsOut runs a small walk with the observability flags:
 // the canonical dump must decode, carry the explorer's counters and
 // frontier gauge, and exclude every wall-domain metric.

@@ -10,10 +10,10 @@ import (
 
 // ForkProcess deep-copies a settled process onto sched: its UI looper
 // (counters carried), memory count, activity thread and
-// every live activity with its view tree. The app's resource table is
-// forked per process (Resolve counts lookups); the cost model and
-// activity classes are shared read-only, so app callbacks must only touch
-// the activity instance they are handed — true of every app in the repo.
+// every live activity with its view tree. The app definition (resource
+// table, activity classes, layout specs) and the cost model are shared
+// read-only, so app callbacks must only touch the activity instance they
+// are handed — true of every app in the repo.
 //
 // The fork's thread is left unbound: callers wire it to its own system
 // server via Thread().BindSystem, exactly as construction does.
@@ -45,7 +45,7 @@ func ForkProcess(p *Process, sched *sim.Scheduler) (*Process, error) {
 		return nil, fmt.Errorf("app: fork of %s: %w", p.app.Name, err)
 	}
 	np := &Process{
-		app:      forkApp(p.app),
+		app:      p.app,
 		sched:    sched,
 		model:    p.model,
 		uiLooper: ui,
@@ -60,16 +60,6 @@ func ForkProcess(p *Process, sched *sim.Scheduler) (*Process, error) {
 	}
 	np.thread = nt
 	return np, nil
-}
-
-// forkApp copies the App wrapper so each world resolves resources through
-// its own table (Resolve mutates the lookup counter). Activity classes and
-// the layout specs inside the table stay shared — both are immutable after
-// construction.
-func forkApp(a *App) *App {
-	cp := *a
-	cp.Resources = a.Resources.Fork()
-	return &cp
 }
 
 func forkThread(t *ActivityThread, np *Process) (*ActivityThread, error) {

@@ -11,7 +11,7 @@
 package config
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -232,10 +232,26 @@ func (c Configuration) Equal(other Configuration) bool {
 	return c.Diff(other) == None
 }
 
+// String renders c as "landscape 1920x1080 160dpi en-US fs=1.00 nokeys
+// day", built in one exactly sized allocation.
 func (c Configuration) String() string {
-	return fmt.Sprintf("%s %dx%d %ddpi %s fs=%.2f %s %s",
-		c.Orientation, c.ScreenWidth, c.ScreenHeight, c.DensityDPI,
-		c.Locale, c.FontScale, c.Keyboard, c.UIMode)
+	var buf [64]byte
+	b := append(buf[:0], c.Orientation.String()...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(c.ScreenWidth), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(c.ScreenHeight), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(c.DensityDPI), 10)
+	b = append(b, "dpi "...)
+	b = append(b, c.Locale...)
+	b = append(b, " fs="...)
+	b = strconv.AppendFloat(b, c.FontScale, 'f', 2, 64)
+	b = append(b, ' ')
+	b = append(b, c.Keyboard.String()...)
+	b = append(b, ' ')
+	b = append(b, c.UIMode.String()...)
+	return string(b)
 }
 
 // HandledBy reports whether an activity that declared the given

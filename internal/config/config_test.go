@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -106,26 +107,28 @@ func TestQualifierStrings(t *testing.T) {
 	}
 }
 
+// TestConfigurationString pins String to the fmt expression it replaced,
+// including font scales that round at the second decimal.
 func TestConfigurationString(t *testing.T) {
-	s := Default().String()
-	for _, want := range []string{"landscape", "1920x1080", "160dpi", "en-US"} {
-		if !contains(s, want) {
-			t.Errorf("String() = %q missing %q", s, want)
+	if got, want := Default().String(), "landscape 1920x1080 160dpi en-US fs=1.00 nokeys day"; got != want {
+		t.Errorf("Default().String() = %q, want %q", got, want)
+	}
+	for _, c := range []Configuration{
+		Default(),
+		Portrait(),
+		Default().WithFontScale(1.15),
+		Default().WithFontScale(0.875),
+		Default().WithFontScale(1.3).WithLocale("zh-Hant-TW").WithKeyboard(KeyboardQwerty).WithUIMode(UIModeNight),
+		Default().Resized(12000, 3).WithFontScale(2.005),
+		{},
+	} {
+		want := fmt.Sprintf("%s %dx%d %ddpi %s fs=%.2f %s %s",
+			c.Orientation, c.ScreenWidth, c.ScreenHeight, c.DensityDPI,
+			c.Locale, c.FontScale, c.Keyboard, c.UIMode)
+		if got := c.String(); got != want {
+			t.Errorf("String() = %q, fmt renders %q", got, want)
 		}
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 || index(s, sub) >= 0)
-}
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // Property: Diff(x,x) == None for arbitrary configurations; Equal agrees

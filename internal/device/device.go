@@ -27,10 +27,12 @@ import (
 // reusable: the App factory is called once per fresh build (and once per
 // template) and must return a self-contained app whose callbacks touch
 // only the activity instance they are handed — true of every app in this
-// repo, and required for forks to share activity classes and layout
-// specs read-only.
+// repo. The factory may return one shared app to every world it builds:
+// an app is read-only once constructed (forks, relaunches and concurrent
+// workers resolve through the same resource table and activity classes),
+// so nobody may mutate an app after its factory returns it.
 type Spec struct {
-	// App builds the application to install.
+	// App returns the application to install, freshly built or shared.
 	App func() *app.App
 	// Model is the cost model (nil uses costmodel.Default()). Shared
 	// read-only across every world built from the spec.
@@ -136,9 +138,8 @@ func NewTemplate(spec Spec) (*Template, error) {
 
 // Fork stamps out an isolated world for seed and arms it. Mutable state
 // — scheduler counters, loopers, process, activity instances, view
-// trees, the memory count, stack records, resource-lookup counters — is
-// deep-copied; the cost model, activity classes and layout specs are
-// shared read-only.
+// trees, the memory count, stack records — is deep-copied; the cost
+// model and the app definition are shared read-only.
 func (t *Template) Fork(seed uint64, arm ArmFunc) (*World, error) {
 	sched, err := t.base.Sched.Fork()
 	if err != nil {

@@ -2,7 +2,9 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -51,6 +53,10 @@ func invariantsFor(sc *corpus.Scenario) oracle.InvariantConfig {
 	}
 }
 
+// byName orders probe fields by name; names are unique within a probe
+// and within the expected state.
+func byName(a, b oracle.Field) int { return strings.Compare(a.Name, b.Name) }
+
 // fieldPrefix maps an activity class name to its probe-field prefix
 // ("ComposeActivity" probes as "Compose.*").
 func fieldPrefix(className string) string {
@@ -63,9 +69,9 @@ func fieldPrefix(className string) string {
 // (scenario, schedule, installer). The world is forked from forker's
 // per-scenario template when one is supplied (the scripted plan consumes
 // no randomness before the first step, so the fork's post-settle arming
-// point is behaviorally identical to a fresh build) and built fresh
+// point is behaviorally identical to a fresh build) and built from spec
 // otherwise.
-func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, forker *device.TemplateCache) RunResult {
+func runScenario(sc *corpus.Scenario, spec device.Spec, sched Schedule, inst oracle.Installer, forker *device.TemplateCache) RunResult {
 	res := RunResult{Arm: oracle.Arm{Name: inst.Name}}
 	var plan *chaos.Plan
 	var w *device.World
@@ -81,7 +87,6 @@ func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, for
 		plan.BindClock(dw.Sched)
 		install(dw.Proc)
 	}
-	spec := device.Spec{App: sc.App}
 	if forker != nil {
 		forker.Fork("scenario:"+sc.Name, spec, 0, arm)
 	} else {
@@ -90,7 +95,7 @@ func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, for
 	clock, sys, proc := w.Sched, w.Sys, w.Proc
 
 	invCfg := invariantsFor(sc)
-	expected := map[string]oracle.Field{}
+	expected := make(map[string]oracle.Field, 8)
 	mergeProbe := func(fg *app.Activity) {
 		for _, f := range sc.Probe(fg) {
 			expected[f.Name] = f
@@ -107,8 +112,8 @@ func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, for
 	// after the probe: a looper stalled by an injected fault can run the
 	// step arbitrarily late, and the override must still win over the
 	// probe it corrects.
-	ui := func(kind string, expect []oracle.Field, fn func(fg *app.Activity)) {
-		proc.PostApp("corpus:"+kind, time.Millisecond, func() {
+	ui := func(name string, expect []oracle.Field, fn func(fg *app.Activity)) {
+		proc.PostApp(name, time.Millisecond, func() {
 			fg := proc.Thread().ForegroundActivity()
 			if fg == nil {
 				return
@@ -152,7 +157,7 @@ func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, for
 		}
 		relaunched := sc.Probe(fg)
 		if saved != nil {
-			got := map[string]oracle.Field{}
+			got := make(map[string]oracle.Field, len(relaunched))
 			for _, f := range relaunched {
 				got[f.Name] = f
 			}
@@ -167,13 +172,11 @@ func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, for
 					})
 				}
 			}
-			sort.Slice(res.KillLosses, func(i, j int) bool {
-				return res.KillLosses[i].Field < res.KillLosses[j].Field
-			})
+			slices.SortFunc(res.KillLosses, func(a, b oracle.Loss) int { return strings.Compare(a.Field, b.Field) })
 		}
 		// Unsaved state died with the process on both handlers; the rest
 		// of the run expects what the relaunch restored.
-		expected = map[string]oracle.Field{}
+		expected = make(map[string]oracle.Field, len(relaunched))
 		for _, f := range relaunched {
 			expected[f.Name] = f
 		}
@@ -192,14 +195,14 @@ steps:
 		switch st.Kind {
 		case corpus.StepType:
 			text, id := st.Text, st.ID
-			ui("type", st.Expect, func(fg *app.Activity) {
+			ui("corpus:type", st.Expect, func(fg *app.Activity) {
 				if et, ok := fg.FindViewByID(id).(*view.EditText); ok {
 					et.Type(text)
 				}
 			})
 		case corpus.StepSetText:
 			text, id := st.Text, st.ID
-			ui("setText", st.Expect, func(fg *app.Activity) {
+			ui("corpus:setText", st.Expect, func(fg *app.Activity) {
 				type textSetter interface{ SetText(string) }
 				if tv, ok := fg.FindViewByID(id).(textSetter); ok {
 					tv.SetText(text)
@@ -207,32 +210,32 @@ steps:
 			})
 		case corpus.StepCheck:
 			id := st.ID
-			ui("check", st.Expect, func(fg *app.Activity) {
+			ui("corpus:check", st.Expect, func(fg *app.Activity) {
 				if cb, ok := fg.FindViewByID(id).(*view.CheckBox); ok {
 					cb.SetChecked(!cb.Checked())
 				}
 			})
 		case corpus.StepSeek:
 			id, n := st.ID, st.N
-			ui("seek", st.Expect, func(fg *app.Activity) {
+			ui("corpus:seek", st.Expect, func(fg *app.Activity) {
 				if sb, ok := fg.FindViewByID(id).(*view.SeekBar); ok {
 					sb.SetProgress(n)
 				}
 			})
 		case corpus.StepSelect:
 			id, n := st.ID, st.N
-			ui("select", st.Expect, func(fg *app.Activity) {
+			ui("corpus:select", st.Expect, func(fg *app.Activity) {
 				if lv, ok := fg.FindViewByID(id).(*view.ListView); ok {
 					lv.PositionSelector(n)
 				}
 			})
 		case corpus.StepBumpSaved:
-			ui("bumpSaved", st.Expect, func(fg *app.Activity) {
+			ui("corpus:bumpSaved", st.Expect, func(fg *app.Activity) {
 				c, _ := fg.Extra(corpus.SavedKey).(int64)
 				fg.PutExtra(corpus.SavedKey, c+1)
 			})
 		case corpus.StepBumpUnsaved:
-			ui("bumpUnsaved", st.Expect, func(fg *app.Activity) {
+			ui("corpus:bumpUnsaved", st.Expect, func(fg *app.Activity) {
 				c, _ := fg.Extra(corpus.DraftKey).(int64)
 				fg.PutExtra(corpus.DraftKey, c+1)
 			})
@@ -258,20 +261,20 @@ steps:
 			sys.FinishTopActivity()
 		case corpus.StepStart:
 			class := st.Class
-			ui("start", st.Expect, func(fg *app.Activity) { fg.StartActivity(class) })
+			ui("corpus:start", st.Expect, func(fg *app.Activity) { fg.StartActivity(class) })
 		case corpus.StepFragment:
 			class, tag, id := st.Class, st.Text, st.ID
-			ui("fragment", st.Expect, func(fg *app.Activity) {
+			ui("corpus:fragment", st.Expect, func(fg *app.Activity) {
 				if fc := fg.Class().FragmentClasses[class]; fc != nil {
 					fg.Fragments().Add(fc, tag, id)
 				}
 			})
 		case corpus.StepDialog:
 			title := st.Text
-			ui("dialog", st.Expect, func(fg *app.Activity) { fg.ShowDialog(title, nil) })
+			ui("corpus:dialog", st.Expect, func(fg *app.Activity) { fg.ShowDialog(title, nil) })
 		case corpus.StepAsync:
 			work := st.Work
-			ui("async", st.Expect, func(fg *app.Activity) {
+			ui("corpus:async", st.Expect, func(fg *app.Activity) {
 				// The completion dismisses whatever dialogs are showing when
 				// it fires — the deferred-dismiss pattern that leaks the
 				// window when a stock restart destroyed the owner first. An
@@ -279,7 +282,7 @@ steps:
 				// between start and completion (RCHDroid's flip re-shows it
 				// on the preserved twin), so the completion scans every live
 				// instance rather than the starting foreground's list.
-				fg.StartAsyncTask(fmt.Sprintf("task%d", i), work, func() {
+				fg.StartAsyncTask("task"+strconv.Itoa(i), work, func() {
 					acts := proc.Thread().Activities()
 					tokens := make([]int, 0, len(acts))
 					for tok := range acts {
@@ -325,7 +328,7 @@ steps:
 				plan.Note(chaos.PointConfig, "configChange", "extra change (scripted)")
 				sys.PushConfiguration(sys.GlobalConfig().Rotated())
 			case ActAsync:
-				plan.Note(chaos.PointAsync, "drain", fmt.Sprintf("forced drain %v (scripted)", asyncDrain))
+				plan.Note(chaos.PointAsync, "drain", "forced drain "+asyncDrain.String()+" (scripted)")
 				clock.Advance(asyncDrain)
 			case ActKill:
 				kill()
@@ -347,15 +350,16 @@ steps:
 		if fg := proc.Thread().ForegroundActivity(); fg != nil {
 			res.Essence = oracle.Essence(fg) + " cfg:" + fg.Config().String()
 			res.Actual = sc.Probe(fg)
-			sort.Slice(res.Actual, func(i, j int) bool { return res.Actual[i].Name < res.Actual[j].Name })
+			slices.SortFunc(res.Actual, byName)
 		} else {
 			res.FinalMissing = true
 		}
 	}
+	res.Expected = make([]oracle.Field, 0, len(expected))
 	for _, f := range expected {
 		res.Expected = append(res.Expected, f)
 	}
-	sort.Slice(res.Expected, func(i, j int) bool { return res.Expected[i].Name < res.Expected[j].Name })
+	slices.SortFunc(res.Expected, byName)
 	if !res.Crashed && !res.FinalMissing {
 		res.Losses = oracle.ClassifyLoss(res.Expected, res.Actual)
 	}

@@ -3,8 +3,10 @@ package explore
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
+	"rchdroid/internal/app"
 	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/oracle"
@@ -27,19 +29,29 @@ func (v *Verdict) OK() bool { return len(v.Failures) == 0 }
 
 // Summary renders the deterministic one-line verdict the sweep engine
 // merges: index first (the replay key), then the schedule and both
-// runs' observables. No wall times, no worker identity.
+// runs' observables. No wall times, no worker identity. It is built in
+// one exactly sized allocation: a report holds one per schedule.
 func (v *Verdict) Summary() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "idx=%d sched=%s stock[crashed=%v loss=%d] rch[crashed=%v applied=%d handlings=%d inj=%d]",
-		v.Index, v.Schedule, v.Stock.Crashed, len(v.Stock.Losses),
-		v.RCH.Crashed, v.RCH.Applied, v.RCH.Handlings, v.RCH.Injections)
+	var buf [256]byte
+	b := strconv.AppendUint(append(buf[:0], "idx="...), v.Index, 10)
+	b = v.Schedule.appendTo(append(b, " sched="...))
+	b = strconv.AppendBool(append(b, " stock[crashed="...), v.Stock.Crashed)
+	b = strconv.AppendInt(append(b, " loss="...), int64(len(v.Stock.Losses)), 10)
+	b = strconv.AppendBool(append(b, "] rch[crashed="...), v.RCH.Crashed)
+	b = strconv.AppendInt(append(b, " applied="...), int64(v.RCH.Applied), 10)
+	b = strconv.AppendInt(append(b, " handlings="...), int64(v.RCH.Handlings), 10)
+	b = strconv.AppendInt(append(b, " inj="...), int64(v.RCH.Injections), 10)
+	b = append(b, ']')
 	if len(v.Stock.Losses) > 0 {
-		fmt.Fprintf(&sb, " stockLoss{%s}", oracle.FormatTally(oracle.TallyLosses(v.Stock.Losses)))
+		b = oracle.AppendTally(append(b, " stockLoss{"...), oracle.TallyLosses(v.Stock.Losses))
+		b = append(b, '}')
 	}
 	if g := v.RCH.Guard; g.Enabled {
-		fmt.Fprintf(&sb, " guard[quarantines=%d recoveries=%d]", g.Quarantines, g.Recoveries)
+		b = strconv.AppendInt(append(b, " guard[quarantines="...), int64(g.Quarantines), 10)
+		b = strconv.AppendInt(append(b, " recoveries="...), int64(g.Recoveries), 10)
+		b = append(b, ']')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // String renders the verdict with its failure lines.
@@ -145,20 +157,29 @@ func InstallerForObs(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
 }
 
 // RunIndexWith runs schedule idx of the space under stock and under the
-// given RCHDroid installer, and judges the pair.
+// given RCHDroid installer, and judges the pair. Both arms install one
+// app definition, built once for the call.
 func RunIndexWith(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer) Verdict {
-	return RunIndexForked(sc, sp, idx, rch, nil)
+	return runIndex(sc, sharedSpec(sc.App()), sp, idx, rch, nil)
 }
 
-// RunIndexForked is RunIndexWith with an optional fork cache: both the
-// stock and the RCHDroid world fork from the scenario's single pre-chaos
-// template (the arms differ only in what the post-settle arming point
-// installs), so the verdict is byte-identical to the fresh-build path.
-func RunIndexForked(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer, forker *device.TemplateCache) Verdict {
+// sharedSpec is the device spec whose every world installs def. An app
+// is read-only once built, so the worlds of any number of schedules,
+// arms, kill relaunches and workers may share it.
+func sharedSpec(def *app.App) device.Spec {
+	return device.Spec{App: func() *app.App { return def }}
+}
+
+// runIndex runs and judges schedule idx with every world built from
+// spec, or forked from forker's per-scenario template when forker is
+// set: both arms fork from the scenario's single pre-chaos template
+// (they differ only in what the post-settle arming point installs), so
+// the verdict is byte-identical to the fresh-build path.
+func runIndex(sc *corpus.Scenario, spec device.Spec, sp Space, idx uint64, rch oracle.Installer, forker *device.TemplateCache) Verdict {
 	sched := sp.At(idx)
 	v := Verdict{Scenario: sc.Name, Index: idx, Schedule: sched}
-	v.Stock = runScenario(sc, sched, oracle.Installer{Name: "Android-10"}, forker)
-	v.RCH = runScenario(sc, sched, rch, forker)
+	v.Stock = runScenario(sc, spec, sched, oracle.Installer{Name: "Android-10"}, forker)
+	v.RCH = runScenario(sc, spec, sched, rch, forker)
 	v.judge(sc)
 	return v
 }
@@ -248,7 +269,9 @@ func (r *Result) String() string {
 // Explore fans one chunk of the scenario's schedule space across the
 // sweep pool. Results merge under the sweep engine's byte-identical
 // contract: per-index side observations are written to index-owned
-// slots, so the tallies are the same at any worker count.
+// slots, so the tallies are the same at any worker count. The chunk
+// builds the scenario's app once; every world of every schedule, on
+// every worker, installs that read-only definition.
 func Explore(sc *corpus.Scenario, opts Options) *Result {
 	sp := SpaceFor(sc, opts.Depth)
 	size := sp.Size()
@@ -264,6 +287,7 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 	if opts.Fork {
 		forker = device.NewTemplateCache()
 	}
+	spec := sharedSpec(sc.App())
 	crashes := make([]bool, count)
 	tallies := make([][oracle.NumLossBuckets]int, count)
 	rep := sweep.RunObs(sweep.Config{
@@ -276,7 +300,7 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		Obs:       opts.Obs,
 		Stop:      opts.Stop,
 	}, func(idx uint64, sh *obs.Shard) sweep.Outcome {
-		v := RunIndexForked(sc, sp, idx, InstallerForObs(sc, sh), forker)
+		v := runIndex(sc, spec, sp, idx, InstallerForObs(sc, sh), forker)
 		i := idx - start
 		crashes[i] = v.Stock.Crashed
 		tallies[i] = oracle.TallyLosses(v.Stock.Losses)

@@ -30,19 +30,24 @@ func TestBaselineSchedules(t *testing.T) {
 }
 
 // TestExploreDeterminism: two independent explorations of the same
-// space render byte-identical reports at different worker counts — the
-// byte-identical-merge contract extended to the explorer's tallies.
+// space render byte-identical reports and per-schedule verdicts at
+// different worker counts — the byte-identical-merge contract extended
+// to the explorer's tallies. Every corpus scenario is an input, so the
+// four-worker pass reads each scenario's shared app definition from
+// four goroutines at once (the race-enabled tier-1 pass checks it).
 func TestExploreDeterminism(t *testing.T) {
-	sc, ok := corpus.ByName("double-rotation")
-	if !ok {
-		t.Fatal("corpus lost double-rotation")
-	}
-	opts := Options{Depth: 1, Workers: 1}
-	a := Explore(&sc, opts)
-	opts.Workers = 4
-	b := Explore(&sc, opts)
-	if a.String() != b.String() {
-		t.Fatalf("exploration not deterministic:\n--- workers=1:\n%s\n--- workers=4:\n%s", a, b)
+	for _, sc := range corpus.All() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
+			opts := Options{Depth: 1, Workers: 1}
+			a := Explore(&sc, opts)
+			opts.Workers = 4
+			b := Explore(&sc, opts)
+			if a.String() != b.String() || a.Report.String() != b.Report.String() {
+				t.Fatalf("exploration not deterministic:\n--- workers=1:\n%s\n--- workers=4:\n%s", a, b)
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rchdroid/internal/oracle/corpus"
@@ -57,7 +58,15 @@ type Slot struct {
 }
 
 // String renders the slot as e<edge>:<action>.
-func (s Slot) String() string { return fmt.Sprintf("e%d:%s", s.Edge, s.Action) }
+func (s Slot) String() string {
+	var buf [24]byte
+	return string(s.appendTo(buf[:0]))
+}
+
+func (s Slot) appendTo(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, 'e'), int64(s.Edge), 10)
+	return append(append(dst, ':'), s.Action.String()...)
+}
 
 // Schedule is a set of slots to inject in one run, kept sorted by edge
 // then action so equal sets render identically.
@@ -66,11 +75,19 @@ type Schedule []Slot
 // String renders the schedule as [e0:config e2:kill]; the empty
 // schedule renders as [].
 func (s Schedule) String() string {
-	parts := make([]string, len(s))
+	var buf [64]byte
+	return string(s.appendTo(buf[:0]))
+}
+
+func (s Schedule) appendTo(dst []byte) []byte {
+	dst = append(dst, '[')
 	for i, sl := range s {
-		parts[i] = sl.String()
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = sl.appendTo(dst)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return append(dst, ']')
 }
 
 // Space is the bounded schedule space: all subsets of the slot grid

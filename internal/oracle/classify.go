@@ -2,7 +2,9 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"rchdroid/internal/app"
 )
@@ -111,7 +113,7 @@ func ClassifyLoss(expected, actual []Field) []Loss {
 				Expected: want.Value, Actual: have.Value})
 		}
 	}
-	sort.Slice(losses, func(i, j int) bool { return losses[i].Field < losses[j].Field })
+	slices.SortFunc(losses, func(a, b Loss) int { return strings.Compare(a.Field, b.Field) })
 	return losses
 }
 
@@ -128,14 +130,22 @@ func TallyLosses(losses []Loss) [NumLossBuckets]int {
 
 // FormatTally renders a bucket tally in canonical bucket order.
 func FormatTally(t [NumLossBuckets]int) string {
-	s := ""
+	var buf [80]byte
+	return string(AppendTally(buf[:0], t))
+}
+
+// AppendTally appends FormatTally's rendering of t to dst, for callers
+// that build a longer line around it.
+func AppendTally(dst []byte, t [NumLossBuckets]int) []byte {
 	for b := LossBucket(0); b < NumLossBuckets; b++ {
 		if b > 0 {
-			s += " "
+			dst = append(dst, ' ')
 		}
-		s += fmt.Sprintf("%s=%d", b, t[b])
+		dst = append(dst, b.String()...)
+		dst = append(dst, '=')
+		dst = strconv.AppendInt(dst, int64(t[b]), 10)
 	}
-	return s
+	return dst
 }
 
 // Essence exposes the oracle's stock-persistence fingerprint (the

@@ -1,7 +1,7 @@
 package corpus
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"rchdroid/internal/app"
@@ -75,38 +75,40 @@ func EditorApp() *app.App {
 	return &app.App{Name: "corpus.editor", Resources: res, Main: cls}
 }
 
-// counterFields probes the SavedKey/DraftKey extras under a class prefix.
-func counterFields(prefix string, fg *app.Activity) []oracle.Field {
-	fs := make([]oracle.Field, 0, 2)
+// counterFields appends the SavedKey/DraftKey extras to fs under the
+// class's field names.
+func counterFields(fs []oracle.Field, fg *app.Activity, notes, draft string) []oracle.Field {
 	if c, ok := fg.Extra(SavedKey).(int64); ok {
-		fs = append(fs, oracle.Field{Name: prefix + ".notes", Value: fmt.Sprint(c), Saved: true})
+		fs = append(fs, oracle.Field{Name: notes, Value: strconv.FormatInt(c, 10), Saved: true})
 	}
 	if d, ok := fg.Extra(DraftKey).(int64); ok {
-		fs = append(fs, oracle.Field{Name: prefix + ".draft", Value: fmt.Sprint(d)})
+		fs = append(fs, oracle.Field{Name: draft, Value: strconv.FormatInt(d, 10)})
 	}
 	return fs
 }
 
+// textAt renders an EditText's value as text@cursor.
+func textAt(et *view.EditText) string { return et.Text() + "@" + strconv.Itoa(et.Cursor()) }
+
 // editorProbe reads the editor's ground truth, one field per bucket.
 func editorProbe(fg *app.Activity) []oracle.Field {
-	var fs []oracle.Field
+	fs := make([]oracle.Field, 0, 7)
 	if et, ok := fg.FindViewByID(EditorEdit).(*view.EditText); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.text",
-			Value: fmt.Sprintf("%s@%d", et.Text(), et.Cursor()), View: true, Saved: true})
+		fs = append(fs, oracle.Field{Name: "Editor.text", Value: textAt(et), View: true, Saved: true})
 	}
 	if cb, ok := fg.FindViewByID(EditorDone).(*view.CheckBox); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.done", Value: fmt.Sprint(cb.Checked()), View: true, Saved: true})
+		fs = append(fs, oracle.Field{Name: "Editor.done", Value: strconv.FormatBool(cb.Checked()), View: true, Saved: true})
 	}
 	if sb, ok := fg.FindViewByID(EditorSeek).(*view.SeekBar); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.volume", Value: fmt.Sprint(sb.Progress()), View: true})
+		fs = append(fs, oracle.Field{Name: "Editor.volume", Value: strconv.Itoa(sb.Progress()), View: true})
 	}
 	if lv, ok := fg.FindViewByID(EditorList).(*view.ListView); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.row", Value: fmt.Sprint(lv.SelectorPosition()), View: true})
+		fs = append(fs, oracle.Field{Name: "Editor.row", Value: strconv.Itoa(lv.SelectorPosition()), View: true})
 	}
 	if tv, ok := fg.FindViewByID(EditorStatus).(*view.TextView); ok {
 		fs = append(fs, oracle.Field{Name: "Editor.status", Value: tv.Text(), View: true})
 	}
-	return append(fs, counterFields("Editor", fg)...)
+	return counterFields(fs, fg, "Editor.notes", "Editor.draft")
 }
 
 // DoubleRotation is the classic DLD shape: user state in every bucket,
@@ -204,25 +206,23 @@ func BackStackApp() *app.App {
 // backStackProbe dispatches on the foreground class; field names carry
 // the class prefix so a finished activity's expectations can be dropped.
 func backStackProbe(fg *app.Activity) []oracle.Field {
+	fs := make([]oracle.Field, 0, 4)
 	if fg.Class().Name == ComposeClass {
-		var fs []oracle.Field
 		if et, ok := fg.FindViewByID(ComposeEdit).(*view.EditText); ok {
-			fs = append(fs, oracle.Field{Name: "Compose.text",
-				Value: fmt.Sprintf("%s@%d", et.Text(), et.Cursor()), View: true, Saved: true})
+			fs = append(fs, oracle.Field{Name: "Compose.text", Value: textAt(et), View: true, Saved: true})
 		}
 		if sb, ok := fg.FindViewByID(ComposeSeek).(*view.SeekBar); ok {
-			fs = append(fs, oracle.Field{Name: "Compose.volume", Value: fmt.Sprint(sb.Progress()), View: true})
+			fs = append(fs, oracle.Field{Name: "Compose.volume", Value: strconv.Itoa(sb.Progress()), View: true})
 		}
-		return append(fs, counterFields("Compose", fg)...)
+		return counterFields(fs, fg, "Compose.notes", "Compose.draft")
 	}
-	var fs []oracle.Field
 	if lv, ok := fg.FindViewByID(InboxList).(*view.ListView); ok {
-		fs = append(fs, oracle.Field{Name: "Inbox.row", Value: fmt.Sprint(lv.SelectorPosition()), View: true})
+		fs = append(fs, oracle.Field{Name: "Inbox.row", Value: strconv.Itoa(lv.SelectorPosition()), View: true})
 	}
 	if tv, ok := fg.FindViewByID(InboxStatus).(*view.TextView); ok {
 		fs = append(fs, oracle.Field{Name: "Inbox.status", Value: tv.Text(), View: true})
 	}
-	return append(fs, counterFields("Inbox", fg)...)
+	return counterFields(fs, fg, "Inbox.notes", "Inbox.draft")
 }
 
 // BackStack is the navigation shape: state on a covered activity must
@@ -294,15 +294,15 @@ func DialogFragmentApp() *app.App {
 // the fragment count (meta the stock contract persists), the showing
 // dialog count and the counters.
 func mailProbe(fg *app.Activity) []oracle.Field {
-	var fs []oracle.Field
+	fs := make([]oracle.Field, 0, 5)
 	if tv, ok := fg.FindViewByID(MailRecipient).(*view.CustomTextView); ok {
 		fs = append(fs, oracle.Field{Name: "Mail.recipient", Value: tv.Text(), View: true})
 	}
 	fs = append(fs,
-		oracle.Field{Name: "Mail.fragments", Value: fmt.Sprint(fg.Fragments().Count()), Saved: true},
-		oracle.Field{Name: "Mail.dialogs", Value: fmt.Sprint(fg.ShowingDialogs()), View: true},
+		oracle.Field{Name: "Mail.fragments", Value: strconv.Itoa(fg.Fragments().Count()), Saved: true},
+		oracle.Field{Name: "Mail.dialogs", Value: strconv.Itoa(fg.ShowingDialogs()), View: true},
 	)
-	return append(fs, counterFields("Mail", fg)...)
+	return counterFields(fs, fg, "Mail.notes", "Mail.draft")
 }
 
 // DialogFragment is the mid-change dynamic-UI shape: a rotation while

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -179,16 +180,29 @@ func (v *Verdict) OK() bool { return len(v.Failures) == 0 }
 
 // Summary renders the one-line verdict header (replay seed first, no
 // failure lines) — the deterministic per-seed line sweep reports merge.
+// It is built in one exactly sized allocation: a sweep report holds one
+// per seed.
 func (v *Verdict) Summary() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "seed=%d stock[crashed=%v applied=%d handlings=%d] rch[crashed=%v applied=%d handlings=%d inj=%d]",
-		v.Seed, v.Stock.Crashed, v.Stock.Applied, v.Stock.Handlings,
-		v.RCH.Crashed, v.RCH.Applied, v.RCH.Handlings, v.RCH.Injections)
+	var buf [192]byte
+	b := strconv.AppendUint(append(buf[:0], "seed="...), v.Seed, 10)
+	b = strconv.AppendBool(append(b, " stock[crashed="...), v.Stock.Crashed)
+	b = strconv.AppendInt(append(b, " applied="...), int64(v.Stock.Applied), 10)
+	b = strconv.AppendInt(append(b, " handlings="...), int64(v.Stock.Handlings), 10)
+	b = strconv.AppendBool(append(b, "] rch[crashed="...), v.RCH.Crashed)
+	b = strconv.AppendInt(append(b, " applied="...), int64(v.RCH.Applied), 10)
+	b = strconv.AppendInt(append(b, " handlings="...), int64(v.RCH.Handlings), 10)
+	b = strconv.AppendInt(append(b, " inj="...), int64(v.RCH.Injections), 10)
+	b = append(b, ']')
 	if g := v.RCH.Guard; g.Enabled {
-		fmt.Fprintf(&sb, " guard[anrs=%d retries=%d xferFail=%d quarantines=%d recoveries=%d breaker=%d]",
-			g.ANRs, g.Retries, g.TransferFailures, g.Quarantines, g.Recoveries, g.BreakerOpens)
+		b = strconv.AppendInt(append(b, " guard[anrs="...), int64(g.ANRs), 10)
+		b = strconv.AppendInt(append(b, " retries="...), int64(g.Retries), 10)
+		b = strconv.AppendInt(append(b, " xferFail="...), int64(g.TransferFailures), 10)
+		b = strconv.AppendInt(append(b, " quarantines="...), int64(g.Quarantines), 10)
+		b = strconv.AppendInt(append(b, " recoveries="...), int64(g.Recoveries), 10)
+		b = strconv.AppendInt(append(b, " breaker="...), int64(g.BreakerOpens), 10)
+		b = append(b, ']')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // String renders the verdict with the replay seed first — the one line
@@ -204,10 +218,11 @@ func (v *Verdict) String() string {
 
 // taskName names async task idx; results post as "asyncResult:task<idx>",
 // which the chaos layer treats as droppable.
-func taskName(idx int) string { return fmt.Sprintf("task%d", idx) }
+func taskName(idx int) string { return "task" + strconv.Itoa(idx) }
 
 // essenceOf renders an activity's stock-persisted state plus its
-// view-tree shape, deterministically.
+// view-tree shape, deterministically, as "<bundle> tree: T×n …" with
+// the widget types sorted.
 func essenceOf(a *app.Activity) string {
 	counts := view.CountByType(a.Decor())
 	types := make([]string, 0, len(counts))
@@ -215,13 +230,14 @@ func essenceOf(a *app.Activity) string {
 		types = append(types, t)
 	}
 	sort.Strings(types)
-	var sb strings.Builder
-	sb.WriteString(a.SaveInstanceStateStock().String())
-	sb.WriteString(" tree:")
+	var buf [320]byte
+	b := append(buf[:0], a.SaveInstanceStateStock().String()...)
+	b = append(b, " tree:"...)
 	for _, t := range types {
-		fmt.Fprintf(&sb, " %s×%d", t, counts[t])
+		b = append(append(append(b, ' '), t...), "×"...)
+		b = strconv.AppendInt(b, int64(counts[t]), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // readModel reads the ground-truth widget state off the foreground
@@ -260,12 +276,21 @@ func readModel(a *app.Activity) (ModelState, error) {
 // async drain).
 var oracleInvariants = InvariantConfig{MaxInstancesPerProcess: 3, CheckMemoryFloor: true}
 
-// oracleSpec is the device spec for a scenario's world; worlds of equal
-// image count are identical pre-chaos, which is what makes them share a
-// fork template.
+// oracleSpec is the device spec for a scenario's world. Its factory
+// builds OracleApp on first use and returns that read-only definition to
+// every later world, so both arms of a differential share one app; a
+// fork path that never calls the factory builds none. The memo is not
+// synchronized: a spec belongs to one differential on one goroutine.
+// Worlds of equal image count are identical pre-chaos, which is what
+// makes them share a fork template.
 func oracleSpec(sc Scenario) device.Spec {
-	images := sc.Images
-	return device.Spec{App: func() *app.App { return OracleApp(images) }}
+	var def *app.App
+	return device.Spec{App: func() *app.App {
+		if def == nil {
+			def = OracleApp(sc.Images)
+		}
+		return def
+	}}
 }
 
 // runOnce executes the scenario script in a seeded world: built fresh
@@ -273,7 +298,7 @@ func oracleSpec(sc Scenario) device.Spec {
 // construction), then armed at the post-settle point with the chaos plan
 // on the scenario's seed, the handler under test, and the optional
 // tracer on every layer (system server, process, chaos plan).
-func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Tracer, forker *device.TemplateCache) RunResult {
+func runOnce(inst Installer, sc Scenario, spec device.Spec, opts chaos.Options, tracer *trace.Tracer, forker *device.TemplateCache) RunResult {
 	res := RunResult{
 		Arm:           Arm{Name: inst.Name},
 		Started:       make([]bool, sc.Tasks),
@@ -293,7 +318,6 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 		}
 		plan.Install(w.Sys, w.Proc)
 	}
-	spec := oracleSpec(sc)
 	var w *device.World
 	if forker != nil {
 		w = forker.Fork(fmt.Sprintf("images:%d", sc.Images), spec, sc.Seed, arm)
@@ -461,8 +485,9 @@ func DifferentialOpts(seed uint64, rch Installer, opts chaos.Options) Verdict {
 func DifferentialWith(seed uint64, rch Installer, opts chaos.Options, forker *device.TemplateCache) Verdict {
 	sc := GenScenario(seed)
 	v := Verdict{Seed: seed}
-	v.Stock = runOnce(Installer{Name: "Android-10"}, sc, opts, nil, forker)
-	v.RCH = runOnce(rch, sc, opts, nil, forker)
+	spec := oracleSpec(sc)
+	v.Stock = runOnce(Installer{Name: "Android-10"}, sc, spec, opts, nil, forker)
+	v.RCH = runOnce(rch, sc, spec, opts, nil, forker)
 	v.judge()
 	return v
 }
@@ -482,7 +507,7 @@ func TraceRCH(seed uint64, rch Installer, capacity int) ([]byte, error) {
 func TraceRCHWith(seed uint64, rch Installer, capacity int, opts chaos.Options) ([]byte, error) {
 	sc := GenScenario(seed)
 	tracer := trace.NewRing(nil, capacity)
-	runOnce(rch, sc, opts, tracer, nil)
+	runOnce(rch, sc, oracleSpec(sc), opts, tracer, nil)
 	return tracer.MarshalJSON()
 }
 

@@ -112,14 +112,12 @@ type variant struct {
 
 // Table is a resource table: resource name → qualified variants.
 // Resource names follow the "type/name" convention, e.g. "layout/main",
-// "string/app_name", "drawable/icon".
+// "string/app_name", "drawable/icon". An app fills its table while it is
+// built; after that the table is only read, so every process and world
+// sharing the app may resolve through it concurrently.
 type Table struct {
 	entries map[string][]variant
 	nextOrd int
-	lookups int
-	// borrowed marks entries as shared read-only with a fork parent;
-	// the first Put copies it (see fork.go).
-	borrowed bool
 }
 
 // NewTable returns an empty resource table.
@@ -130,7 +128,6 @@ func NewTable() *Table {
 // Put registers a variant of the named resource. Later Puts with identical
 // qualifiers override earlier ones.
 func (t *Table) Put(name string, q Qualifiers, value any) {
-	t.copyOnWrite()
 	vs := t.entries[name]
 	for i := range vs {
 		if vs[i].qual == q {
@@ -160,14 +157,9 @@ func (t *Table) Names() []string {
 // Len returns the number of distinct resource names.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Lookups returns how many resolutions have been performed (the resource
-// re-resolution work a runtime change triggers).
-func (t *Table) Lookups() int { return t.lookups }
-
 // Resolve returns the best-matching variant of name for cfg, or
 // (nil, false) if no variant matches.
 func (t *Table) Resolve(name string, cfg config.Configuration) (any, bool) {
-	t.lookups++
 	vs, ok := t.entries[name]
 	if !ok {
 		return nil, false

@@ -127,16 +127,6 @@ func TestNamesSortedAndLen(t *testing.T) {
 	}
 }
 
-func TestLookupAccounting(t *testing.T) {
-	tb := NewTable()
-	tb.PutDefault("a", 1)
-	tb.Resolve("a", config.Default())
-	tb.Resolve("missing", config.Default())
-	if tb.Lookups() != 2 {
-		t.Fatalf("Lookups = %d", tb.Lookups())
-	}
-}
-
 func TestQualifierString(t *testing.T) {
 	if AnyConfig.String() != "default" {
 		t.Fatalf("AnyConfig = %q", AnyConfig.String())
