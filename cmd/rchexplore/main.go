@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,6 +60,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
+		if name := unusedFlag(fs, "list", "depth"); name != "" {
+			fmt.Fprintf(stderr, "rchexplore: -list uses only -depth, not -%s\n", name)
+			return 2
+		}
 		for _, sc := range corpus.All() {
 			sp := explore.SpaceFor(&sc, *depth)
 			fmt.Fprintf(stdout, "%-20s edges=%d actions=%d depth=%d space=%d  %s\n",
@@ -74,6 +79,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *schedule >= 0 {
+		if name := unusedFlag(fs, "schedule", "scenario", "depth"); name != "" {
+			fmt.Fprintf(stderr, "rchexplore: -schedule replays one schedule and uses only -scenario and -depth, not -%s\n", name)
+			return 2
+		}
 		if len(scenarios) != 1 {
 			fmt.Fprintln(stderr, "rchexplore: -schedule needs exactly one -scenario")
 			return 2
@@ -169,6 +178,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return code
+}
+
+// unusedFlag returns the name of a flag set on the command line that is
+// not among uses, or "" when every flag set is one of them. A mode that
+// reads only some flags refuses the rest rather than ignore them.
+func unusedFlag(fs *flag.FlagSet, uses ...string) string {
+	name := ""
+	fs.Visit(func(f *flag.Flag) {
+		if name == "" && !slices.Contains(uses, f.Name) {
+			name = f.Name
+		}
+	})
+	return name
 }
 
 // selectScenarios resolves the -scenario flag against the corpus.

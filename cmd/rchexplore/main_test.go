@@ -73,6 +73,33 @@ func TestBadFlagsExitTwo(t *testing.T) {
 			t.Errorf("run(%v) exited %d, want 2", args, code)
 		}
 	}
+
+	// A replay reads only -scenario and -depth, and -list only -depth:
+	// any other flag set with them is refused by name, not ignored.
+	dir := t.TempDir()
+	replay := []string{"-scenario=backstack", "-depth=1", "-schedule=3"}
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{append(replay, "-metrics-out="+filepath.Join(dir, "m.json")), "metrics-out"},
+		{append(replay, "-checkpoint="+filepath.Join(dir, "c.json")), "checkpoint"},
+		{append(replay, "-chunk=5"), "chunk"},
+		{append(replay, "-profile-cpu="+filepath.Join(dir, "p.pprof")), "profile-cpu"},
+		{append(replay, "-workers=2"), "workers"},
+		{append(replay, "-v"), "v"},
+		{[]string{"-list", "-metrics-out=" + filepath.Join(dir, "m.json")}, "metrics-out"},
+		{[]string{"-list", "-scenario=backstack"}, "scenario"},
+		{[]string{"-list", "-fork"}, "fork"},
+	} {
+		code, _, stderr := runCLI(c.args...)
+		if code != 2 || !strings.Contains(stderr, "not -"+c.flag+"\n") {
+			t.Errorf("run(%v) exited %d, stderr %q; want 2 naming -%s", c.args, code, stderr, c.flag)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused runs wrote files: %v", entries)
+	}
 }
 
 func TestReplayEmptySchedulePasses(t *testing.T) {

@@ -20,14 +20,15 @@ import (
 
 // RunResult is one scenario run under one handler and one schedule. Its
 // Essence also carries the final instance's applied configuration.
+//
+// A RunResult is read-only once runScenario returns it: Explore shares
+// one stock run among every schedule with the same stock view, so its
+// slices may back several verdicts at once.
 type RunResult struct {
 	oracle.Arm
-	// Expected is the accumulated ground truth (probe fields recorded at
-	// application time); Actual is the final foreground probe. Both are
-	// sorted by field name.
-	Expected, Actual []oracle.Field
-	// Losses classifies every expected-vs-actual divergence at the end of
-	// the run into the DLD taxonomy.
+	// Losses classifies every divergence between the accumulated ground
+	// truth (probe fields recorded at application time) and the final
+	// foreground probe into the DLD taxonomy.
 	Losses []oracle.Loss
 	// KillLosses are saved-bucket fields a captured system bundle failed
 	// to carry across a kill — the save/restore contract itself broke.
@@ -52,10 +53,6 @@ func invariantsFor(sc *corpus.Scenario) oracle.InvariantConfig {
 		MaxVisible:             sc.MaxVisible,
 	}
 }
-
-// byName orders probe fields by name; names are unique within a probe
-// and within the expected state.
-func byName(a, b oracle.Field) int { return strings.Compare(a.Name, b.Name) }
 
 // fieldPrefix maps an activity class name to its probe-field prefix
 // ("ComposeActivity" probes as "Compose.*").
@@ -345,23 +342,24 @@ steps:
 
 	clock.Advance(4 * time.Second)
 	crashed()
+	var actual []oracle.Field
 	if !res.Crashed {
 		res.Sample(proc, invCfg, -1, "")
 		if fg := proc.Thread().ForegroundActivity(); fg != nil {
 			res.Essence = oracle.Essence(fg) + " cfg:" + fg.Config().String()
-			res.Actual = sc.Probe(fg)
-			slices.SortFunc(res.Actual, byName)
+			actual = sc.Probe(fg)
 		} else {
 			res.FinalMissing = true
 		}
 	}
-	res.Expected = make([]oracle.Field, 0, len(expected))
-	for _, f := range expected {
-		res.Expected = append(res.Expected, f)
-	}
-	slices.SortFunc(res.Expected, byName)
 	if !res.Crashed && !res.FinalMissing {
-		res.Losses = oracle.ClassifyLoss(res.Expected, res.Actual)
+		// ClassifyLoss sorts the losses by field, so neither list needs an
+		// order.
+		want := make([]oracle.Field, 0, len(expected))
+		for _, f := range expected {
+			want = append(want, f)
+		}
+		res.Losses = oracle.ClassifyLoss(want, actual)
 	}
 
 	res.Finish(sys, plan, inst)

@@ -158,10 +158,18 @@ func InstallerForObs(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
 
 // RunIndexWith runs schedule idx of the space under stock and under the
 // given RCHDroid installer, and judges the pair. Both arms install one
-// app definition, built once for the call.
+// app definition, built once for the call. The stock arm runs on the
+// literal schedule, stock-blind slots included, so a replay is the
+// reference that Explore's shared stock runs must agree with.
 func RunIndexWith(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer) Verdict {
-	return runIndex(sc, sharedSpec(sc.App()), sp, idx, rch, nil)
+	spec := sharedSpec(sc.App())
+	sched := sp.At(idx)
+	stock := runScenario(sc, spec, sched, stockInstaller, nil)
+	return judged(sc, idx, sched, stock, runScenario(sc, spec, sched, rch, nil))
 }
+
+// stockInstaller arms nothing: the stock arm is plain Android 10.
+var stockInstaller = oracle.Installer{Name: "Android-10"}
 
 // sharedSpec is the device spec whose every world installs def. An app
 // is read-only once built, so the worlds of any number of schedules,
@@ -170,16 +178,9 @@ func sharedSpec(def *app.App) device.Spec {
 	return device.Spec{App: func() *app.App { return def }}
 }
 
-// runIndex runs and judges schedule idx with every world built from
-// spec, or forked from forker's per-scenario template when forker is
-// set: both arms fork from the scenario's single pre-chaos template
-// (they differ only in what the post-settle arming point installs), so
-// the verdict is byte-identical to the fresh-build path.
-func runIndex(sc *corpus.Scenario, spec device.Spec, sp Space, idx uint64, rch oracle.Installer, forker *device.TemplateCache) Verdict {
-	sched := sp.At(idx)
-	v := Verdict{Scenario: sc.Name, Index: idx, Schedule: sched}
-	v.Stock = runScenario(sc, spec, sched, oracle.Installer{Name: "Android-10"}, forker)
-	v.RCH = runScenario(sc, spec, sched, rch, forker)
+// judged is schedule idx's verdict on its two runs.
+func judged(sc *corpus.Scenario, idx uint64, sched Schedule, stock, rch RunResult) Verdict {
+	v := Verdict{Scenario: sc.Name, Index: idx, Schedule: sched, Stock: stock, RCH: rch}
 	v.judge(sc)
 	return v
 }
@@ -272,6 +273,15 @@ func (r *Result) String() string {
 // slots, so the tallies are the same at any worker count. The chunk
 // builds the scenario's app once; every world of every schedule, on
 // every worker, installs that read-only definition.
+//
+// The chunk runs the stock arm once per stock view, the schedule minus
+// its stock-blind slots (see Action), and shares that read-only run
+// among every schedule with the same view; each schedule is judged
+// exactly as RunIndex judges it. The Sim counter
+// explore_stock_runs_total counts the stock arms the chunk ran. With
+// Fork set, both arms fork from the scenario's single pre-chaos
+// template (they differ only in what the post-settle arming point
+// installs), so the verdict is byte-identical to the fresh-build path.
 func Explore(sc *corpus.Scenario, opts Options) *Result {
 	sp := SpaceFor(sc, opts.Depth)
 	size := sp.Size()
@@ -288,6 +298,7 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		forker = device.NewTemplateCache()
 	}
 	spec := sharedSpec(sc.App())
+	memo := newStockMemo(sp)
 	crashes := make([]bool, count)
 	tallies := make([][oracle.NumLossBuckets]int, count)
 	rep := sweep.RunObs(sweep.Config{
@@ -300,7 +311,12 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		Obs:       opts.Obs,
 		Stop:      opts.Stop,
 	}, func(idx uint64, sh *obs.Shard) sweep.Outcome {
-		v := runIndex(sc, spec, sp, idx, InstallerForObs(sc, sh), forker)
+		sched := sp.At(idx)
+		stock := memo.stock(sched, func(view Schedule) RunResult {
+			sh.Counter("explore_stock_runs_total", "stock arms the explorer ran", obs.Sim).Inc()
+			return runScenario(sc, spec, view, stockInstaller, forker)
+		})
+		v := judged(sc, idx, sched, stock, runScenario(sc, spec, sched, InstallerForObs(sc, sh), forker))
 		i := idx - start
 		crashes[i] = v.Stock.Crashed
 		tallies[i] = oracle.TallyLosses(v.Stock.Losses)

@@ -10,6 +10,7 @@ package explore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,23 +19,39 @@ import (
 )
 
 // Action is one fault the explorer can inject at a lifecycle edge.
+//
+// Each action is either stock-visible or stock-blind. A stock-visible
+// action changes what stock Android 10 does: it pushes a change, moves
+// the clock or kills the process. A stock-blind action only arms a hook
+// that RCHDroid alone consults, so a stock run with the slot is the
+// stock run without it, field for field. Explore runs the stock arm
+// once per stock view (stockView) and shares it among the schedules
+// that differ only in stock-blind slots. Declaring a stock-visible
+// action blind would judge those schedules against the wrong
+// stock run; TestStockBlindSlotsLeaveStockUnchanged catches it.
 type Action int
 
 const (
 	// ActConfig pushes an extra configuration change at the edge.
+	// Stock-visible.
 	ActConfig Action = iota
 	// ActAsync drains pending async completions at the edge (advances
-	// virtual time by the scenario's AsyncDrain).
+	// virtual time by the scenario's AsyncDrain). Stock-visible.
 	ActAsync
 	// ActKill kills the process at the edge and relaunches it with the
-	// system-held stock bundle.
+	// system-held stock bundle. Stock-visible.
 	ActKill
 	// ActFlush defers the next migration flush past the edge (arms a
-	// scripted stall on the migration point).
+	// scripted stall on the migration point). Stock-blind: only
+	// RCHDroid's migrator calls chaos.Plan.OnMigrationFlush.
 	ActFlush
 
 	NumActions
 )
+
+// stockBlind reports whether stock Android never consults the action,
+// as each action's declaration states.
+func (a Action) stockBlind() bool { return a == ActFlush }
 
 // String names the action for schedule strings and reports.
 func (a Action) String() string {
@@ -88,6 +105,17 @@ func (s Schedule) appendTo(dst []byte) []byte {
 		dst = sl.appendTo(dst)
 	}
 	return append(dst, ']')
+}
+
+// stockView is the schedule minus its stock-blind slots: the schedule
+// whose stock run is this one's. A schedule without stock-blind slots is
+// its own view and comes back as is; otherwise the view is a new slice.
+func (s Schedule) stockView() Schedule {
+	blind := func(sl Slot) bool { return sl.Action.stockBlind() }
+	if !slices.ContainsFunc(s, blind) {
+		return s
+	}
+	return slices.DeleteFunc(slices.Clone(s), blind)
 }
 
 // Space is the bounded schedule space: all subsets of the slot grid

@@ -134,6 +134,54 @@ func TestBatchEmptyAndBadStep(t *testing.T) {
 	}
 }
 
+// TestBurstBounds: a monkey burst or a sleep outside [0, bound] is
+// refused bad_request at admission, before it takes a queue slot: the
+// shard runs nothing for it. In a batch only the offending steps are
+// refused; the others still run.
+func TestBurstBounds(t *testing.T) {
+	s := New(Config{Shards: 2})
+	defer s.Drain(5 * time.Second)
+
+	if r := submit(s, Request{Op: OpBoot, Device: "d", Seed: 1}); !r.OK {
+		t.Fatalf("boot: %+v", r)
+	}
+	for _, req := range []Request{
+		{Op: OpDrive, Device: "d", Kind: KindMonkey, Events: -5},
+		{Op: OpDrive, Device: "d", Kind: KindMonkey, Events: MaxBurstEvents + 1},
+		{Op: OpDrive, Device: "d", Kind: KindSleep, Millis: -1},
+		{Op: OpDrive, Device: "d", Kind: KindSleep, Millis: MaxSleepMillis + 1},
+	} {
+		if r := submit(s, req); r.OK || r.Code != CodeBadRequest {
+			t.Fatalf("events=%d millis=%d: %+v, want bad_request", req.Events, req.Millis, r)
+		}
+	}
+	snap, _ := s.MergedSnapshot()
+	if got := metricValue(t, snap, "serve_requests_total"); got != 1 {
+		t.Fatalf("serve_requests_total = %d, want only the boot: refused bursts reached a shard", got)
+	}
+
+	r := submit(s, Request{Op: OpBatch, Batch: []BatchStep{
+		{Device: "d", Kind: KindRotate},
+		{Device: "d", Kind: KindMonkey, Events: -5},
+		{Device: "d", Kind: KindSleep, Millis: 1000000000},
+		{Device: "d", Kind: KindMonkey, Events: 10, Seed: 2},
+		{Device: "d", Kind: KindSleep},
+	}})
+	if r.OK || r.Code != CodeBadRequest || len(r.Results) != 5 {
+		t.Fatalf("batch with out-of-bounds steps: %+v", r)
+	}
+	for i, res := range r.Results {
+		bad := i == 1 || i == 2
+		if res.Index != i || res.OK == bad || (bad && res.Code != CodeBadRequest) {
+			t.Errorf("step %d: %+v", i, res)
+		}
+	}
+	snap, _ = s.MergedSnapshot()
+	if got := metricValue(t, snap, "serve_batch_steps_total"); got != 3 {
+		t.Errorf("serve_batch_steps_total = %d, want the 3 in-bounds steps", got)
+	}
+}
+
 // TestBatchOverloadShed: a batch aimed at a jammed shard sheds every
 // step with the explicit overload code instead of blocking past the
 // queue bound.

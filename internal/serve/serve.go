@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -138,6 +139,9 @@ func (s *Server) Submit(req Request) Response {
 	case OpBatch:
 		return s.submitBatch(req)
 	}
+	if detail := burstOutOfBounds(req.Events, req.Millis); detail != "" {
+		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: -1, Detail: detail}
+	}
 	sh := s.route(req)
 
 	s.admitMu.RLock()
@@ -153,6 +157,18 @@ func (s *Server) Submit(req Request) Response {
 		return Response{ID: req.ID, OK: false, Code: code, Shard: sh.idx, Detail: detail}
 	}
 	return s.awaitReply(p, sh)
+}
+
+// burstOutOfBounds says which burst size lies outside its bound, or
+// returns "" when both are inside.
+func burstOutOfBounds(events, millis int) string {
+	if events < 0 || events > MaxBurstEvents {
+		return fmt.Sprintf("events %d outside [0, %d]", events, MaxBurstEvents)
+	}
+	if millis < 0 || millis > MaxSleepMillis {
+		return fmt.Sprintf("millis %d outside [0, %d]", millis, MaxSleepMillis)
+	}
+	return ""
 }
 
 // awaitReply parks until the request's reply arrives or the drain abort
@@ -183,7 +199,8 @@ func (s *Server) awaitReply(p *pending, sh *shard) Response {
 // per-step results merge back into a single reply in step order. Every
 // step keeps the individual admission contract: a quarantined or full
 // shard refuses its steps with the explicit code while the other
-// shards' steps still run.
+// shards' steps still run, and a step whose burst is out of bounds is
+// refused bad_request before it is grouped.
 func (s *Server) submitBatch(req Request) Response {
 	if len(req.Batch) == 0 {
 		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: -1,
@@ -195,9 +212,14 @@ func (s *Server) submitBatch(req Request) Response {
 		idx   []int
 		p     *pending // set once the shard admitted the group
 	}
+	results := make([]BatchResult, len(req.Batch))
 	var groups []*group
 	byShard := make(map[*shard]*group)
 	for i, st := range req.Batch {
+		if detail := burstOutOfBounds(st.Events, st.Millis); detail != "" {
+			results[i] = BatchResult{Index: i, OK: false, Code: CodeBadRequest, Shard: -1, Detail: detail}
+			continue
+		}
 		sh := s.route(Request{Device: st.Device})
 		g := byShard[sh]
 		if g == nil {
@@ -209,7 +231,6 @@ func (s *Server) submitBatch(req Request) Response {
 		g.idx = append(g.idx, i)
 	}
 
-	results := make([]BatchResult, len(req.Batch))
 	s.admitMu.RLock()
 	if s.draining.Load() {
 		s.admitMu.RUnlock()

@@ -108,6 +108,16 @@ const (
 	CodeBadRequest ErrCode = "bad_request"
 )
 
+// Burst bounds. Admission answers bad_request, before the request takes
+// a queue slot, for a monkey burst (Events) or a sleep (Millis) outside
+// [0, bound]. A running request is never preempted, not even by its wall
+// deadline, so these bound how long one request can hold its shard.
+// MaxSleepMillis is rchserve's default -drain-timeout.
+const (
+	MaxBurstEvents = 10000
+	MaxSleepMillis = 10000
+)
+
 // Request is one line of the wire protocol.
 type Request struct {
 	// ID is echoed on the response so clients can pipeline.
@@ -127,9 +137,10 @@ type Request struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Kind selects the drive burst (Kind* constants).
 	Kind string `json:"kind,omitempty"`
-	// Events sizes a monkey burst.
+	// Events sizes a monkey burst (0 means monkey's default), at most
+	// MaxBurstEvents.
 	Events int `json:"events,omitempty"`
-	// Millis sizes a sleep stall.
+	// Millis sizes a sleep stall, at most MaxSleepMillis.
 	Millis int `json:"millis,omitempty"`
 	// Batch carries the drive steps of an OpBatch request.
 	Batch []BatchStep `json:"batch,omitempty"`
@@ -160,7 +171,8 @@ type BatchResult struct {
 	// machine-readable shed/fault contract individual requests get.
 	Code   ErrCode `json:"code,omitempty"`
 	Detail string  `json:"detail,omitempty"`
-	// Shard is the shard that owned (or refused) the step.
+	// Shard is the shard that owned (or refused) the step; -1 when the
+	// step was refused before routing (a burst outside its bound).
 	Shard int `json:"shard"`
 }
 

@@ -46,8 +46,9 @@
 #                      decision without a preceding injected fault, and
 #                      every activity either RCHDroid-equivalent or
 #                      exactly stock-equivalent (never a hybrid)
-#  12. explore gate  — exhaustive depth-2 schedule-space exploration of
-#                      the data-loss corpus (cmd/rchexplore), metrics on
+#  12. explore gate  — exhaustive depth-3 schedule-space exploration of
+#                      the data-loss corpus (cmd/rchexplore): 42,394
+#                      schedules, metrics on; every schedule must pass
 #  13. counterfactual — guard-off runs must reproduce the raw failures
 #                      the guard recovers, and guarded verdicts replay
 #                      bit-identically
@@ -154,8 +155,8 @@ echo "==> guarded chaos sweep (1024 seeds, parallel engine)"
 artifacts/rchsweep -mode=guard -seeds=1024 -trace-on-fail \
     -metrics-out artifacts/metrics.guard.json
 
-echo "==> schedule-space exploration gate (corpus, depth 2, exhaustive, metrics)"
-go run ./cmd/rchexplore -depth=2 -metrics-out artifacts/metrics.explore.json
+echo "==> schedule-space exploration gate (corpus, depth 3, exhaustive, metrics)"
+go run ./cmd/rchexplore -depth=3 -metrics-out artifacts/metrics.explore.json
 
 echo "==> guard counterfactual + replay determinism"
 go test ./internal/oracle -run 'TestGuardSavesRawFailures|TestGuardDeterministic' -count=1
