@@ -333,8 +333,11 @@ func BenchmarkGuardedRuntimeChange(b *testing.B) {
 
 // BenchmarkExploreSchedule is the schedule explorer's unit of work: one
 // depth-3 double-rotation schedule (an extra rotation mid-edit, a
-// process kill between the two scripted rotations, then a deferred
-// migration flush) run under stock and RCHDroid and judged.
+// process kill between the two scripted rotations, then a flush slot)
+// run literally under stock and RCHDroid through RunIndex, and judged.
+// The flush slot arms a deferral that never fires: no double-rotation
+// step writes to a shadow view, so the migrator never consults it.
+// Explore would share both arms of this schedule with its stock view.
 func BenchmarkExploreSchedule(b *testing.B) {
 	sc, ok := corpus.ByName("double-rotation")
 	if !ok {

@@ -255,6 +255,9 @@ type Plan struct {
 	// directives are scripted injections (see script.go), consulted
 	// before any random roll at the same decision points.
 	directives []*Directive
+	// consults counts every decision call per point, fired or not and
+	// whatever its label (see Consults).
+	consults [numPoints]int
 
 	tracer *trace.Tracer
 	track  trace.TrackID

@@ -65,6 +65,26 @@ func (p *Plan) PendingDirectives() int {
 	return n
 }
 
+// FiredDirectives counts the armed directives at pt that have fired.
+func (p *Plan) FiredDirectives(pt Point) int {
+	n := 0
+	for _, d := range p.directives {
+		if d.done && d.Point == pt {
+			n++
+		}
+	}
+	return n
+}
+
+// Consults counts the plan's decision calls at pt so far: every call,
+// whether a fault landed or not and whatever its label. A directive
+// does nothing until a call at its point consults it, and every such
+// call advances its Skip count, so a directive armed when the count
+// read n is inert for the run if the count still reads n at its end.
+// The schedule-space explorer relies on exactly that to prove a
+// stock-blind slot changes nothing.
+func (p *Plan) Consults(pt Point) int { return p.consults[pt] }
+
 // Note records a driver-level injection (a scheduled kill, an extra
 // config change, a forced drain) into the same log the hook-level faults
 // use, so a run's full injection history reads off one list and the
@@ -74,12 +94,14 @@ func (p *Plan) Note(pt Point, label, effect string) {
 	p.record(pt, label, effect)
 }
 
-// consultScript advances every armed directive matching the decision
-// call and returns the first one whose eligible-call count passes Skip,
-// marking it fired. It never touches the RNG streams, so adding or
-// removing directives cannot perturb a sampled plan's rolls, and a
-// directive-free plan behaves exactly as before.
+// consultScript counts the decision call at its point, advances every
+// armed directive matching it and returns the first one whose
+// eligible-call count passes Skip, marking it fired. Every hook calls it
+// first, on sampled plans too. It never touches the RNG streams, so
+// adding or removing directives cannot perturb a sampled plan's rolls,
+// and a directive-free plan behaves exactly as before.
 func (p *Plan) consultScript(pt Point, label string) *Directive {
+	p.consults[pt]++
 	var fired *Directive
 	for _, d := range p.directives {
 		if d.done || d.Point != pt {

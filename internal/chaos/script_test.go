@@ -143,3 +143,31 @@ func TestNoteRecordsIntoInjectionLog(t *testing.T) {
 		t.Errorf("Note record mangled: %+v", inj[0])
 	}
 }
+
+// TestConsultsCountEveryCall: Consults counts every decision call at a
+// point, whatever its label and whether a directive fired, and no other
+// point's calls. FiredDirectives counts the fired directives at a point.
+func TestConsultsCountEveryCall(t *testing.T) {
+	p := NewScripted(
+		Directive{Point: PointMigration, Skip: 1, Delay: time.Millisecond},
+		Directive{Point: PointLooper, Label: "stock:save", Delay: time.Millisecond},
+	)
+	for i := 0; i < 3; i++ {
+		p.OnMigrationFlush(i + 1)
+	}
+	p.OnMessage("launch:create", 0)
+	p.OnMessage("stock:save", 0)
+	p.OnMessage("stock:save", 0)
+	p.OnStateTransfer(0)
+	for pt, want := range map[Point]int{PointMigration: 3, PointLooper: 3, PointXfer: 1, PointAsync: 0, PointConfig: 0} {
+		if got := p.Consults(pt); got != want {
+			t.Errorf("Consults(%s) = %d, want %d", pt, got, want)
+		}
+	}
+	if got := p.FiredDirectives(PointMigration); got != 1 {
+		t.Errorf("FiredDirectives(migration) = %d, want 1", got)
+	}
+	if got := p.FiredDirectives(PointAsync); got != 0 {
+		t.Errorf("FiredDirectives(async) = %d, want 0", got)
+	}
+}

@@ -22,7 +22,7 @@ import (
 // Essence also carries the final instance's applied configuration.
 //
 // A RunResult is read-only once runScenario returns it: Explore shares
-// one stock run among every schedule with the same stock view, so its
+// a stock view's two runs among the schedules that reuse them, so its
 // slices may back several verdicts at once.
 type RunResult struct {
 	oracle.Arm
@@ -38,7 +38,20 @@ type RunResult struct {
 	// essence-comparable.
 	KillStates []string
 	Kills      int
+	// Fired counts, per stock-blind action, the directives of the
+	// schedule's slots that fired. A slot whose directive never fires
+	// changes nothing.
+	Fired [NumActions]int
+	// lastConsult is, per stock-blind action, the last edge after whose
+	// arming point the run consulted the action's chaos point, or -1.
+	// Explore shares a stock view's RCHDroid run with a schedule whose
+	// every stock-blind slot (e, a) has e > lastConsult[a]: the directive
+	// the slot would arm is never consulted, so it changes nothing.
+	lastConsult [NumActions]int
 }
+
+// textSetter is a TextView-family widget.
+type textSetter interface{ SetText(string) }
 
 // invariantsFor builds the sampling config from the scenario's declared
 // instance bound.
@@ -63,7 +76,10 @@ func fieldPrefix(className string) string {
 // runScenario executes one scenario under inst with the schedule's
 // fault actions injected at their edges. Everything is scripted — the
 // chaos plan starts with zero rates, so the run is a pure function of
-// (scenario, schedule, installer). The world is forked from forker's
+// (scenario, schedule, installer). Edge i's arming point follows its
+// last slot: the run records there, per stock-blind action, whether its
+// point was consulted since the previous arming point (lastConsult).
+// The world is forked from forker's
 // per-scenario template when one is supplied (the scripted plan consumes
 // no randomness before the first step, so the fork's post-settle arming
 // point is behaviorally identical to a fresh build) and built from spec
@@ -187,6 +203,22 @@ func runScenario(sc *corpus.Scenario, spec device.Spec, sched Schedule, inst ora
 		return res.Crashed
 	}
 
+	// consulted sets lastConsult to armed, the latest arming point the
+	// run passed, for each stock-blind point consulted since the last
+	// call.
+	armed := -1
+	var seen [NumActions]int
+	for a := range res.lastConsult {
+		res.lastConsult[a] = -1
+	}
+	consulted := func() {
+		for a := Action(0); a < NumActions; a++ {
+			if pt, ok := a.blindPoint(); ok && plan.Consults(pt) != seen[a] {
+				seen[a], res.lastConsult[a] = plan.Consults(pt), armed
+			}
+		}
+	}
+
 steps:
 	for i, st := range sc.Steps {
 		switch st.Kind {
@@ -200,7 +232,6 @@ steps:
 		case corpus.StepSetText:
 			text, id := st.Text, st.ID
 			ui("corpus:setText", st.Expect, func(fg *app.Activity) {
-				type textSetter interface{ SetText(string) }
 				if tv, ok := fg.FindViewByID(id).(textSetter); ok {
 					tv.SetText(text)
 				}
@@ -295,6 +326,18 @@ steps:
 					}
 				})
 			})
+		case corpus.StepTouch:
+			text, id, work := st.Text, st.ID, st.Work
+			ui("corpus:touch", st.Expect, func(fg *app.Activity) {
+				// The callback writes to the view of the instance that
+				// started the task, wherever the foreground went since.
+				tv, ok := fg.FindViewByID(id).(textSetter)
+				fg.StartAsyncTask("task"+strconv.Itoa(i), work, func() {
+					if ok {
+						tv.SetText(text)
+					}
+				})
+			})
 		case corpus.StepKill:
 			kill()
 		case corpus.StepQuarantine:
@@ -330,14 +373,15 @@ steps:
 			case ActKill:
 				kill()
 			case ActFlush:
-				plan.AddDirective(chaos.Directive{
-					Point: chaos.PointMigration, Label: "flush", Delay: 300 * time.Millisecond,
-				})
+				pt, _ := ActFlush.blindPoint()
+				plan.AddDirective(chaos.Directive{Point: pt, Label: "flush", Delay: 300 * time.Millisecond})
 			}
 			if crashed() {
 				break steps
 			}
 		}
+		consulted()
+		armed = i
 	}
 
 	clock.Advance(4 * time.Second)
@@ -362,6 +406,12 @@ steps:
 		res.Losses = oracle.ClassifyLoss(want, actual)
 	}
 
+	consulted()
+	for a := Action(0); a < NumActions; a++ {
+		if pt, ok := a.blindPoint(); ok {
+			res.Fired[a] = plan.FiredDirectives(pt)
+		}
+	}
 	res.Finish(sys, plan, inst)
 	return res
 }

@@ -158,9 +158,9 @@ func InstallerForObs(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
 
 // RunIndexWith runs schedule idx of the space under stock and under the
 // given RCHDroid installer, and judges the pair. Both arms install one
-// app definition, built once for the call. The stock arm runs on the
-// literal schedule, stock-blind slots included, so a replay is the
-// reference that Explore's shared stock runs must agree with.
+// app definition, built once for the call. Both run on the literal
+// schedule, stock-blind slots included, so a replay is the reference
+// that Explore's shared runs must agree with.
 func RunIndexWith(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer) Verdict {
 	spec := sharedSpec(sc.App())
 	sched := sp.At(idx)
@@ -274,14 +274,17 @@ func (r *Result) String() string {
 // builds the scenario's app once; every world of every schedule, on
 // every worker, installs that read-only definition.
 //
-// The chunk runs the stock arm once per stock view, the schedule minus
-// its stock-blind slots (see Action), and shares that read-only run
-// among every schedule with the same view; each schedule is judged
-// exactly as RunIndex judges it. The Sim counter
-// explore_stock_runs_total counts the stock arms the chunk ran. With
-// Fork set, both arms fork from the scenario's single pre-chaos
-// template (they differ only in what the post-settle arming point
-// installs), so the verdict is byte-identical to the fresh-build path.
+// The chunk runs both arms once per stock view, the schedule minus its
+// stock-blind slots (see Action). It shares the read-only stock run
+// among every schedule with the same view, and the RCHDroid run among
+// those whose stock-blind slots that run proves inert (see viewMemo);
+// the rest run their own RCHDroid arm. Each schedule is judged exactly
+// as RunIndex judges it, and its metrics are what its own runs would
+// have recorded. The Sim counters explore_stock_runs_total and
+// explore_rch_runs_total count the arms the chunk ran. With Fork set,
+// both arms fork from the scenario's single pre-chaos template (they
+// differ only in what the post-settle arming point installs), so the
+// verdict is byte-identical to the fresh-build path.
 func Explore(sc *corpus.Scenario, opts Options) *Result {
 	sp := SpaceFor(sc, opts.Depth)
 	size := sp.Size()
@@ -298,7 +301,7 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		forker = device.NewTemplateCache()
 	}
 	spec := sharedSpec(sc.App())
-	memo := newStockMemo(sp)
+	memo := newViewMemo(sp, opts.Obs != nil)
 	crashes := make([]bool, count)
 	tallies := make([][oracle.NumLossBuckets]int, count)
 	rep := sweep.RunObs(sweep.Config{
@@ -312,11 +315,14 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		Stop:      opts.Stop,
 	}, func(idx uint64, sh *obs.Shard) sweep.Outcome {
 		sched := sp.At(idx)
-		stock := memo.stock(sched, func(view Schedule) RunResult {
+		stock, rch := memo.arms(sched, sh, func(view Schedule) RunResult {
 			sh.Counter("explore_stock_runs_total", "stock arms the explorer ran", obs.Sim).Inc()
 			return runScenario(sc, spec, view, stockInstaller, forker)
+		}, func(s Schedule, into *obs.Shard) RunResult {
+			sh.Counter("explore_rch_runs_total", "RCHDroid arms the explorer ran", obs.Sim).Inc()
+			return runScenario(sc, spec, s, InstallerForObs(sc, into), forker)
 		})
-		v := judged(sc, idx, sched, stock, runScenario(sc, spec, sched, InstallerForObs(sc, sh), forker))
+		v := judged(sc, idx, sched, stock, rch)
 		i := idx - start
 		crashes[i] = v.Stock.Crashed
 		tallies[i] = oracle.TallyLosses(v.Stock.Losses)
@@ -342,12 +348,19 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 
 // lossMetricNames maps each loss bucket to its counter name once —
 // bucket String() values carry a "/" that metric names must not.
-var lossMetricNames = [oracle.NumLossBuckets]string{}
+// firedMetricNames does the same for each stock-blind action.
+var (
+	lossMetricNames  = [oracle.NumLossBuckets]string{}
+	firedMetricNames = [NumActions]string{}
+)
 
 func init() {
 	for b := oracle.LossBucket(0); b < oracle.NumLossBuckets; b++ {
 		name := strings.NewReplacer("/", "_", "-", "_").Replace(b.String())
 		lossMetricNames[b] = "explore_stock_loss_" + name + "_total"
+	}
+	for a := Action(0); a < NumActions; a++ {
+		firedMetricNames[a] = "explore_" + a.String() + "_fired_total"
 	}
 }
 
@@ -371,6 +384,11 @@ func foldVerdict(sh *obs.Shard, v *Verdict) {
 	for b, n := range tally {
 		if n > 0 {
 			sh.Counter(lossMetricNames[b], "stock losses classified into the "+oracle.LossBucket(b).String()+" bucket", obs.Sim).Add(int64(n))
+		}
+	}
+	for a := Action(0); a < NumActions; a++ {
+		if a.stockBlind() {
+			sh.Counter(firedMetricNames[a], a.String()+" directives that fired in judged RCHDroid runs", obs.Sim).Add(int64(v.RCH.Fired[a]))
 		}
 	}
 	sweep.ObserveHandlings(sh, v.RCH.HandlingTimes)

@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"rchdroid/internal/obs"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
 )
@@ -30,22 +32,36 @@ func TestBaselineSchedules(t *testing.T) {
 }
 
 // TestExploreDeterminism: two independent explorations of the same
-// space render byte-identical reports and per-schedule verdicts at
-// different worker counts — the byte-identical-merge contract extended
-// to the explorer's tallies. Every corpus scenario is an input, so the
-// four-worker pass reads each scenario's shared app definition from
-// four goroutines at once (the race-enabled tier-1 pass checks it).
+// space render byte-identical reports, per-schedule verdicts and
+// canonical metric dumps at different worker counts — the
+// byte-identical-merge contract extended to the explorer's tallies and
+// to the shared RCHDroid runs' captured metrics, which every schedule
+// that reuses a run merges into its own worker's shard. Every corpus
+// scenario and the lazy-migration fixture are inputs, so the four-worker
+// pass reads each scenario's shared app definition and memo entries
+// from four goroutines at once (the race-enabled tier-1 pass checks
+// it). The walk is depth 2, depth 1 under -short.
 func TestExploreDeterminism(t *testing.T) {
-	for _, sc := range corpus.All() {
+	depth := 2
+	if testing.Short() {
+		depth = 1
+	}
+	for _, sc := range withFixture() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			opts := Options{Depth: 1, Workers: 1}
-			a := Explore(&sc, opts)
-			opts.Workers = 4
-			b := Explore(&sc, opts)
+			walk := func(workers int) (*Result, []byte) {
+				reg := obs.NewRegistry()
+				res := Explore(&sc, Options{Depth: depth, Workers: workers, Obs: reg})
+				return res, reg.Snapshot().MarshalCanonical()
+			}
+			a, aDump := walk(1)
+			b, bDump := walk(4)
 			if a.String() != b.String() || a.Report.String() != b.Report.String() {
 				t.Fatalf("exploration not deterministic:\n--- workers=1:\n%s\n--- workers=4:\n%s", a, b)
+			}
+			if !bytes.Equal(aDump, bDump) {
+				t.Fatalf("canonical dumps differ:\n--- workers=1:\n%s--- workers=4:\n%s", aDump, bDump)
 			}
 		})
 	}

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rchdroid/internal/chaos"
 	"rchdroid/internal/oracle/corpus"
 )
 
@@ -22,13 +23,23 @@ import (
 //
 // Each action is either stock-visible or stock-blind. A stock-visible
 // action changes what stock Android 10 does: it pushes a change, moves
-// the clock or kills the process. A stock-blind action only arms a hook
-// that RCHDroid alone consults, so a stock run with the slot is the
-// stock run without it, field for field. Explore runs the stock arm
-// once per stock view (stockView) and shares it among the schedules
-// that differ only in stock-blind slots. Declaring a stock-visible
-// action blind would judge those schedules against the wrong
-// stock run; TestStockBlindSlotsLeaveStockUnchanged catches it.
+// the clock or kills the process. A stock-blind action only arms a
+// chaos directive at a point that RCHDroid alone consults, and names
+// that point next to its constant (blindPoint). A stock run with the
+// slot is the stock run without it, field for field, so Explore runs
+// the stock arm once per stock view (stockView) and shares it among the
+// schedules that differ only in stock-blind slots. It shares the view's
+// RCHDroid run too, with each schedule whose stock-blind slots that run
+// proves inert: a directive does nothing until its point is consulted,
+// so a slot whose point the view's run never consulted after the slot's
+// arming point changes nothing (RunResult.lastConsult). Declaring a
+// stock-visible action blind would judge those schedules against the
+// wrong stock run; TestStockBlindSlotsLeaveStockUnchanged catches it.
+//
+// Stock-blind actions sort after every stock-visible one. runScenario
+// arms an edge's slots in action order, so a blind slot arms after
+// every visible slot of its edge, and one consult record per edge is
+// exact (TestStockBlindActionsSortLast).
 type Action int
 
 const (
@@ -42,16 +53,29 @@ const (
 	// system-held stock bundle. Stock-visible.
 	ActKill
 	// ActFlush defers the next migration flush past the edge (arms a
-	// scripted stall on the migration point). Stock-blind: only
-	// RCHDroid's migrator calls chaos.Plan.OnMigrationFlush.
+	// scripted stall on chaos.PointMigration). Stock-blind: only
+	// RCHDroid's migrator calls chaos.Plan.OnMigrationFlush, and only
+	// while an async callback's write to a shadow view is pending.
 	ActFlush
 
 	NumActions
 )
 
-// stockBlind reports whether stock Android never consults the action,
-// as each action's declaration states.
-func (a Action) stockBlind() bool { return a == ActFlush }
+// blindPoint returns the chaos point a stock-blind action's directive
+// arms, as each action's declaration states; ok is false for a
+// stock-visible action.
+func (a Action) blindPoint() (pt chaos.Point, ok bool) {
+	if a == ActFlush {
+		return chaos.PointMigration, true
+	}
+	return 0, false
+}
+
+// stockBlind reports whether stock Android never consults the action.
+func (a Action) stockBlind() bool {
+	_, ok := a.blindPoint()
+	return ok
+}
 
 // String names the action for schedule strings and reports.
 func (a Action) String() string {

@@ -29,6 +29,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,12 +228,7 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.set.Store(true)
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	raise(&g.v, v)
 }
 
 // Histogram counts observations into fixed buckets and tracks
@@ -256,17 +252,65 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	lower(&h.min, v)
+	raise(&h.max, v)
+}
+
+// raise stores v in a if v is larger.
+func raise(a *atomic.Int64, v int64) {
 	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
+}
+
+// lower stores v in a if v is smaller.
+func lower(a *atomic.Int64, v int64) {
 	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
+		cur := a.Load()
+		if v >= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
+	}
+}
+
+// Merge adds what src recorded into s with Registry.Snapshot's
+// arithmetic: counters, histogram buckets, counts and sums add, while a
+// histogram's min and max and a gauge keep their extremes. Every metric
+// src defines becomes defined on s, recorded or not, so s snapshots as
+// if src's writes had been made on it. src may belong to another
+// registry; s's registry takes each metric's definition from src. A nil
+// shard on either side no-ops. src is locked for the merge, so two
+// shards must not merge into each other at once.
+func (s *Shard) Merge(src *Shard) {
+	if s == nil || src == nil {
+		return
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	for name, c := range src.counters {
+		s.Counter(name, c.def.help, c.def.domain).Add(c.v.Load())
+	}
+	for name, g := range src.gauges {
+		dst := s.Gauge(name, g.def.help, g.def.domain)
+		if g.set.Load() {
+			dst.Set(g.v.Load())
+		}
+	}
+	for name, h := range src.hists {
+		dst := s.Histogram(name, h.def.help, h.def.domain, h.def.bounds)
+		if !slices.Equal(dst.def.bounds, h.def.bounds) {
+			panic(fmt.Sprintf("obs: histogram %q merged across different bounds", name))
+		}
+		for i := range h.buckets {
+			dst.buckets[i].Add(h.buckets[i].Load())
+		}
+		dst.count.Add(h.count.Load())
+		dst.sum.Add(h.sum.Load())
+		lower(&dst.min, h.min.Load())
+		raise(&dst.max, h.max.Load())
 	}
 }
 

@@ -207,6 +207,45 @@ func TestMergeSnapshotsEmptyHistogram(t *testing.T) {
 	}
 }
 
+// TestShardMerge: a shard merged into another, across registries,
+// snapshots the same as both shards in one registry: counters and
+// buckets add, min/max and gauges keep their extremes, and metrics the
+// merged shard only defined (an empty histogram, an unset gauge, a zero
+// counter) stay defined. Merging a nil shard, or into one, no-ops.
+func TestShardMerge(t *testing.T) {
+	record := func(a, b *Shard) {
+		rng := rand.New(rand.NewSource(26))
+		for i := 0; i < 500; i++ {
+			sh := a
+			if rng.Intn(2) == 1 {
+				sh = b
+			}
+			sh.Counter("events_total", "events", Sim).Add(1 + rng.Int63n(5))
+			sh.Gauge("frontier", "high water", Sim).Set(rng.Int63n(1000) - 500)
+			sh.Histogram("lat_ns", "latency", Sim, SimDurationBounds).Observe(rng.Int63n(int64(2 * time.Second)))
+			sh.Histogram("wall_ns", "wall", Wall, WallDurationBounds).Observe(rng.Int63n(int64(time.Second)))
+		}
+		b.Gauge("only_b", "set on b alone", Sim).Set(-7)
+		b.Counter("idle_total", "defined, never added", Sim)
+		b.Gauge("idle_gauge", "defined, never set", Sim)
+		b.Histogram("idle_ns", "defined, never observed", Sim, SimDurationBounds)
+	}
+
+	one := NewRegistry()
+	record(one.Shard(), one.Shard())
+	want := one.Snapshot().MarshalAll()
+
+	dst, capture := NewRegistry(), NewRegistry()
+	a, b := dst.Shard(), capture.Shard()
+	record(a, b)
+	a.Merge(b)
+	a.Merge(nil)
+	(*Shard)(nil).Merge(b)
+	if got := dst.Snapshot().MarshalAll(); !bytes.Equal(got, want) {
+		t.Fatalf("merged shard differs from both shards in one registry\n--- want\n%s--- got\n%s", want, got)
+	}
+}
+
 func TestWallDomainQuarantine(t *testing.T) {
 	reg := NewRegistry()
 	sh := reg.Shard()

@@ -64,6 +64,13 @@ const (
 	// the dialogs showing at start time — the deferred-dismiss pattern
 	// that leaks the window when a stock restart got there first.
 	StepAsync
+	// StepTouch starts a Work-long async task whose completion sets Text
+	// on the starting instance's TextView with ID — the Fig 9 pattern and
+	// the oracle's touch op. If a stock restart released that view
+	// meanwhile, the write crashes; if RCHDroid made the instance its
+	// shadow, the lazy-migration flush carries the write to the sunny
+	// instance.
+	StepTouch
 	// StepKill crashes the process and relaunches it with the
 	// system-held stock bundle (background kill, user navigates back).
 	StepKill
@@ -105,6 +112,8 @@ func (k StepKind) String() string {
 		return "dialog"
 	case StepAsync:
 		return "async"
+	case StepTouch:
+		return "touch"
 	case StepKill:
 		return "kill"
 	case StepQuarantine:

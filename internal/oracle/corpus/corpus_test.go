@@ -97,6 +97,7 @@ func TestStepKindStrings(t *testing.T) {
 		StepFragment:    "fragment",
 		StepDialog:      "dialog",
 		StepAsync:       "async",
+		StepTouch:       "touch",
 		StepKill:        "kill",
 		StepQuarantine:  "quarantine",
 		StepIdle:        "idle",

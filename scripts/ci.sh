@@ -47,8 +47,14 @@
 #                      every activity either RCHDroid-equivalent or
 #                      exactly stock-equivalent (never a hybrid)
 #  12. explore gate  — exhaustive depth-3 schedule-space exploration of
-#                      the data-loss corpus (cmd/rchexplore): 42,394
-#                      schedules, metrics on; every schedule must pass
+#                      the data-loss corpus (cmd/rchexplore, built once
+#                      into ./artifacts/): 42,394 schedules at
+#                      -workers=4, metrics on; every schedule must pass.
+#                      The same walk at -workers=1 must print a
+#                      byte-identical report and canonical dump (the
+#                      explicit -workers keep the comparison real on
+#                      one-core runners), which pins the shared stock
+#                      and RCHDroid runs and their replayed metrics
 #  13. counterfactual — guard-off runs must reproduce the raw failures
 #                      the guard recovers, and guarded verdicts replay
 #                      bit-identically
@@ -155,8 +161,19 @@ echo "==> guarded chaos sweep (1024 seeds, parallel engine)"
 artifacts/rchsweep -mode=guard -seeds=1024 -trace-on-fail \
     -metrics-out artifacts/metrics.guard.json
 
-echo "==> schedule-space exploration gate (corpus, depth 3, exhaustive, metrics)"
-go run ./cmd/rchexplore -depth=3 -metrics-out artifacts/metrics.explore.json
+echo "==> schedule-space exploration gate (corpus, depth 3, exhaustive, metrics; workers=4 vs 1 byte-compare)"
+go build -o artifacts/rchexplore ./cmd/rchexplore
+for workers in 4 1; do
+    if ! artifacts/rchexplore -depth=3 -workers="$workers" \
+        -metrics-out "artifacts/metrics.explore.w$workers.json" > "artifacts/report.explore.w$workers.txt"; then
+        cat "artifacts/report.explore.w$workers.txt"
+        echo "ci: explore gate failed at -workers=$workers" >&2
+        exit 1
+    fi
+done
+cat artifacts/report.explore.w4.txt
+cmp artifacts/report.explore.w4.txt artifacts/report.explore.w1.txt
+cmp artifacts/metrics.explore.w4.json artifacts/metrics.explore.w1.json
 
 echo "==> guard counterfactual + replay determinism"
 go test ./internal/oracle -run 'TestGuardSavesRawFailures|TestGuardDeterministic' -count=1
