@@ -12,11 +12,14 @@ import (
 
 	"rchdroid/internal/benchapp"
 	"rchdroid/internal/bundle"
+	"rchdroid/internal/chaos"
 	"rchdroid/internal/core"
 	"rchdroid/internal/experiments"
 	"rchdroid/internal/explore"
 	"rchdroid/internal/guard"
+	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
+	"rchdroid/internal/sweep"
 	"rchdroid/internal/view"
 )
 
@@ -359,6 +362,23 @@ func BenchmarkExploreSchedule(b *testing.B) {
 	}
 	if !v.OK() {
 		b.Fatalf("schedule %d failed:\n%s", idx, v.String())
+	}
+}
+
+// BenchmarkOracleSeed is the sampled differential's unit of work, the
+// path the oracle and guard sweeps run: Light seed 42 under stock and
+// RCHDroid (stock crashes on a touch callback, RCHDroid absorbs eight
+// faults) and Guarded seed 77 under stock and guarded RCHDroid (two
+// watchdog quarantines and a recovery), each generated, run through
+// both arms and judged.
+func BenchmarkOracleSeed(b *testing.B) {
+	var light, guarded oracle.Verdict
+	for i := 0; i < b.N; i++ {
+		light = oracle.DifferentialWith(42, sweep.RCHInstaller(), chaos.Light(), nil)
+		guarded = oracle.DifferentialWith(77, sweep.GuardedInstaller(), chaos.Guarded(), nil)
+	}
+	if !light.OK() || !guarded.OK() {
+		b.Fatalf("benchmark seeds failed:\n%s\n%s", light.String(), guarded.String())
 	}
 }
 

@@ -221,7 +221,7 @@ func replayOne(sc *corpus.Scenario, depth int, idx uint64, stdout, stderr io.Wri
 	v := explore.RunIndex(sc, sp, idx)
 	fmt.Fprintf(stdout, "scenario=%s %s\n", sc.Name, v.String())
 	for _, run := range []*explore.RunResult{&v.Stock, &v.RCH} {
-		fmt.Fprintf(stdout, "%s essence: %s\n", run.Name, run.Essence)
+		fmt.Fprintf(stdout, "%s essence: %s cfg:%s\n", run.Name, run.Essence, run.Config)
 		for _, l := range run.Losses {
 			fmt.Fprintf(stdout, "%s loss: %s\n", run.Name, l)
 		}

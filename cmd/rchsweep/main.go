@@ -222,7 +222,7 @@ func writeFailureTrace(stderr io.Writer, mode string, seed uint64) {
 	var name string
 	switch mode {
 	case "oracle":
-		raw, err = oracle.TraceRCH(seed, sweep.RCHInstaller(), 0)
+		raw, err = oracle.TraceRCHWith(seed, sweep.RCHInstaller(), 0, chaos.Light())
 		name = fmt.Sprintf("seed%d.trace.json", seed)
 	case "guard":
 		raw, err = oracle.TraceRCHWith(seed, sweep.GuardedInstaller(), 0, chaos.Guarded())

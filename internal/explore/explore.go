@@ -64,86 +64,6 @@ func (v *Verdict) String() string {
 	return sb.String()
 }
 
-// judge asserts the explorer's transparency-and-classification contract:
-//
-//	RCHDroid absolutes — crash-free, invariant-clean, no state loss in
-//	any bucket (including the buckets stock legitimately loses), kills
-//	never drop saved-bucket state, handling times in bounds. A
-//	quarantined run degrades to stock semantics, so its losses are
-//	judged against the scenario's declared stock buckets instead.
-//
-//	Stock classification — a crash must be declared (StockMayCrash) and
-//	every loss must land in a declared bucket; anything else is an
-//	unclassified divergence, which is exactly what the corpus gate
-//	exists to catch.
-//
-//	Differential — when both runs survive and captured identical kill
-//	bundles, the stock-persisted essence must be identical.
-func (v *Verdict) judge(sc *corpus.Scenario) {
-	fail := func(format string, args ...any) {
-		v.Failures = append(v.Failures, fmt.Sprintf(format, args...))
-	}
-
-	r := &v.RCH
-	quarantined := r.Guard.Enabled && r.Guard.Quarantines > 0
-	if r.Crashed {
-		fail("%s crashed: %s", r.Name, r.CrashCause)
-	}
-	if r.Invariant != "" {
-		fail("%s invariant: %s", r.Name, r.Invariant)
-	}
-	if r.FinalMissing {
-		fail("%s: no foreground activity at end of scenario", r.Name)
-	}
-	for _, l := range r.KillLosses {
-		fail("%s: kill dropped saved state: %s", r.Name, l)
-	}
-	for _, l := range r.Losses {
-		switch {
-		case quarantined && sc.MayLose(l.Bucket):
-			// Stock-routed changes lose exactly what stock loses.
-		case quarantined:
-			fail("%s: quarantined loss outside declared buckets: %s", r.Name, l)
-		case sc.MayLoseRCH(l.Bucket):
-			// Declared best-effort bucket (unserialized instance fields).
-		default:
-			fail("%s lost user state: %s", r.Name, l)
-		}
-	}
-	v.Failures = append(v.Failures, r.Bounds()...)
-
-	s := &v.Stock
-	if s.Crashed && !sc.StockMayCrash {
-		fail("%s: undeclared crash: %s", s.Name, s.CrashCause)
-	}
-	for _, l := range s.KillLosses {
-		fail("%s: kill dropped saved state: %s", s.Name, l)
-	}
-	if !s.Crashed {
-		if s.Invariant != "" {
-			fail("%s invariant: %s", s.Name, s.Invariant)
-		}
-		if s.HandlingViolation != "" {
-			fail("%s: %s", s.Name, s.HandlingViolation)
-		}
-		if s.FinalMissing {
-			fail("%s: no foreground activity at end of scenario", s.Name)
-		}
-		for _, l := range s.Losses {
-			if !sc.MayLose(l.Bucket) {
-				fail("%s: unclassified loss: %s", s.Name, l)
-			}
-		}
-		sameKills := len(s.KillStates) == len(r.KillStates)
-		for i := 0; sameKills && i < len(s.KillStates); i++ {
-			sameKills = s.KillStates[i] == r.KillStates[i]
-		}
-		if !s.FinalMissing && !r.Crashed && !r.FinalMissing && sameKills && s.Essence != r.Essence {
-			fail("essence diverged:\n    %s: %s\n    %s: %s", s.Name, s.Essence, r.Name, r.Essence)
-		}
-	}
-}
-
 // InstallerForObs builds a fresh default installer for the scenario:
 // supervised RCHDroid for guarded scenarios, plain RCHDroid otherwise,
 // with the worker's metric shard routed into core (and the guard). A
@@ -178,10 +98,11 @@ func sharedSpec(def *app.App) device.Spec {
 	return device.Spec{App: func() *app.App { return def }}
 }
 
-// judged is schedule idx's verdict on its two runs.
+// judged is schedule idx's verdict on its two runs, by the oracle's one
+// judge (oracle.Scenario.Judge).
 func judged(sc *corpus.Scenario, idx uint64, sched Schedule, stock, rch RunResult) Verdict {
 	v := Verdict{Scenario: sc.Name, Index: idx, Schedule: sched, Stock: stock, RCH: rch}
-	v.judge(sc)
+	v.Failures = sc.Judge(&v.Stock.RunResult, &v.RCH.RunResult)
 	return v
 }
 

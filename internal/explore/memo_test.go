@@ -31,8 +31,7 @@ func lazyMigration() corpus.Scenario {
 		Name:  "lazy-migration",
 		About: "async callbacks writing to the starting instance's views across rotations",
 		App:   corpus.EditorApp,
-		Probe: func(fg *app.Activity) []oracle.Field {
-			fs := make([]oracle.Field, 0, 2)
+		Probe: func(fg *app.Activity, fs []oracle.Field) []oracle.Field {
 			if et, ok := fg.FindViewByID(corpus.EditorEdit).(*view.EditText); ok {
 				fs = append(fs, oracle.Field{Name: "Editor.text", Value: et.Text(), View: true, Saved: true})
 			}
@@ -41,15 +40,15 @@ func lazyMigration() corpus.Scenario {
 			}
 			return fs
 		},
-		Steps: []corpus.Step{
-			{Kind: corpus.StepType, ID: corpus.EditorEdit, Text: "fig 9", Settle: 50 * time.Millisecond},
-			{Kind: corpus.StepTouch, ID: corpus.EditorStatus, Text: "loaded", Work: 300 * time.Millisecond,
+		Steps: []oracle.Step{
+			{Kind: oracle.StepType, ID: corpus.EditorEdit, Text: "fig 9", Settle: 50 * time.Millisecond},
+			{Kind: oracle.StepTouch, ID: corpus.EditorStatus, N: 1, Text: "loaded", Work: 300 * time.Millisecond,
 				Settle: 30 * time.Millisecond, Expect: status("loaded")},
-			{Kind: corpus.StepRotate, Settle: 2 * time.Second},
-			{Kind: corpus.StepTouch, ID: corpus.EditorStatus, Text: "refreshed", Work: 300 * time.Millisecond,
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepTouch, ID: corpus.EditorStatus, N: 1, Text: "refreshed", Work: 300 * time.Millisecond,
 				Settle: 30 * time.Millisecond, Expect: status("refreshed")},
-			{Kind: corpus.StepRotate, Settle: 2 * time.Second},
-			{Kind: corpus.StepIdle, Settle: time.Second},
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepIdle, Settle: time.Second},
 		},
 		StockMayCrash: true,
 		StockMayLose:  []oracle.LossBucket{oracle.LossViewUnsaved, oracle.LossNonViewUnsaved},
@@ -328,7 +327,7 @@ func panickyRCH(calls *sync.Map) rchRunner {
 		if len(s) == 0 {
 			panic("rch run exploded")
 		}
-		return RunResult{Arm: oracle.Arm{Name: s.String()}}
+		return RunResult{RunResult: oracle.RunResult{Name: s.String()}}
 	}
 }
 

@@ -61,7 +61,7 @@ func TestVerdictSummaryMatchesFmt(t *testing.T) {
 		{Field: "Editor.volume", Bucket: oracle.LossViewUnsaved},
 	}
 	arm := func(crashed bool, applied, handlings, inj int, g guard.Summary) RunResult {
-		return RunResult{Arm: oracle.Arm{Crashed: crashed, Applied: applied, Handlings: handlings, Injections: inj, Guard: g}}
+		return RunResult{RunResult: oracle.RunResult{Crashed: crashed, Applied: applied, Handlings: handlings, Injections: inj, Guard: g}}
 	}
 	cases := []struct {
 		name string
@@ -71,7 +71,7 @@ func TestVerdictSummaryMatchesFmt(t *testing.T) {
 		{"stock losses, multi-digit index", Verdict{
 			Index:    10700,
 			Schedule: Schedule{{Edge: 1, Action: ActKill}, {Edge: 4, Action: ActAsync}, {Edge: 9, Action: ActFlush}},
-			Stock:    RunResult{Losses: losses},
+			Stock:    RunResult{RunResult: oracle.RunResult{Losses: losses}},
 			RCH:      arm(false, 7, 1, 3, guard.Summary{}),
 		}},
 		{"stock crashed, guard enabled", Verdict{
@@ -83,7 +83,7 @@ func TestVerdictSummaryMatchesFmt(t *testing.T) {
 		{"rch crashed, guard enabled and idle", Verdict{
 			Index:    42,
 			Schedule: Schedule{{Edge: 0, Action: ActFlush}, {Edge: 8, Action: ActConfig}},
-			Stock:    RunResult{Arm: oracle.Arm{Crashed: true}, Losses: losses[:1]},
+			Stock:    RunResult{RunResult: oracle.RunResult{Crashed: true, Losses: losses[:1]}},
 			RCH:      arm(true, 0, 0, 2, guard.Summary{Enabled: true}),
 		}},
 	}

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"rchdroid/internal/app"
 )
 
 // LossBucket locates where a lost piece of user state lived, following
@@ -92,26 +90,27 @@ func (l Loss) String() string {
 }
 
 // ClassifyLoss diffs two probes field by field. Fields are matched by
-// name, order-independently; a field present in expected but absent from
-// actual is a loss with Actual "<absent>". Fields only present in actual
-// are ignored — state that appeared is not state that was lost. Losses
-// come back sorted by field name, so reports are deterministic.
+// name, order-independently (a probe holds a handful of fields, so a
+// linear match beats building a map); a field present in expected but
+// absent from actual is a loss with Actual "<absent>". Fields only
+// present in actual are ignored — state that appeared is not state that
+// was lost. Losses come back sorted by field name, so reports are
+// deterministic.
 func ClassifyLoss(expected, actual []Field) []Loss {
-	got := make(map[string]Field, len(actual))
-	for _, f := range actual {
-		got[f.Name] = f
-	}
 	var losses []Loss
-	for _, want := range expected {
-		have, ok := got[want.Name]
-		switch {
-		case !ok:
-			losses = append(losses, Loss{Field: want.Name, Bucket: want.Bucket(),
-				Expected: want.Value, Actual: "<absent>"})
-		case have.Value != want.Value:
-			losses = append(losses, Loss{Field: want.Name, Bucket: want.Bucket(),
-				Expected: want.Value, Actual: have.Value})
+	for i, want := range expected {
+		j := fieldIndex(actual, want.Name)
+		if j >= 0 && actual[j].Value == want.Value {
+			continue
 		}
+		have := "<absent>"
+		if j >= 0 {
+			have = actual[j].Value
+		}
+		if losses == nil {
+			losses = make([]Loss, 0, len(expected)-i)
+		}
+		losses = append(losses, Loss{Field: want.Name, Bucket: want.Bucket(), Expected: want.Value, Actual: have})
 	}
 	slices.SortFunc(losses, func(a, b Loss) int { return strings.Compare(a.Field, b.Field) })
 	return losses
@@ -147,9 +146,3 @@ func AppendTally(dst []byte, t [NumLossBuckets]int) []byte {
 	}
 	return dst
 }
-
-// Essence exposes the oracle's stock-persistence fingerprint (the
-// onSaveInstanceState bundle plus the view-tree shape) so the
-// schedule-space explorer can reuse the exact same cross-handler
-// equality the seeded oracle judges with.
-func Essence(a *app.Activity) string { return essenceOf(a) }

@@ -51,7 +51,7 @@ func TestCorpusWellFormed(t *testing.T) {
 			if sc.Guarded {
 				quarantines := 0
 				for _, st := range sc.Steps {
-					if st.Kind == StepQuarantine {
+					if st.Kind == oracle.StepQuarantine {
 						quarantines++
 					}
 				}
@@ -79,36 +79,43 @@ func TestByNameMatchesAll(t *testing.T) {
 	}
 }
 
-// TestStepKindStrings pins the report vocabulary — replay logs name steps
-// by these strings, so renames break saved repro lines.
+// TestStepKindStrings pins the vocabulary of the step language the
+// corpus is written in — invariant lines and replay logs name steps by
+// these strings, so renames break saved repro lines.
 func TestStepKindStrings(t *testing.T) {
-	want := map[StepKind]string{
-		StepType:        "type",
-		StepSetText:     "setText",
-		StepCheck:       "check",
-		StepSeek:        "seek",
-		StepSelect:      "select",
-		StepBumpSaved:   "bumpSaved",
-		StepBumpUnsaved: "bumpUnsaved",
-		StepRotate:      "rotate",
-		StepNight:       "night",
-		StepBack:        "back",
-		StepStart:       "start",
-		StepFragment:    "fragment",
-		StepDialog:      "dialog",
-		StepAsync:       "async",
-		StepTouch:       "touch",
-		StepKill:        "kill",
-		StepQuarantine:  "quarantine",
-		StepIdle:        "idle",
+	want := map[oracle.StepKind]string{
+		oracle.StepType:       "type",
+		oracle.StepSetText:    "setText",
+		oracle.StepCheck:      "check",
+		oracle.StepSeek:       "seek",
+		oracle.StepSelect:     "select",
+		oracle.StepBump:       "bump",
+		oracle.StepRotate:     "rotate",
+		oracle.StepResize:     "resize",
+		oracle.StepLocale:     "locale",
+		oracle.StepFontScale:  "fontscale",
+		oracle.StepNight:      "night",
+		oracle.StepBurst:      "burst",
+		oracle.StepBack:       "back",
+		oracle.StepStart:      "start",
+		oracle.StepFragment:   "fragment",
+		oracle.StepDialog:     "dialog",
+		oracle.StepAsync:      "async",
+		oracle.StepTouch:      "touch",
+		oracle.StepKill:       "kill",
+		oracle.StepQuarantine: "quarantine",
+		oracle.StepIdle:       "idle",
 	}
 	for k, s := range want {
 		if got := k.String(); got != s {
 			t.Errorf("StepKind(%d).String() = %q, want %q", int(k), got, s)
 		}
 	}
-	if got := StepKind(999).String(); got != "step(999)" {
+	if got := oracle.StepKind(999).String(); got != "step(999)" {
 		t.Errorf("unknown kind renders %q", got)
+	}
+	if got := oracle.StepKind(-1).String(); got != "step(-1)" {
+		t.Errorf("negative kind renders %q", got)
 	}
 }
 

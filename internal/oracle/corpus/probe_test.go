@@ -102,11 +102,13 @@ func liveApp(t *testing.T, build func() *app.App) func(func(fg *app.Activity)) *
 }
 
 // checkProbe runs probe and its fmt reference on fg and requires equal,
-// non-empty field lists.
-func checkProbe(t *testing.T, label string, fg *app.Activity, probe, ref func(*app.Activity) []oracle.Field) {
+// non-empty field lists. The probe appends after a field already in its
+// buffer, which must stay.
+func checkProbe(t *testing.T, label string, fg *app.Activity, probe func(*app.Activity, []oracle.Field) []oracle.Field, ref func(*app.Activity) []oracle.Field) {
 	t.Helper()
-	got, want := probe(fg), ref(fg)
-	if len(want) == 0 || !slices.Equal(got, want) {
+	keep := oracle.Field{Name: "kept", Value: "x"}
+	got, want := probe(fg, []oracle.Field{keep}), append([]oracle.Field{keep}, ref(fg)...)
+	if len(want) == 1 || !slices.Equal(got, want) {
 		t.Errorf("%s:\n  probe %v\n  fmt   %v", label, got, want)
 	}
 }
@@ -116,8 +118,8 @@ func TestProbesMatchFmt(t *testing.T) {
 		step := liveApp(t, EditorApp)
 		// Fresh launch: the list selector sits at -1, the counters at 0.
 		fresh := step(func(*app.Activity) {})
-		if !slices.Contains(editorProbe(fresh), oracle.Field{Name: "Editor.row", Value: "-1", View: true}) {
-			t.Fatalf("fresh editor probe has no row at -1: %v", editorProbe(fresh))
+		if !slices.Contains(editorProbe(fresh, nil), oracle.Field{Name: "Editor.row", Value: "-1", View: true}) {
+			t.Fatalf("fresh editor probe has no row at -1: %v", editorProbe(fresh, nil))
 		}
 		checkProbe(t, "fresh", fresh, editorProbe, fmtEditorProbe)
 		fg := step(func(fg *app.Activity) {

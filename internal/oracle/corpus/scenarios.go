@@ -78,35 +78,41 @@ func EditorApp() *app.App {
 // counterFields appends the SavedKey/DraftKey extras to fs under the
 // class's field names.
 func counterFields(fs []oracle.Field, fg *app.Activity, notes, draft string) []oracle.Field {
-	if c, ok := fg.Extra(SavedKey).(int64); ok {
-		fs = append(fs, oracle.Field{Name: notes, Value: strconv.FormatInt(c, 10), Saved: true})
-	}
-	if d, ok := fg.Extra(DraftKey).(int64); ok {
-		fs = append(fs, oracle.Field{Name: draft, Value: strconv.FormatInt(d, 10)})
-	}
-	return fs
+	return append(fs, oracle.CounterField(fg, SavedKey, notes, true), oracle.CounterField(fg, DraftKey, draft, false))
 }
 
 // textAt renders an EditText's value as text@cursor.
 func textAt(et *view.EditText) string { return et.Text() + "@" + strconv.Itoa(et.Cursor()) }
 
-// editorProbe reads the editor's ground truth, one field per bucket.
-func editorProbe(fg *app.Activity) []oracle.Field {
-	fs := make([]oracle.Field, 0, 7)
-	if et, ok := fg.FindViewByID(EditorEdit).(*view.EditText); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.text", Value: textAt(et), View: true, Saved: true})
-	}
-	if cb, ok := fg.FindViewByID(EditorDone).(*view.CheckBox); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.done", Value: strconv.FormatBool(cb.Checked()), View: true, Saved: true})
-	}
-	if sb, ok := fg.FindViewByID(EditorSeek).(*view.SeekBar); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.volume", Value: strconv.Itoa(sb.Progress()), View: true})
-	}
-	if lv, ok := fg.FindViewByID(EditorList).(*view.ListView); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.row", Value: strconv.Itoa(lv.SelectorPosition()), View: true})
-	}
-	if tv, ok := fg.FindViewByID(EditorStatus).(*view.TextView); ok {
-		fs = append(fs, oracle.Field{Name: "Editor.status", Value: tv.Text(), View: true})
+// editorProbe reads the editor's ground truth, one field per bucket. The
+// widgets are the layout root's children, so one pass over them finds
+// every one: the runner probes twice per step.
+func editorProbe(fg *app.Activity, fs []oracle.Field) []oracle.Field {
+	if root, ok := fg.FindViewByID(EditorRoot).(view.Container); ok {
+		for _, v := range root.Children() {
+			switch v := v.(type) {
+			case *view.EditText:
+				if v.ID() == EditorEdit {
+					fs = append(fs, oracle.Field{Name: "Editor.text", Value: textAt(v), View: true, Saved: true})
+				}
+			case *view.CheckBox:
+				if v.ID() == EditorDone {
+					fs = append(fs, oracle.Field{Name: "Editor.done", Value: strconv.FormatBool(v.Checked()), View: true, Saved: true})
+				}
+			case *view.SeekBar:
+				if v.ID() == EditorSeek {
+					fs = append(fs, oracle.Field{Name: "Editor.volume", Value: strconv.Itoa(v.Progress()), View: true})
+				}
+			case *view.ListView:
+				if v.ID() == EditorList {
+					fs = append(fs, oracle.Field{Name: "Editor.row", Value: strconv.Itoa(v.SelectorPosition()), View: true})
+				}
+			case *view.TextView:
+				if v.ID() == EditorStatus {
+					fs = append(fs, oracle.Field{Name: "Editor.status", Value: v.Text(), View: true})
+				}
+			}
+		}
 	}
 	return counterFields(fs, fg, "Editor.notes", "Editor.draft")
 }
@@ -120,17 +126,17 @@ func DoubleRotation() Scenario {
 		About: "state in every bucket, then back-to-back rotations landing mid-handling",
 		App:   EditorApp,
 		Probe: editorProbe,
-		Steps: []Step{
-			{Kind: StepType, ID: EditorEdit, Text: "meeting notes", Settle: 50 * time.Millisecond},
-			{Kind: StepSetText, ID: EditorStatus, Text: "editing", Settle: 30 * time.Millisecond},
-			{Kind: StepCheck, ID: EditorDone, Settle: 30 * time.Millisecond},
-			{Kind: StepSeek, ID: EditorSeek, N: 40, Settle: 30 * time.Millisecond},
-			{Kind: StepSelect, ID: EditorList, N: 2, Settle: 30 * time.Millisecond},
-			{Kind: StepBumpSaved, Settle: 30 * time.Millisecond},
-			{Kind: StepBumpUnsaved, Settle: 30 * time.Millisecond},
-			{Kind: StepRotate, Settle: 40 * time.Millisecond},
-			{Kind: StepRotate, Settle: 2 * time.Second},
-			{Kind: StepIdle, Settle: time.Second},
+		Steps: []oracle.Step{
+			{Kind: oracle.StepType, ID: EditorEdit, Text: "meeting notes", Settle: 50 * time.Millisecond},
+			{Kind: oracle.StepSetText, ID: EditorStatus, Text: "editing", Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepCheck, ID: EditorDone, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepSeek, ID: EditorSeek, N: 40, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepSelect, ID: EditorList, N: 2, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: SavedKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: DraftKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 40 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepIdle, Settle: time.Second},
 		},
 		StockMayLose: []oracle.LossBucket{oracle.LossViewUnsaved, oracle.LossNonViewUnsaved},
 		RCHMayLose:   []oracle.LossBucket{oracle.LossNonViewUnsaved},
@@ -147,17 +153,17 @@ func KillResume() Scenario {
 		About: "process death with a system-held bundle, fresh unsaved input, then a rotation",
 		App:   EditorApp,
 		Probe: editorProbe,
-		Steps: []Step{
-			{Kind: StepType, ID: EditorEdit, Text: "draft body", Settle: 50 * time.Millisecond},
-			{Kind: StepSeek, ID: EditorSeek, N: 70, Settle: 30 * time.Millisecond},
-			{Kind: StepBumpSaved, Settle: 30 * time.Millisecond},
-			{Kind: StepBumpUnsaved, Settle: 30 * time.Millisecond},
-			{Kind: StepKill, Settle: 100 * time.Millisecond},
-			{Kind: StepSetText, ID: EditorStatus, Text: "recovered", Settle: 30 * time.Millisecond},
-			{Kind: StepSeek, ID: EditorSeek, N: 35, Settle: 30 * time.Millisecond},
-			{Kind: StepBumpUnsaved, Settle: 30 * time.Millisecond},
-			{Kind: StepRotate, Settle: 2 * time.Second},
-			{Kind: StepIdle, Settle: time.Second},
+		Steps: []oracle.Step{
+			{Kind: oracle.StepType, ID: EditorEdit, Text: "draft body", Settle: 50 * time.Millisecond},
+			{Kind: oracle.StepSeek, ID: EditorSeek, N: 70, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: SavedKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: DraftKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepKill, Settle: 100 * time.Millisecond},
+			{Kind: oracle.StepSetText, ID: EditorStatus, Text: "recovered", Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepSeek, ID: EditorSeek, N: 35, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: DraftKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepIdle, Settle: time.Second},
 		},
 		StockMayLose: []oracle.LossBucket{oracle.LossViewUnsaved, oracle.LossNonViewUnsaved},
 		RCHMayLose:   []oracle.LossBucket{oracle.LossNonViewUnsaved},
@@ -205,8 +211,7 @@ func BackStackApp() *app.App {
 
 // backStackProbe dispatches on the foreground class; field names carry
 // the class prefix so a finished activity's expectations can be dropped.
-func backStackProbe(fg *app.Activity) []oracle.Field {
-	fs := make([]oracle.Field, 0, 4)
+func backStackProbe(fg *app.Activity, fs []oracle.Field) []oracle.Field {
 	if fg.Class().Name == ComposeClass {
 		if et, ok := fg.FindViewByID(ComposeEdit).(*view.EditText); ok {
 			fs = append(fs, oracle.Field{Name: "Compose.text", Value: textAt(et), View: true, Saved: true})
@@ -234,16 +239,16 @@ func BackStack() Scenario {
 		About: "compose over inbox: rotate on top, navigate back, rotate the survivor",
 		App:   BackStackApp,
 		Probe: backStackProbe,
-		Steps: []Step{
-			{Kind: StepSelect, ID: InboxList, N: 3, Settle: 30 * time.Millisecond},
-			{Kind: StepStart, Class: ComposeClass, Settle: 500 * time.Millisecond},
-			{Kind: StepType, ID: ComposeEdit, Text: "reply text", Settle: 50 * time.Millisecond},
-			{Kind: StepSeek, ID: ComposeSeek, N: 55, Settle: 30 * time.Millisecond},
-			{Kind: StepBumpUnsaved, Settle: 30 * time.Millisecond},
-			{Kind: StepRotate, Settle: 2 * time.Second},
-			{Kind: StepBack, Settle: 500 * time.Millisecond},
-			{Kind: StepRotate, Settle: 2 * time.Second},
-			{Kind: StepIdle, Settle: time.Second},
+		Steps: []oracle.Step{
+			{Kind: oracle.StepSelect, ID: InboxList, N: 3, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepStart, Class: ComposeClass, Settle: 500 * time.Millisecond},
+			{Kind: oracle.StepType, ID: ComposeEdit, Text: "reply text", Settle: 50 * time.Millisecond},
+			{Kind: oracle.StepSeek, ID: ComposeSeek, N: 55, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: DraftKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepBack, Settle: 500 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepIdle, Settle: time.Second},
 		},
 		NoKill:       true,
 		MaxInstances: 4, // inbox + compose + shadow + one transient zombie
@@ -293,8 +298,7 @@ func DialogFragmentApp() *app.App {
 // mailProbe reads the fragment's typed text (view state stock loses),
 // the fragment count (meta the stock contract persists), the showing
 // dialog count and the counters.
-func mailProbe(fg *app.Activity) []oracle.Field {
-	fs := make([]oracle.Field, 0, 5)
+func mailProbe(fg *app.Activity, fs []oracle.Field) []oracle.Field {
 	if tv, ok := fg.FindViewByID(MailRecipient).(*view.CustomTextView); ok {
 		fs = append(fs, oracle.Field{Name: "Mail.recipient", Value: tv.Text(), View: true})
 	}
@@ -315,17 +319,17 @@ func DialogFragment() Scenario {
 		About: "fragment text and a progress dialog dismissed by an async completion across a rotation",
 		App:   DialogFragmentApp,
 		Probe: mailProbe,
-		Steps: []Step{
-			{Kind: StepFragment, Class: FragmentClass, Text: "compose", ID: MailContainer, Settle: 50 * time.Millisecond},
-			{Kind: StepSetText, ID: MailRecipient, Text: "bob@example.com", Settle: 30 * time.Millisecond},
-			{Kind: StepBumpSaved, Settle: 30 * time.Millisecond},
-			{Kind: StepDialog, Text: "sending", Settle: 30 * time.Millisecond},
+		Steps: []oracle.Step{
+			{Kind: oracle.StepFragment, Class: FragmentClass, Text: "compose", ID: MailContainer, Settle: 50 * time.Millisecond},
+			{Kind: oracle.StepSetText, ID: MailRecipient, Text: "bob@example.com", Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: SavedKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepDialog, Text: "sending", Settle: 30 * time.Millisecond},
 			// The async completion dismisses the dialog 400ms later; every
 			// surviving path ends with it closed.
-			{Kind: StepAsync, Work: 400 * time.Millisecond, Settle: 30 * time.Millisecond,
+			{Kind: oracle.StepAsync, Work: 400 * time.Millisecond, Settle: 30 * time.Millisecond,
 				Expect: []oracle.Field{{Name: "Mail.dialogs", Value: "0", View: true}}},
-			{Kind: StepRotate, Settle: 2 * time.Second},
-			{Kind: StepIdle, Settle: 2 * time.Second},
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepIdle, Settle: 2 * time.Second},
 		},
 		AsyncDrain:    time.Second,
 		StockMayCrash: true,
@@ -351,17 +355,17 @@ func ThemeSwitch() Scenario {
 		About: "night-mode toggle mid-edit with a rotation landing inside its handling window",
 		App:   EditorApp,
 		Probe: editorProbe,
-		Steps: []Step{
-			{Kind: StepType, ID: EditorEdit, Text: "night draft", Settle: 50 * time.Millisecond},
-			{Kind: StepCheck, ID: EditorDone, Settle: 30 * time.Millisecond},
-			{Kind: StepSeek, ID: EditorSeek, N: 60, Settle: 30 * time.Millisecond},
-			{Kind: StepSetText, ID: EditorStatus, Text: "dark", Settle: 30 * time.Millisecond},
-			{Kind: StepBumpSaved, Settle: 30 * time.Millisecond},
-			{Kind: StepBumpUnsaved, Settle: 30 * time.Millisecond},
-			{Kind: StepNight, Settle: 40 * time.Millisecond},
-			{Kind: StepRotate, Settle: 40 * time.Millisecond},
-			{Kind: StepNight, Settle: 2 * time.Second},
-			{Kind: StepIdle, Settle: time.Second},
+		Steps: []oracle.Step{
+			{Kind: oracle.StepType, ID: EditorEdit, Text: "night draft", Settle: 50 * time.Millisecond},
+			{Kind: oracle.StepCheck, ID: EditorDone, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepSeek, ID: EditorSeek, N: 60, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepSetText, ID: EditorStatus, Text: "dark", Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: SavedKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepBump, Text: DraftKey, Settle: 30 * time.Millisecond},
+			{Kind: oracle.StepNight, N: int(config.UIModeNight), Settle: 40 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 40 * time.Millisecond},
+			{Kind: oracle.StepNight, N: int(config.UIModeDay), Settle: 2 * time.Second},
+			{Kind: oracle.StepIdle, Settle: time.Second},
 		},
 		StockMayLose: []oracle.LossBucket{oracle.LossViewUnsaved, oracle.LossNonViewUnsaved},
 		RCHMayLose:   []oracle.LossBucket{oracle.LossNonViewUnsaved},
@@ -392,16 +396,16 @@ func QuarantineRecovery() Scenario {
 		About: "forced quarantine, probation recovery, changes racing the queued stock relaunch",
 		App:   EditorApp,
 		Probe: editorProbe,
-		Steps: []Step{
-			{Kind: StepType, ID: EditorEdit, Text: "quarantined draft", Settle: 50 * time.Millisecond},
-			{Kind: StepQuarantine, Class: "EditorActivity", Settle: 20 * time.Millisecond},
-			{Kind: StepRotate, Settle: 40 * time.Millisecond},
-			{Kind: StepIdle, Settle: 800 * time.Millisecond},
-			{Kind: StepRotate, Settle: 100 * time.Millisecond},
-			{Kind: StepNight, Settle: 40 * time.Millisecond},
-			{Kind: StepIdle, Settle: 760 * time.Millisecond},
-			{Kind: StepRotate, Settle: 2 * time.Second},
-			{Kind: StepIdle, Settle: time.Second},
+		Steps: []oracle.Step{
+			{Kind: oracle.StepType, ID: EditorEdit, Text: "quarantined draft", Settle: 50 * time.Millisecond},
+			{Kind: oracle.StepQuarantine, Class: "EditorActivity", Settle: 20 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 40 * time.Millisecond},
+			{Kind: oracle.StepIdle, Settle: 800 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 100 * time.Millisecond},
+			{Kind: oracle.StepNight, N: int(config.UIModeNight), Settle: 40 * time.Millisecond},
+			{Kind: oracle.StepIdle, Settle: 760 * time.Millisecond},
+			{Kind: oracle.StepRotate, Settle: 2 * time.Second},
+			{Kind: oracle.StepIdle, Settle: time.Second},
 		},
 		NoKill:       true,
 		Guarded:      true,

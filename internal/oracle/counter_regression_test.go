@@ -15,8 +15,8 @@ import (
 
 // corruptingInstaller wires genuine RCHDroid, then keeps planting a bad
 // value into the foreground activity's counter extra on a repeating app
-// task — the quiet state corruption that `v, _ := x.(int64)` in
-// readModel used to launder into 0. Corrupting the live instance (not
+// task — the quiet state corruption that a `v, _ := x.(int64)` read
+// launders into 0. Corrupting the live instance (not
 // the outgoing one) matters: anything routed through the save/restore
 // bundle is re-typed to a well-formed int64 on the way.
 func corruptingInstaller(name string, bad any) oracle.Installer {
@@ -38,10 +38,11 @@ func corruptingInstaller(name string, bad any) oracle.Installer {
 	}
 }
 
-// TestOracleRejectsCorruptedCounter is the regression for the former
-// silent drop in readModel: a run whose counter extra ends up mistyped
-// or absent must fail the sweep with an explicit "counter extra"
-// violation, never pass vacuously by reading 0.
+// TestOracleRejectsCorruptedCounter is the regression for a former
+// silent drop in the oracle's state read: a run whose counter extra ends
+// up mistyped or absent must fail the sweep with an explicit "counter
+// extra" violation (the bump step's invariant or the probe's explicit
+// value), never pass vacuously by reading 0.
 func TestOracleRejectsCorruptedCounter(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,7 +57,7 @@ func TestOracleRejectsCorruptedCounter(t *testing.T) {
 			inst := corruptingInstaller("RCHDroid-"+tc.name, tc.bad)
 			rep := sweep.Run(sweep.Config{Mode: "regression", Start: 1, Count: 16, Workers: 4},
 				func(seed uint64) sweep.Outcome {
-					v := oracle.Differential(seed, inst)
+					v := oracle.DifferentialWith(seed, inst, chaos.Light(), nil)
 					return sweep.Outcome{OK: v.OK(), Detail: v.Summary(), Failures: v.Failures}
 				})
 			if rep.OK() {

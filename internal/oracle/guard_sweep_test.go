@@ -60,7 +60,7 @@ func guardFailureTrace(t *testing.T, seed uint64) string {
 // open must be preceded by a landed injection.
 func TestGuardedChaosSweep(t *testing.T) {
 	if *guardReplay != 0 {
-		v := oracle.DifferentialOpts(*guardReplay, guardedInstaller(), chaos.Guarded())
+		v := oracle.DifferentialWith(*guardReplay, guardedInstaller(), chaos.Guarded(), nil)
 		t.Logf("replay verdict:\n%s%s", v.String(), guardFailureTrace(t, *guardReplay))
 		if !v.OK() {
 			t.Fail()
@@ -98,7 +98,7 @@ func TestGuardedChaosSweep(t *testing.T) {
 // (core.TestStaleStockRouteSupersededByRCHHandling is the unit-level
 // counterpart).
 func TestGuardRecoveryMidStockRouteRegression(t *testing.T) {
-	v := oracle.DifferentialOpts(613, guardedInstaller(), chaos.Guarded())
+	v := oracle.DifferentialWith(613, guardedInstaller(), chaos.Guarded(), nil)
 	if !v.OK() {
 		t.Fatalf("guarded seed 613 regressed:\n%s", v.String())
 	}
@@ -111,12 +111,12 @@ func TestGuardRecoveryMidStockRouteRegression(t *testing.T) {
 func TestGuardSavesRawFailures(t *testing.T) {
 	rawFailures := 0
 	for seed := uint64(1); seed <= 96; seed++ {
-		raw := oracle.DifferentialOpts(seed, rchInstaller(), chaos.Guarded())
+		raw := oracle.DifferentialWith(seed, rchInstaller(), chaos.Guarded(), nil)
 		if raw.OK() {
 			continue
 		}
 		rawFailures++
-		guarded := oracle.DifferentialOpts(seed, guardedInstaller(), chaos.Guarded())
+		guarded := oracle.DifferentialWith(seed, guardedInstaller(), chaos.Guarded(), nil)
 		if !guarded.OK() {
 			t.Fatalf("seed %d fails even with the guard:\nraw:     %s\nguarded: %s",
 				seed, raw.String(), guarded.String())
@@ -133,8 +133,8 @@ func TestGuardSavesRawFailures(t *testing.T) {
 // backoffs are part of the deterministic replay contract.
 func TestGuardDeterministic(t *testing.T) {
 	for _, seed := range []uint64{3, 19, 77} {
-		a := oracle.DifferentialOpts(seed, guardedInstaller(), chaos.Guarded())
-		b := oracle.DifferentialOpts(seed, guardedInstaller(), chaos.Guarded())
+		a := oracle.DifferentialWith(seed, guardedInstaller(), chaos.Guarded(), nil)
+		b := oracle.DifferentialWith(seed, guardedInstaller(), chaos.Guarded(), nil)
 		as := fmt.Sprintf("%s|%+v", a.String(), a.RCH)
 		bs := fmt.Sprintf("%s|%+v", b.String(), b.RCH)
 		if as != bs {

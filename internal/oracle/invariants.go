@@ -12,7 +12,7 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rchdroid/internal/app"
 )
@@ -60,11 +60,12 @@ func CheckInvariants(procs []*app.Process, cfg InvariantConfig) []error {
 			errs = append(errs, fmt.Errorf("%s tracks %d instances, want ≤ %d",
 				name, len(acts), cfg.MaxInstancesPerProcess))
 		}
-		tokens := make([]int, 0, len(acts))
+		var buf [8]int
+		tokens := buf[:0]
 		for tok := range acts {
 			tokens = append(tokens, tok)
 		}
-		sort.Ints(tokens)
+		slices.Sort(tokens)
 		// An instance that entered the shadow state for a flip prediction
 		// the server has not answered yet briefly coexists with the
 		// committed shadow coupling; every reply path clears the pointer,

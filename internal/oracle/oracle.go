@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,22 +31,15 @@ type Installer struct {
 	Guard func() *guard.Guard
 }
 
-// ModelState is the ground-truth user state of the oracle app, read
-// directly from the foreground widgets (and the activity's extras) —
-// what the user would see on screen.
-type ModelState struct {
-	Text    string
-	Cursor  int
-	Checked bool
-	Seek    int
-	SelRow  int
-	Counter int64
-}
-
-// Arm is what one arm of a differential run records, whichever harness
-// drives it: the seeded oracle here and the schedule explorer both embed
-// it in their run results and judge it with Bounds.
-type Arm struct {
+// RunResult is one run of a scenario under one handler, whichever
+// harness drives it: the seeded oracle's verdicts and the schedule
+// explorer's hold one per arm, and one judge (Scenario.Judge) reads
+// them.
+//
+// A RunResult is read-only once Run returns it: the explorer shares a
+// stock view's runs among the schedules that reuse them, so its slices
+// may back several verdicts at once.
+type RunResult struct {
 	Name       string
 	Crashed    bool
 	CrashCause string
@@ -76,12 +70,43 @@ type Arm struct {
 	FirstInjectionAt sim.Time
 	// Guard summarises the supervision layer (zero value when disabled).
 	Guard guard.Summary
+	// Config is the final foreground instance's applied configuration;
+	// the judge compares it across handlers along with the essence.
+	Config config.Configuration
+	// Losses classifies every divergence between the ground truth the
+	// steps recorded and the final foreground probe into the DLD
+	// taxonomy, sorted by field.
+	Losses []Loss
+	// KillLosses are saved-bucket fields a captured system bundle failed
+	// to carry across a kill — the save/restore contract itself broke.
+	KillLosses []Loss
+	// KillStates are the rendered bundles captured at each kill, in
+	// order; runs whose kills captured different state are not
+	// essence-comparable.
+	KillStates []string
+	Kills      int
+	// Tasks are the async tasks the run started since its last kill, in
+	// start order. A kill clears them: their results die with the
+	// process.
+	Tasks []Task
+}
+
+// Task is one async task a run started.
+type Task struct {
+	// Index numbers the task among the script's async and touch steps;
+	// it runs as "task<Index>".
+	Index int
+	// Delivered counts how many times its result ran.
+	Delivered int
+	// DroppedByPlan is set when the chaos plan swallowed the result on
+	// purpose.
+	DroppedByPlan bool
 }
 
 // Sample checks the lifecycle invariants at a quiescent point and keeps
 // the first violation, labelled "step <step> (<kind>)", or "final" when
 // step < 0. A crashed process is not sampled: the crash is the finding.
-func (a *Arm) Sample(proc *app.Process, cfg InvariantConfig, step int, kind string) {
+func (a *RunResult) Sample(proc *app.Process, cfg InvariantConfig, step int, kind string) {
 	if a.Invariant != "" || proc.Crashed() {
 		return
 	}
@@ -99,7 +124,7 @@ func (a *Arm) Sample(proc *app.Process, cfg InvariantConfig, step int, kind stri
 // Finish records the end of the run: every handling time against the
 // (0, 1s] bound, the faults the plan landed, and the supervision
 // summary of the guard inst armed, if any.
-func (a *Arm) Finish(sys *atms.ATMS, plan *chaos.Plan, inst Installer) {
+func (a *RunResult) Finish(sys *atms.ATMS, plan *chaos.Plan, inst Installer) {
 	hs := sys.HandlingTimes()
 	a.Handlings = len(hs)
 	a.HandlingTimes = hs
@@ -119,7 +144,7 @@ func (a *Arm) Finish(sys *atms.ATMS, plan *chaos.Plan, inst Installer) {
 	}
 }
 
-// Bounds returns the arm's mode-aware failure lines, the clause every
+// Bounds returns the arm's mode-aware failure lines, the clause the
 // judge applies to the arm under test. A handling time out of bounds is
 // excused only when the guard's watchdog fired on the run. Then each
 // degradation of a guarded run that no landed fault explains fails: a
@@ -128,7 +153,7 @@ func (a *Arm) Finish(sys *atms.ATMS, plan *chaos.Plan, inst Installer) {
 // supervision bug, not robustness. Injections counts landed faults;
 // FirstInjectionAt alone cannot tell "none" from a fault on the very
 // first tick.
-func (a *Arm) Bounds() []string {
+func (a *RunResult) Bounds() []string {
 	var out []string
 	g := a.Guard
 	if a.HandlingViolation != "" && !(g.Enabled && g.ANRs > 0) {
@@ -149,22 +174,6 @@ func (a *Arm) Bounds() []string {
 		out = append(out, fmt.Sprintf("%s: self-check failed with no injected fault", a.Name))
 	}
 	return out
-}
-
-// RunResult is one run of a scenario under one handler.
-type RunResult struct {
-	Arm
-	// Expected is the state the script actually applied (ground truth
-	// recorded at application time); Actual is what the final foreground
-	// instance shows.
-	Expected ModelState
-	Actual   ModelState
-	// Started/Delivered/DroppedByPlan track each async task: whether it
-	// was started, how many times its result ran, and whether the chaos
-	// plan swallowed the result on purpose.
-	Started       []bool
-	Delivered     []int
-	DroppedByPlan []bool
 }
 
 // Verdict is the differential comparison for one seed.
@@ -240,304 +249,86 @@ func essenceOf(a *app.Activity) string {
 	return string(b)
 }
 
-// readModel reads the ground-truth widget state off the foreground
-// instance. The counter extra is seeded in OnCreate, so it must exist
-// as an int64 on every live instance; an absent or mistyped value is
-// reported as an error instead of silently reading 0 — the silent zero
-// can make a run that dropped the counter compare equal to one that
-// kept it, turning a real divergence into a vacuous pass.
-func readModel(a *app.Activity) (ModelState, error) {
-	var m ModelState
-	if et, ok := a.FindViewByID(EditID).(*view.EditText); ok {
-		m.Text, m.Cursor = et.Text(), et.Cursor()
-	}
-	if cb, ok := a.FindViewByID(CheckID).(*view.CheckBox); ok {
-		m.Checked = cb.Checked()
-	}
-	if sb, ok := a.FindViewByID(SeekID).(*view.SeekBar); ok {
-		m.Seek = sb.Progress()
-	}
-	if lv, ok := a.FindViewByID(ListID).(*view.ListView); ok {
-		m.SelRow = lv.SelectorPosition()
-	}
-	switch c := a.Extra(CounterKey).(type) {
-	case int64:
-		m.Counter = c
-	case nil:
-		return m, fmt.Errorf("counter extra absent")
-	default:
-		return m, fmt.Errorf("counter extra mistyped: %T(%v)", c, c)
-	}
-	return m, nil
-}
-
-// oracleInvariants is the sampling config used at quiescent points: the
-// instance bound is 3 (sunny + shadow + one transient zombie awaiting
-// async drain).
-var oracleInvariants = InvariantConfig{MaxInstancesPerProcess: 3, CheckMemoryFloor: true}
-
-// oracleSpec is the device spec for a scenario's world. Its factory
-// builds OracleApp on first use and returns that read-only definition to
-// every later world, so both arms of a differential share one app; a
-// fork path that never calls the factory builds none. The memo is not
-// synchronized: a spec belongs to one differential on one goroutine.
-// Worlds of equal image count are identical pre-chaos, which is what
-// makes them share a fork template.
-func oracleSpec(sc Scenario) device.Spec {
+// oracleSpec is the device spec for a generated scenario's worlds. Its
+// factory builds the scenario's app on first use and returns that
+// read-only definition to every later world, so both arms of a
+// differential share one app; a fork path that never calls the factory
+// builds none. The memo is not synchronized: a spec belongs to one
+// differential on one goroutine.
+func oracleSpec(sc *Scenario) device.Spec {
 	var def *app.App
 	return device.Spec{App: func() *app.App {
 		if def == nil {
-			def = OracleApp(sc.Images)
+			def = sc.App()
 		}
 		return def
 	}}
 }
 
-// runOnce executes the scenario script in a seeded world: built fresh
-// (or forked from forker's per-image-count template — byte-identical by
-// construction), then armed at the post-settle point with the chaos plan
-// on the scenario's seed, the handler under test, and the optional
-// tracer on every layer (system server, process, chaos plan).
-func runOnce(inst Installer, sc Scenario, spec device.Spec, opts chaos.Options, tracer *trace.Tracer, forker *device.TemplateCache) RunResult {
-	res := RunResult{
-		Arm:           Arm{Name: inst.Name},
-		Started:       make([]bool, sc.Tasks),
-		Delivered:     make([]int, sc.Tasks),
-		DroppedByPlan: make([]bool, sc.Tasks),
-	}
-	var plan *chaos.Plan
-	arm := func(w *device.World) {
-		tracer.BindClock(w.Sched)
-		w.Sys.SetTracer(tracer)
-		w.Proc.SetTracer(tracer)
-		plan = chaos.NewPlan(sc.Seed, opts)
-		plan.BindClock(w.Sched)
-		plan.SetTracer(tracer)
-		if inst.Install != nil {
-			inst.Install(w.Sys, w.Proc, plan)
-		}
-		plan.Install(w.Sys, w.Proc)
-	}
-	var w *device.World
-	if forker != nil {
-		w = forker.Fork(fmt.Sprintf("images:%d", sc.Images), spec, sc.Seed, arm)
-	} else {
-		w = device.New(spec, sc.Seed, arm)
-	}
-	sched, sys, proc := w.Sched, w.Sys, w.Proc
-	if fg := proc.Thread().ForegroundActivity(); fg != nil {
-		// Ground truth starts from the freshly launched instance (e.g. a
-		// list's selector begins at -1, not the zero value).
-		var err error
-		if res.Expected, err = readModel(fg); err != nil {
-			res.Invariant = fmt.Sprintf("launch: %v", err)
-		}
-	}
-
-	// ui posts a script interaction onto the app's UI looper; it runs at
-	// a quiescent point, looks up the live foreground instance and
-	// records the ground truth it applied.
-	ui := func(kind string, fn func(fg *app.Activity)) {
-		proc.PostApp("oracle:"+kind, time.Millisecond, func() {
-			fg := proc.Thread().ForegroundActivity()
-			if fg == nil {
-				return
-			}
-			res.Applied++
-			fn(fg)
-		})
-	}
-
-	for step, o := range sc.Ops {
-		switch o.kind {
-		case "rotate":
-			sys.PushConfiguration(sys.GlobalConfig().Rotated())
-		case "resize":
-			sz := resizeTable[o.n]
-			sys.PushConfiguration(sys.GlobalConfig().Resized(sz[0], sz[1]))
-		case "locale":
-			sys.PushConfiguration(sys.GlobalConfig().WithLocale(o.text))
-		case "night":
-			mode := config.UIModeDay
-			if o.n == 1 {
-				mode = config.UIModeNight
-			}
-			sys.PushConfiguration(sys.GlobalConfig().WithUIMode(mode))
-		case "fontscale":
-			sys.PushConfiguration(sys.GlobalConfig().WithFontScale(o.f))
-		case "burst":
-			sys.PushConfiguration(sys.GlobalConfig().Rotated())
-			sched.Advance(o.d)
-			sys.PushConfiguration(sys.GlobalConfig().Rotated())
-		case "type":
-			text := o.text
-			ui(o.kind, func(fg *app.Activity) {
-				if et, ok := fg.FindViewByID(EditID).(*view.EditText); ok {
-					et.Type(text)
-					res.Expected.Text, res.Expected.Cursor = et.Text(), et.Cursor()
-				}
-			})
-		case "check":
-			ui(o.kind, func(fg *app.Activity) {
-				if cb, ok := fg.FindViewByID(CheckID).(*view.CheckBox); ok {
-					cb.SetChecked(!cb.Checked())
-					res.Expected.Checked = cb.Checked()
-				}
-			})
-		case "seek":
-			val := o.n
-			ui(o.kind, func(fg *app.Activity) {
-				if sb, ok := fg.FindViewByID(SeekID).(*view.SeekBar); ok {
-					sb.SetProgress(val)
-					res.Expected.Seek = sb.Progress()
-				}
-			})
-		case "selectRow":
-			row := o.n
-			ui(o.kind, func(fg *app.Activity) {
-				if lv, ok := fg.FindViewByID(ListID).(*view.ListView); ok {
-					lv.PositionSelector(row)
-					res.Expected.SelRow = lv.SelectorPosition()
-				}
-			})
-		case "bump":
-			ui(o.kind, func(fg *app.Activity) {
-				c, ok := fg.Extra(CounterKey).(int64)
-				if !ok && res.Invariant == "" {
-					// Bumping would silently repair a dropped or corrupted
-					// counter (0+1 looks like a legitimate first bump), so
-					// flag it before overwriting.
-					res.Invariant = fmt.Sprintf("step %d (bump): counter extra absent/mistyped: %T",
-						step, fg.Extra(CounterKey))
-				}
-				fg.PutExtra(CounterKey, c+1)
-				res.Expected.Counter = c + 1
-			})
-		case "touch":
-			idx, work := o.n, o.d
-			ui(o.kind, func(fg *app.Activity) {
-				res.Started[idx] = true
-				// The closure captures THIS instance's ImageViews — the
-				// §2.2 pattern that crashes a restarted app.
-				imgs := make([]*view.ImageView, 0, sc.Images)
-				for i := 0; i < sc.Images; i++ {
-					if iv, ok := fg.FindViewByID(ImgIDBase + view.ID(i)).(*view.ImageView); ok {
-						imgs = append(imgs, iv)
-					}
-				}
-				fg.StartAsyncTask(taskName(idx), work, func() {
-					res.Delivered[idx]++
-					for _, iv := range imgs {
-						iv.SetDrawable("drawable/loaded")
-					}
-				})
-			})
-		case "idle", "idleLong":
-			// nothing to inject; the advance below is the op
-		}
-		sched.Advance(o.settle)
-		res.Sample(proc, oracleInvariants, step, o.kind)
-	}
-	// Drain: longest task (400 ms) + worst chaos delay (700 ms) both fit.
-	sched.Advance(4 * time.Second)
-
-	res.Crashed = proc.Crashed()
-	if res.Crashed {
-		res.CrashCause = fmt.Sprint(proc.CrashCause())
-	} else {
-		res.Sample(proc, oracleInvariants, -1, "")
-		if fg := proc.Thread().ForegroundActivity(); fg != nil {
-			res.Essence = essenceOf(fg)
-			var err error
-			if res.Actual, err = readModel(fg); err != nil && res.Invariant == "" {
-				res.Invariant = fmt.Sprintf("final: %v", err)
-			}
-		} else {
-			res.FinalMissing = true
-		}
-	}
-	for i := range res.DroppedByPlan {
-		res.DroppedByPlan[i] = plan.AsyncDropped(taskName(i)) > 0
-	}
-	res.Finish(sys, plan, inst)
-	return res
-}
-
-// Differential runs the scenario for a seed under the stock Android-10
-// handler and under the installer's handler, then judges the
-// transparency contract.
-func Differential(seed uint64, rch Installer) Verdict {
-	return DifferentialOpts(seed, rch, chaos.Light())
-}
-
-// DifferentialOpts is Differential under an explicit chaos preset —
-// both runs replay the same plan, so the comparison stays apples to
-// apples at any fault intensity.
-func DifferentialOpts(seed uint64, rch Installer, opts chaos.Options) Verdict {
-	return DifferentialWith(seed, rch, opts, nil)
-}
-
-// DifferentialWith is DifferentialOpts with an optional fork cache: when
-// forker is non-nil, both arms' worlds are forked from per-image-count
-// templates instead of being built from scratch. The verdict is
-// byte-identical either way — forks replay the exact pre-chaos state and
-// the chaos plan arms at the same post-settle point on both paths.
+// DifferentialWith runs the seed's generated scenario under the stock
+// Android-10 handler and under the installer's handler, both on the
+// same chaos plan (the preset opts on the seed), then judges the
+// transparency contract. When forker is non-nil, both arms' worlds are
+// forked from per-image-count templates instead of being built from
+// scratch. The verdict is byte-identical either way: forks replay the
+// exact pre-chaos state and the plan arms at the same post-settle point
+// on both paths.
 func DifferentialWith(seed uint64, rch Installer, opts chaos.Options, forker *device.TemplateCache) Verdict {
 	sc := GenScenario(seed)
+	spec := oracleSpec(&sc)
 	v := Verdict{Seed: seed}
-	spec := oracleSpec(sc)
-	v.Stock = runOnce(Installer{Name: "Android-10"}, sc, spec, opts, nil, forker)
-	v.RCH = runOnce(rch, sc, spec, opts, nil, forker)
-	v.judge()
+	v.Stock = Run(&sc, spec, chaos.NewPlan(seed, opts), Installer{Name: "Android-10"}, nil, forker, nil)
+	v.RCH = Run(&sc, spec, chaos.NewPlan(seed, opts), rch, nil, forker, nil)
+	v.Failures = sc.Judge(&v.Stock, &v.RCH)
 	return v
 }
 
-// TraceRCH re-runs the RCHDroid side of a seed's scenario with a
-// bounded ring tracer armed and returns the Chrome trace_event JSON.
-// Determinism makes this a faithful timeline of the failing run — the
-// faults land at the exact same points — at zero tracing cost to the
-// passing sweep. Capacity bounds the ring (≤ 0 uses the default), so
-// the dump always holds the tail of the run: the part where it failed.
-func TraceRCH(seed uint64, rch Installer, capacity int) ([]byte, error) {
-	return TraceRCHWith(seed, rch, capacity, chaos.Light())
-}
-
-// TraceRCHWith is TraceRCH under an explicit chaos preset, for
-// replaying failures found by sweeps that run heavier presets.
+// TraceRCHWith re-runs the RCHDroid side of a seed's scenario under the
+// chaos preset opts with a bounded ring tracer armed and returns the
+// Chrome trace_event JSON. Determinism makes this a faithful timeline of
+// the failing run — the faults land at the exact same points — at zero
+// tracing cost to the passing sweep. Capacity bounds the ring (≤ 0 uses
+// the default), so the dump always holds the tail of the run: the part
+// where it failed.
 func TraceRCHWith(seed uint64, rch Installer, capacity int, opts chaos.Options) ([]byte, error) {
 	sc := GenScenario(seed)
 	tracer := trace.NewRing(nil, capacity)
-	runOnce(rch, sc, oracleSpec(sc), opts, tracer, nil)
+	Run(&sc, oracleSpec(&sc), chaos.NewPlan(seed, opts), rch, tracer, nil, nil)
 	return tracer.MarshalJSON()
 }
 
-// judge asserts the contract:
+// Judge returns the failure lines of one differential pair under the
+// scenario's contract. It is the one judge of both harnesses:
 //
-//	RCHDroid absolutes — crash-free, invariant-clean, full user state
-//	preserved (including what stock legitimately loses), every async
-//	result delivered exactly once unless the chaos plan dropped it,
-//	handling times in bounds.
+//	RCHDroid absolutes — crash-free, invariant-clean, no state loss in
+//	any bucket the scenario does not declare for it (stock's legitimate
+//	losses included), kills never drop saved-bucket state, every async
+//	result it started delivered exactly once unless the chaos plan
+//	dropped it, handling times in bounds.
 //
-//	Stock sanity — never a double delivery; invariants and handling
-//	bounds hold while it survives.
+//	Stock classification — never a double delivery; a crash must be
+//	declared (StockMayCrash), and every loss must land in a declared
+//	bucket; anything else is an unclassified divergence. Invariants and
+//	handling bounds hold while it survives.
 //
-//	Differential — if the stock run survived, the stock-persisted
-//	essence (onSaveInstanceState keys and values, tree shape) must be
-//	identical across handlers: the app cannot tell them apart.
+//	Differential — when both runs survive and captured identical kill
+//	bundles, the stock-persisted essence (onSaveInstanceState keys and
+//	values, tree shape) and the final configuration must be identical:
+//	the app cannot tell the handlers apart.
 //
 //	Guarded runs — a quarantined activity degrades to exact stock
-//	semantics, so the full-state absolute no longer applies to it (the
-//	stock-essence equality still does: RCHDroid-or-stock, never a
-//	hybrid). Handling times may exceed the bound only when the watchdog
-//	actually fired on them. Degradation must be fault-attributed: a
-//	quarantine (or breaker open) without a previously landed injection
-//	is a supervision bug, not robustness.
-func (v *Verdict) judge() {
+//	semantics, so its losses are judged against the stock buckets
+//	instead (the essence equality still applies: RCHDroid-or-stock,
+//	never a hybrid). Handling times may exceed the bound only when the
+//	watchdog actually fired on them, and each degradation must be
+//	fault-attributed (RunResult.Bounds).
+func (sc *Scenario) Judge(stock, rch *RunResult) []string {
+	var out []string
 	fail := func(format string, args ...any) {
-		v.Failures = append(v.Failures, fmt.Sprintf(format, args...))
+		out = append(out, fmt.Sprintf(format, args...))
 	}
 
-	r := &v.RCH
+	r := rch
 	quarantined := r.Guard.Enabled && r.Guard.Quarantines > 0
 	if r.Crashed {
 		fail("%s crashed: %s", r.Name, r.CrashCause)
@@ -548,39 +339,68 @@ func (v *Verdict) judge() {
 	if r.FinalMissing {
 		fail("%s: no foreground activity at end of scenario", r.Name)
 	}
-	if !r.Crashed && !r.FinalMissing && r.Actual != r.Expected && !quarantined {
-		fail("%s lost user state: actual %+v, expected %+v", r.Name, r.Actual, r.Expected)
+	for _, l := range r.KillLosses {
+		fail("%s: kill dropped saved state: %s", r.Name, l)
 	}
-	v.Failures = append(v.Failures, r.Bounds()...)
-	for i, started := range r.Started {
-		want := 0
-		if started && !r.DroppedByPlan[i] {
-			want = 1
+	for _, l := range r.Losses {
+		switch {
+		case quarantined && sc.MayLose(l.Bucket):
+			// Stock-routed changes lose exactly what stock loses.
+		case quarantined:
+			fail("%s: quarantined loss outside declared buckets: %s", r.Name, l)
+		case sc.MayLoseRCH(l.Bucket):
+			// Declared best-effort bucket (unserialized instance fields).
+		default:
+			fail("%s lost user state: %s", r.Name, l)
 		}
-		if !r.Crashed && r.Delivered[i] != want {
-			fail("%s: task%d delivered %d times, want %d (started=%v droppedByPlan=%v)",
-				r.Name, i, r.Delivered[i], want, started, r.DroppedByPlan[i])
+	}
+	out = append(out, r.Bounds()...)
+	if !r.Crashed {
+		for _, t := range r.Tasks {
+			want := 1
+			if t.DroppedByPlan {
+				want = 0
+			}
+			if t.Delivered != want {
+				fail("%s: task%d delivered %d times, want %d (droppedByPlan=%v)",
+					r.Name, t.Index, t.Delivered, want, t.DroppedByPlan)
+			}
 		}
 	}
 
-	s := &v.Stock
-	for i, d := range s.Delivered {
-		if d > 1 {
-			fail("%s: task%d delivered %d times, want ≤ 1", s.Name, i, d)
+	s := stock
+	for _, t := range s.Tasks {
+		if t.Delivered > 1 {
+			fail("%s: task%d delivered %d times, want ≤ 1", s.Name, t.Index, t.Delivered)
 		}
 	}
-	if !s.Crashed {
-		if s.Invariant != "" {
-			fail("%s invariant: %s", s.Name, s.Invariant)
-		}
-		if s.HandlingViolation != "" {
-			fail("%s: %s", s.Name, s.HandlingViolation)
-		}
-		if s.FinalMissing {
-			fail("%s: no foreground activity at end of scenario", s.Name)
-		}
-		if !s.FinalMissing && !r.Crashed && !r.FinalMissing && s.Essence != r.Essence {
-			fail("essence diverged:\n    %s: %s\n    %s: %s", s.Name, s.Essence, r.Name, r.Essence)
+	if s.Crashed && !sc.StockMayCrash {
+		fail("%s: undeclared crash: %s", s.Name, s.CrashCause)
+	}
+	for _, l := range s.KillLosses {
+		fail("%s: kill dropped saved state: %s", s.Name, l)
+	}
+	if s.Crashed {
+		return out
+	}
+	if s.Invariant != "" {
+		fail("%s invariant: %s", s.Name, s.Invariant)
+	}
+	if s.HandlingViolation != "" {
+		fail("%s: %s", s.Name, s.HandlingViolation)
+	}
+	if s.FinalMissing {
+		fail("%s: no foreground activity at end of scenario", s.Name)
+	}
+	for _, l := range s.Losses {
+		if !sc.MayLose(l.Bucket) {
+			fail("%s: unclassified loss: %s", s.Name, l)
 		}
 	}
+	sameKills := slices.Equal(s.KillStates, r.KillStates)
+	if !s.FinalMissing && !r.Crashed && !r.FinalMissing && sameKills && (s.Essence != r.Essence || s.Config != r.Config) {
+		fail("essence diverged:\n    %s: %s cfg:%s\n    %s: %s cfg:%s",
+			s.Name, s.Essence, s.Config, r.Name, r.Essence, r.Config)
+	}
+	return out
 }

@@ -36,7 +36,7 @@ func failureTrace(t *testing.T, seed uint64) string {
 	if !*traceOnFail {
 		return ""
 	}
-	raw, err := oracle.TraceRCH(seed, rchInstaller(), 0)
+	raw, err := oracle.TraceRCHWith(seed, rchInstaller(), 0, chaos.Light())
 	if err != nil {
 		return fmt.Sprintf("\ntrace-on-fail: %v", err)
 	}
@@ -68,7 +68,7 @@ func rchInstaller() oracle.Installer { return sweep.RCHInstaller() }
 // replays it.
 func TestTransparencyOracleSweep(t *testing.T) {
 	if *replaySeed != 0 {
-		v := oracle.Differential(*replaySeed, rchInstaller())
+		v := oracle.DifferentialWith(*replaySeed, rchInstaller(), chaos.Light(), nil)
 		t.Logf("replay verdict:\n%s%s", v.String(), failureTrace(t, *replaySeed))
 		if !v.OK() {
 			t.Fail()
@@ -100,8 +100,8 @@ func TestTransparencyOracleSweep(t *testing.T) {
 // actual reproducer.
 func TestVerdictDeterministic(t *testing.T) {
 	for _, seed := range []uint64{7, 42, 1337} {
-		a := oracle.Differential(seed, rchInstaller())
-		b := oracle.Differential(seed, rchInstaller())
+		a := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light(), nil)
+		b := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light(), nil)
 		as := fmt.Sprintf("%s|%+v|%+v", a.String(), a.RCH, b.Stock)
 		bs := fmt.Sprintf("%s|%+v|%+v", b.String(), b.RCH, a.Stock)
 		if as != bs {
@@ -138,8 +138,8 @@ func TestOracleHasTeeth(t *testing.T) {
 		},
 	}
 	for seed := uint64(1); seed <= 40; seed++ {
-		good := oracle.Differential(seed, rchInstaller())
-		bad := oracle.Differential(seed, lossy)
+		good := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light(), nil)
+		bad := oracle.DifferentialWith(seed, lossy, chaos.Light(), nil)
 		if good.OK() && !bad.OK() {
 			return // the oracle told the mutant apart from the real thing
 		}

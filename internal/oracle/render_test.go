@@ -55,7 +55,7 @@ func fmtEssence(a *app.Activity) string {
 
 func TestVerdictSummaryMatchesFmt(t *testing.T) {
 	arm := func(crashed bool, applied, handlings, inj int, g guard.Summary) RunResult {
-		return RunResult{Arm: Arm{Crashed: crashed, Applied: applied, Handlings: handlings, Injections: inj, Guard: g}}
+		return RunResult{Crashed: crashed, Applied: applied, Handlings: handlings, Injections: inj, Guard: g}
 	}
 	for _, v := range []Verdict{
 		{Seed: 0},

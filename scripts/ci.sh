@@ -17,8 +17,10 @@
 #                      idle: the watchdog must be tick-for-tick free
 #   7. allocs gate   — bundle save/restore, a guard-transfer-shaped
 #                      save + two checksums, one simulated runtime
-#                      change, unguarded and guarded, and one judged
-#                      depth-3 explorer schedule, each run 200x with
+#                      change, unguarded and guarded, one judged
+#                      depth-3 explorer schedule, and one judged Light
+#                      and one judged Guarded oracle seed (the sampled
+#                      path the sweeps run), each run 200x with
 #                      -benchmem: allocs/op (deterministic, unlike
 #                      ns/op) must stay at or under its ceiling in
 #                      ALLOC_CEILINGS below
@@ -107,7 +109,7 @@ go test ./internal/experiments -run TestTraceOverheadGuard -count=1
 echo "==> guard idle anchor"
 go test ./internal/experiments -run TestGuardIdleAnchor -count=1
 
-echo "==> allocs/op gate (bundle save/restore, transfer checksum, runtime change, guarded change, explore schedule)"
+echo "==> allocs/op gate (bundle save/restore, transfer checksum, runtime change, guarded change, explore schedule, oracle seed)"
 # Ceilings are the allocs/op measured when each benchmark's last saving
 # landed; lower one when a change saves allocations, never raise one to
 # pass.
@@ -115,9 +117,10 @@ ALLOC_CEILINGS="BenchmarkBundleSaveRestore64Views=135
 BenchmarkBundleTransferChecksum64Views=135
 BenchmarkSimulatedRuntimeChange=35
 BenchmarkGuardedRuntimeChange=37
-BenchmarkExploreSchedule=815"
+BenchmarkExploreSchedule=771
+BenchmarkOracleSeed=1754"
 mkdir -p artifacts
-go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|SimulatedRuntimeChange|GuardedRuntimeChange|ExploreSchedule)$' \
+go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|SimulatedRuntimeChange|GuardedRuntimeChange|ExploreSchedule|OracleSeed)$' \
     -benchtime=200x -benchmem . > artifacts/bench.allocs.txt
 cat artifacts/bench.allocs.txt
 for pair in $ALLOC_CEILINGS; do
