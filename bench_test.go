@@ -374,8 +374,8 @@ func BenchmarkExploreSchedule(b *testing.B) {
 func BenchmarkOracleSeed(b *testing.B) {
 	var light, guarded oracle.Verdict
 	for i := 0; i < b.N; i++ {
-		light = oracle.DifferentialWith(42, sweep.RCHInstaller(), chaos.Light(), nil)
-		guarded = oracle.DifferentialWith(77, sweep.GuardedInstaller(), chaos.Guarded(), nil)
+		light = oracle.DifferentialWith(42, sweep.RCHInstaller(), chaos.Light())
+		guarded = oracle.DifferentialWith(77, sweep.GuardedInstaller(), chaos.Guarded())
 	}
 	if !light.OK() || !guarded.OK() {
 		b.Fatalf("benchmark seeds failed:\n%s\n%s", light.String(), guarded.String())

@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	code := 0
 	for i := range scenarios {
 		sc := &scenarios[i]
-		opts := explore.Options{Depth: *depth, Workers: *workers, Count: *chunk, Obs: reg, Fork: shared.Fork, Stop: stop}
+		opts := explore.Options{Depth: *depth, Workers: *workers, Count: *chunk, Obs: reg, Stop: stop}
 		if *checkpoint != "" {
 			start, err := resumeFrom(*checkpoint, sc, *depth)
 			if err != nil {

@@ -90,7 +90,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{append(replay, "-v"), "v"},
 		{[]string{"-list", "-metrics-out=" + filepath.Join(dir, "m.json")}, "metrics-out"},
 		{[]string{"-list", "-scenario=backstack"}, "scenario"},
-		{[]string{"-list", "-fork"}, "fork"},
+		{[]string{"-list", "-progress=1s"}, "progress"},
 	} {
 		code, _, stderr := runCLI(c.args...)
 		if code != 2 || !strings.Contains(stderr, "not -"+c.flag+"\n") {

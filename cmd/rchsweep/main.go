@@ -11,15 +11,10 @@
 //	rchsweep -mode=guard -seeds=1024            # guarded-chaos sweep
 //	rchsweep -mode=monkey -seeds=54             # monkey×chaos TP-27 stress
 //	rchsweep -mode=boot -seeds=20000            # pure device spin-up (no chaos run)
-//	rchsweep -mode=oracle -seeds=512 -fork      # per-seed worlds forked from one template
 //	rchsweep -mode=oracle -seeds=64 -workers=4 -crosscheck # byte-compare workers=1 vs workers=4
 //	rchsweep -mode=oracle -seeds=512 -progress=1s -metrics-out=artifacts/metrics.json
 //	rchsweep -mode=oracle -seeds=512 -min-seeds-per-sec=250 -profile-cpu=artifacts/cpu.pprof
 //
-// -fork routes every per-seed world through device.Template.Fork — the
-// pre-chaos world is built, launched, and settled once, then stamped out
-// per seed — and the merged report plus canonical metrics dump stay
-// byte-identical to fresh builds (ci.sh gates on exactly that).
 // -crosscheck needs a pool of at least two workers to compare against
 // the sequential run; one that resolves to a single worker (-workers=1,
 // -seeds=1, or GOMAXPROCS=1 without -workers) is a usage error.
@@ -92,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	fn, replay, err := sweep.ForModeForked(*mode, shared.Fork)
+	fn, replay, err := sweep.ForMode(*mode)
 	if err != nil {
 		fmt.Fprintf(stderr, "rchsweep: %v\n", err)
 		return 2

@@ -280,29 +280,6 @@ func TestNPEInPlainUIMessagePropagates(t *testing.T) {
 	sched.Advance(time.Second)
 }
 
-// A fork's caught messages crash the fork: ForkProcess binds the forked
-// looper's uncaught handler to the forked process, not the template.
-func TestForkedProcessCrashesAlone(t *testing.T) {
-	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
-	fs, err := sched.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork, err := ForkProcess(proc, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork.Thread().BindSystem(&fakeSystem{})
-	fork.PostApp("bad", 0, func() { panic(npe()) })
-	fs.Advance(time.Second)
-	if !fork.Crashed() {
-		t.Fatal("NPE in the fork did not crash the fork")
-	}
-	if proc.Crashed() || proc.UILooper().Quitted() {
-		t.Fatal("NPE in the fork crashed the template")
-	}
-}
-
 func TestMemoryAccountingGrowsWithViews(t *testing.T) {
 	_, small, _, _ := launchOne(t, testApp("small", 0))
 	_, big, _, _ := launchOne(t, testApp("big", 40))

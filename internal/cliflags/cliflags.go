@@ -1,8 +1,8 @@
 // Package cliflags is the one definition of the diagnostic flag set the
-// simulator commands share: progress reporting, metric dumps, CPU/heap
-// profiles, and the fork toggle. rchsweep and rchexplore used to each
-// define these flags by hand; defining them here means a new shared
-// flag (like -fork) lands once and reads identically everywhere.
+// simulator commands share: progress reporting, metric dumps and CPU/heap
+// profiles. rchsweep and rchexplore used to each define these flags by
+// hand; defining them here means a new shared flag lands once and reads
+// identically everywhere.
 package cliflags
 
 import (
@@ -28,7 +28,6 @@ type Set struct {
 	MetricsProm string
 	ProfileCPU  string
 	ProfileHeap string
-	Fork        bool
 }
 
 // Register defines the full shared diagnostic flag set on fs. tool names
@@ -41,8 +40,6 @@ func Register(fs *flag.FlagSet, tool string) *Set {
 		"write the canonical (sim-domain) metrics dump as JSON to this file")
 	fs.StringVar(&s.MetricsProm, "metrics-prom", "",
 		"write the full metrics dump (sim + wall) in Prometheus text format to this file")
-	fs.BoolVar(&s.Fork, "fork", false,
-		"build per-seed worlds by forking a settled pre-chaos template instead of from scratch (reports and canonical metrics are byte-identical either way)")
 	return s
 }
 

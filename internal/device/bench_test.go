@@ -7,8 +7,8 @@ import (
 	"rchdroid/internal/oracle/corpus"
 )
 
-// The fresh-vs-fork pair below measures exactly what Template.Fork
-// removes: world construction. Run with
+// BenchmarkFreshBuild measures world construction: build, launch and
+// settle one corpus app. Run with
 //
 //	go test ./internal/device -bench . -benchmem
 func BenchmarkFreshBuild(b *testing.B) {
@@ -16,19 +16,5 @@ func BenchmarkFreshBuild(b *testing.B) {
 	spec := device.Spec{App: sc.App}
 	for i := 0; i < b.N; i++ {
 		device.New(spec, 1, nil)
-	}
-}
-
-func BenchmarkTemplateFork(b *testing.B) {
-	sc, _ := corpus.ByName("double-rotation")
-	tpl, err := device.NewTemplate(device.Spec{App: sc.App})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tpl.Fork(1, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,18 +1,15 @@
 // Package device is the one way to build a simulated device world:
-// scheduler, cost model, system server, app process — launched and
-// settled. Every runner (oracle, experiments, explore, monkey, sweeps)
-// constructs worlds through it, which is what makes the snapshot/fork
-// facility sound: the pre-chaos world is defined as "built + launched +
-// settled with nothing armed", and both the fresh-build path (New) and
-// the fork path (NewTemplate + Template.Fork) arm chaos/handlers/tracers
-// at exactly the same post-settle point, through the same ArmFunc. A
-// forked world is therefore indistinguishable — event order, looper
-// sequence numbers, RNG streams, counters — from a freshly built one,
-// and per-seed cost is proportional to the chaos, not the world.
+// scheduler, cost model, system server, app process, launched and
+// settled. Every runner (oracle, experiments, explore, monkey, sweeps,
+// the fleet) constructs worlds through New, so the pre-chaos world is
+// defined once: built, launched and settled with nothing armed. Chaos,
+// change handlers, guards and tracers arm at exactly that post-settle
+// point, through ArmFunc. Worlds share only what is read-only: the cost
+// model and, when a Spec's App factory returns the same app each time
+// (Shared), the app definition.
 package device
 
 import (
-	"sync"
 	"time"
 
 	"rchdroid/internal/app"
@@ -24,13 +21,13 @@ import (
 
 // Spec describes the pre-chaos world: which app to install, under which
 // cost model, and how long to let the cold launch settle. Specs must be
-// reusable: the App factory is called once per fresh build (and once per
-// template) and must return a self-contained app whose callbacks touch
-// only the activity instance they are handed — true of every app in this
-// repo. The factory may return one shared app to every world it builds:
-// an app is read-only once constructed (forks, relaunches and concurrent
-// workers resolve through the same resource table and activity classes),
-// so nobody may mutate an app after its factory returns it.
+// reusable: the App factory is called once per build and must return a
+// self-contained app whose callbacks touch only the activity instance
+// they are handed — true of every app in this repo. The factory may
+// return one shared app to every world it builds: an app is read-only
+// once constructed (relaunches and concurrent workers resolve through
+// the same resource table and activity classes), so nobody may mutate an
+// app after its factory returns it.
 type Spec struct {
 	// App returns the application to install, freshly built or shared.
 	App func() *app.App
@@ -42,9 +39,16 @@ type Spec struct {
 	Settle time.Duration
 	// Profile attaches the process's profiler meters (app.Process.Profile)
 	// before the launch, so the CPU and memory series cover the boot.
-	// Only rigs that read those series set it; a profiled world cannot be
-	// forked, and a process Relaunch boots after a kill is not profiled.
+	// Only rigs that read those series set it; a process Relaunch boots
+	// after a kill is not profiled.
 	Profile bool
+}
+
+// Shared returns the spec whose every world installs def, an app its
+// caller built once. An app is read-only once built, so the worlds of
+// any number of seeds, arms, relaunches, workers and shards may share it.
+func Shared(def *app.App) Spec {
+	return Spec{App: func() *app.App { return def }}
 }
 
 func (s Spec) settle() time.Duration {
@@ -62,10 +66,11 @@ func (s Spec) model() *costmodel.Model {
 }
 
 // ArmFunc arms a settled world for its run: chaos plan, change handler
-// (core.Install), guard, tracer, metrics. It runs at the same point on
-// both the fresh and the fork path. The device package cannot import
-// internal/core (core's own tests reach the oracle, which builds worlds
-// here), so handler installation always arrives through this closure.
+// (core.Install), guard, tracer, metrics. It runs once the cold launch
+// has settled, before anything else touches the world. The device
+// package cannot import internal/core (core's own tests reach the
+// oracle, which builds worlds here), so handler installation always
+// arrives through this closure.
 type ArmFunc func(*World)
 
 // World is one booted device: the wired handles every runner needs.
@@ -76,8 +81,7 @@ type World struct {
 	Proc  *app.Process
 	// Token is the root activity record's token.
 	Token int
-	// Seed is the seed this world was built or forked for (0 for
-	// templates and seedless rigs).
+	// Seed is the seed this world was built for (0 for seedless rigs).
 	Seed uint64
 }
 
@@ -114,101 +118,17 @@ func (w *World) Relaunch(saved *bundle.Bundle, rearm func(*app.Process)) *app.Pr
 	return p
 }
 
-// Template is an immutable snapshot of a settled pre-chaos world. It is
-// produced by NewTemplate and never advanced again; Fork stamps out
-// isolated copies. Templates are safe for concurrent Fork calls — every
-// fork only reads the base world.
-type Template struct {
-	base *World
-}
+// TemplateCache exists only for perfbench, which still calls it. It is
+// stateless, and Fork is a fresh New. ROADMAP item 4's benchmark change
+// removes perfbench's calls, and with them device.fork_us_p50, which
+// until then times a second fresh build; it then deletes this shim.
+// Nothing else may call it.
+type TemplateCache struct{}
 
-// NewTemplate builds and settles the spec's world once and validates it
-// is forkable (quiescent scheduler and loopers, no pending async work,
-// no armed hooks, every view and extra deep-copyable). An error means
-// worlds of this spec must be built fresh per seed.
-func NewTemplate(spec Spec) (*Template, error) {
-	t := &Template{base: New(spec, 0, nil)}
-	// A trial fork exercises every copy precondition up front; the base
-	// world never runs again, so later forks cannot fail differently.
-	if _, err := t.Fork(0, nil); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+// NewTemplateCache returns the stateless shim; see TemplateCache.
+func NewTemplateCache() *TemplateCache { return &TemplateCache{} }
 
-// Fork stamps out an isolated world for seed and arms it. Mutable state
-// — scheduler counters, loopers, process, activity instances, view
-// trees, the memory count, stack records — is deep-copied; the cost
-// model and the app definition are shared read-only.
-func (t *Template) Fork(seed uint64, arm ArmFunc) (*World, error) {
-	sched, err := t.base.Sched.Fork()
-	if err != nil {
-		return nil, err
-	}
-	proc, err := app.ForkProcess(t.base.Proc, sched)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := t.base.Sys.Fork(sched, map[*app.Process]*app.Process{t.base.Proc: proc})
-	if err != nil {
-		return nil, err
-	}
-	w := &World{Sched: sched, Model: t.base.Model, Sys: sys, Proc: proc, Token: t.base.Token, Seed: seed}
-	if arm != nil {
-		arm(w)
-	}
-	return w, nil
-}
-
-// TemplateCache builds at most one template per key and forks per-seed
-// worlds from it, falling back to fresh builds for specs that turn out
-// unforkable. It is safe for concurrent use by sweep workers and serve
-// shards.
-type TemplateCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-}
-
-// cacheEntry is one key's build slot. The once gate means exactly one
-// caller builds the template while same-key callers wait on it — and,
-// unlike holding the cache lock across the build, callers for *other*
-// keys are never serialized behind it. tpl stays nil when the spec is
-// unforkable, which doubles as the don't-retry marker.
-type cacheEntry struct {
-	once sync.Once
-	tpl  *Template
-}
-
-// NewTemplateCache returns an empty cache.
-func NewTemplateCache() *TemplateCache {
-	return &TemplateCache{entries: make(map[string]*cacheEntry)}
-}
-
-// Fork returns a world for (key, seed): forked from the key's template
-// when the spec is forkable, built fresh otherwise. The first call for a
-// key builds and settles the template; concurrent callers for the same
-// key wait for it rather than building twice, and callers for other
-// keys proceed independently.
-func (c *TemplateCache) Fork(key string, spec Spec, seed uint64, arm ArmFunc) *World {
-	c.mu.Lock()
-	e := c.entries[key]
-	if e == nil {
-		e = &cacheEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		if t, err := NewTemplate(spec); err == nil {
-			e.tpl = t
-		}
-	})
-	if e.tpl == nil {
-		return New(spec, seed, arm)
-	}
-	w, err := e.tpl.Fork(seed, arm)
-	if err != nil {
-		// Cannot happen after NewTemplate's trial fork, but stay honest.
-		return New(spec, seed, arm)
-	}
-	return w
+// Fork returns New(spec, seed, arm) and ignores key; see TemplateCache.
+func (*TemplateCache) Fork(_ string, spec Spec, seed uint64, arm ArmFunc) *World {
+	return New(spec, seed, arm)
 }

@@ -36,11 +36,8 @@ type RunResult struct {
 // pure function of (scenario, schedule, installer). The edge hook arms
 // edge i's slots in action order, then records, per stock-blind action,
 // whether its point was consulted since the previous arming point
-// (lastConsult). The world is forked from forker's per-scenario template
-// when one is supplied (the scripted plan consumes no randomness before
-// the first step, so the fork's post-settle arming point is behaviorally
-// identical to a fresh build) and built from spec otherwise.
-func runScenario(sc *corpus.Scenario, spec device.Spec, sched Schedule, inst oracle.Installer, forker *device.TemplateCache) RunResult {
+// (lastConsult). The world is built from spec.
+func runScenario(sc *corpus.Scenario, spec device.Spec, sched Schedule, inst oracle.Installer) RunResult {
 	var res RunResult
 	plan := chaos.NewScripted()
 	asyncDrain := sc.AsyncDrain
@@ -90,7 +87,7 @@ func runScenario(sc *corpus.Scenario, spec device.Spec, sched Schedule, inst ora
 		armed = e.Index
 	}
 
-	res.RunResult = oracle.Run(sc, spec, plan, inst, nil, forker, hook)
+	res.RunResult = oracle.Run(sc, spec, plan, inst, nil, hook)
 	consulted()
 	for a := Action(0); a < NumActions; a++ {
 		if pt, ok := a.blindPoint(); ok {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"rchdroid/internal/app"
 	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/oracle"
@@ -82,21 +81,14 @@ func InstallerForObs(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
 // schedule, stock-blind slots included, so a replay is the reference
 // that Explore's shared runs must agree with.
 func RunIndexWith(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer) Verdict {
-	spec := sharedSpec(sc.App())
+	spec := device.Shared(sc.App())
 	sched := sp.At(idx)
-	stock := runScenario(sc, spec, sched, stockInstaller, nil)
-	return judged(sc, idx, sched, stock, runScenario(sc, spec, sched, rch, nil))
+	stock := runScenario(sc, spec, sched, stockInstaller)
+	return judged(sc, idx, sched, stock, runScenario(sc, spec, sched, rch))
 }
 
 // stockInstaller arms nothing: the stock arm is plain Android 10.
 var stockInstaller = oracle.Installer{Name: "Android-10"}
-
-// sharedSpec is the device spec whose every world installs def. An app
-// is read-only once built, so the worlds of any number of schedules,
-// arms, kill relaunches and workers may share it.
-func sharedSpec(def *app.App) device.Spec {
-	return device.Spec{App: func() *app.App { return def }}
-}
 
 // judged is schedule idx's verdict on its two runs, by the oracle's one
 // judge (oracle.Scenario.Judge).
@@ -135,10 +127,6 @@ type Options struct {
 	// schedule-derived, so the canonical dump is byte-identical at any
 	// worker count.
 	Obs *obs.Registry
-	// Fork builds the scenario's pre-chaos world once and forks it per
-	// schedule instead of rebuilding it. Reports and canonical metric
-	// dumps are byte-identical either way.
-	Fork bool
 	// Stop cancels the chunk cooperatively (see sweep.Config.Stop). An
 	// interrupted Result's Next() is the contiguous done prefix, so a
 	// frontier written from it resumes without skipping any schedule.
@@ -202,10 +190,7 @@ func (r *Result) String() string {
 // the rest run their own RCHDroid arm. Each schedule is judged exactly
 // as RunIndex judges it, and its metrics are what its own runs would
 // have recorded. The Sim counters explore_stock_runs_total and
-// explore_rch_runs_total count the arms the chunk ran. With Fork set,
-// both arms fork from the scenario's single pre-chaos template (they
-// differ only in what the post-settle arming point installs), so the
-// verdict is byte-identical to the fresh-build path.
+// explore_rch_runs_total count the arms the chunk ran.
 func Explore(sc *corpus.Scenario, opts Options) *Result {
 	sp := SpaceFor(sc, opts.Depth)
 	size := sp.Size()
@@ -217,11 +202,7 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 	if opts.Count <= 0 || count > size-start {
 		count = size - start
 	}
-	var forker *device.TemplateCache
-	if opts.Fork {
-		forker = device.NewTemplateCache()
-	}
-	spec := sharedSpec(sc.App())
+	spec := device.Shared(sc.App())
 	memo := newViewMemo(sp, opts.Obs != nil)
 	crashes := make([]bool, count)
 	tallies := make([][oracle.NumLossBuckets]int, count)
@@ -238,10 +219,10 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		sched := sp.At(idx)
 		stock, rch := memo.arms(sched, sh, func(view Schedule) RunResult {
 			sh.Counter("explore_stock_runs_total", "stock arms the explorer ran", obs.Sim).Inc()
-			return runScenario(sc, spec, view, stockInstaller, forker)
+			return runScenario(sc, spec, view, stockInstaller)
 		}, func(s Schedule, into *obs.Shard) RunResult {
 			sh.Counter("explore_rch_runs_total", "RCHDroid arms the explorer ran", obs.Sim).Inc()
-			return runScenario(sc, spec, s, InstallerForObs(sc, into), forker)
+			return runScenario(sc, spec, s, InstallerForObs(sc, into))
 		})
 		v := judged(sc, idx, sched, stock, rch)
 		i := idx - start

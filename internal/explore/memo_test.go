@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rchdroid/internal/app"
+	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
@@ -68,7 +69,7 @@ func TestStockBlindSlotsLeaveStockUnchanged(t *testing.T) {
 	checked := 0
 	for _, sc := range withFixture() {
 		sc := sc
-		spec := sharedSpec(sc.App())
+		spec := device.Shared(sc.App())
 		sp := SpaceFor(&sc, 2)
 		views := make(map[string]RunResult)
 		for idx := uint64(0); idx < sp.Size(); idx++ {
@@ -79,10 +80,10 @@ func TestStockBlindSlotsLeaveStockUnchanged(t *testing.T) {
 			}
 			want, ok := views[view.String()]
 			if !ok {
-				want = runScenario(&sc, spec, view, stockInstaller, nil)
+				want = runScenario(&sc, spec, view, stockInstaller)
 				views[view.String()] = want
 			}
-			got := runScenario(&sc, spec, sched, stockInstaller, nil)
+			got := runScenario(&sc, spec, sched, stockInstaller)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %s: stock run differs from its view %s's:\n  schedule: %+v\n  view:     %+v",
 					sc.Name, sched, view, got, want)
@@ -107,7 +108,7 @@ func TestInertSlotsLeaveRCHUnchanged(t *testing.T) {
 	shared, fired := 0, 0
 	for _, sc := range withFixture() {
 		sc := sc
-		spec := sharedSpec(sc.App())
+		spec := device.Shared(sc.App())
 		sp := SpaceFor(&sc, 2)
 		views := make(map[string]RunResult)
 		for idx := uint64(0); idx < sp.Size(); idx++ {
@@ -118,10 +119,10 @@ func TestInertSlotsLeaveRCHUnchanged(t *testing.T) {
 			}
 			want, ok := views[view.String()]
 			if !ok {
-				want = runScenario(&sc, spec, view, InstallerForObs(&sc, nil), nil)
+				want = runScenario(&sc, spec, view, InstallerForObs(&sc, nil))
 				views[view.String()] = want
 			}
-			got := runScenario(&sc, spec, sched, InstallerForObs(&sc, nil), nil)
+			got := runScenario(&sc, spec, sched, InstallerForObs(&sc, nil))
 			if e := (viewEntry{rch: want}); !e.inert(sched) {
 				if got.Fired[ActFlush] > 0 && sc.Name == "lazy-migration" {
 					fired++

@@ -78,11 +78,11 @@ const regressionSeed = 889
 // counterfactual that proves the race is harmful; the schedule-space twin
 // below proves the explorer reaches the same window without RNG.
 func TestGuardedSeed613Regression(t *testing.T) {
-	guarded := oracle.DifferentialWith(regressionSeed, sweep.GuardedInstaller(), chaos.Guarded(), nil)
+	guarded := oracle.DifferentialWith(regressionSeed, sweep.GuardedInstaller(), chaos.Guarded())
 	if !guarded.OK() {
 		t.Fatalf("guarded seed %d regressed:\n%s", regressionSeed, guarded.String())
 	}
-	ablated := oracle.DifferentialWith(regressionSeed, supersessionAblatedInstaller(), chaos.Guarded(), nil)
+	ablated := oracle.DifferentialWith(regressionSeed, supersessionAblatedInstaller(), chaos.Guarded())
 	if ablated.OK() {
 		t.Fatalf("seed %d passed without the handling-generation guard — the ablation no longer reproduces the race, so the regression has lost its counterfactual", regressionSeed)
 	}

@@ -1,12 +1,12 @@
-// Package forksafety statically enforces the precondition Template.Fork
-// relies on: the simulated device's state lives entirely inside the
-// object graphs that fork.go files deep-copy. A package-level mutable
-// var in one of the fork-critical packages would be shared between a
-// template and every world forked from it — invisible to the copy, and
-// a determinism leak the byte-identity gates might only catch long
-// after the var landed. This test fails the moment such a var appears,
-// pointing at the allowlist below so the author has to argue the var is
-// genuinely immutable.
+// Package forksafety statically enforces the precondition the parallel
+// sweeps, the explorer and the sharded server rely on: a simulated
+// device's state lives entirely inside the world device.New builds. A
+// package-level mutable var in one of the world packages would be
+// shared by every world that sweep workers, explorer workers or fleet
+// shards run at once — a data race, and a determinism leak the
+// byte-identity gates might only catch long after the var landed. This
+// test fails the moment such a var appears, pointing at the allowlist
+// below so the author has to argue the var is genuinely immutable.
 package forksafety
 
 import (
@@ -19,18 +19,17 @@ import (
 	"testing"
 )
 
-// forkCriticalPackages are the packages whose state Template.Fork must
-// be able to deep-copy. Every package with a fork.go (or whose objects
-// are cloned by one) belongs here.
-var forkCriticalPackages = []string{
+// worldPackages are the packages whose objects make up a running world:
+// the handler, the process and its activities, the system server, the
+// loopers and the view trees.
+var worldPackages = []string{
 	"../core",
 	"../app",
 	"../atms",
 	"../looper",
 	"../view",
-	// serve holds forked worlds resident across requests: a package-level
-	// var here would be shared between every device on every shard, on
-	// top of the template/fork aliasing the other packages guard against.
+	// serve holds worlds resident across requests: a package-level var
+	// here would be shared between every device on every shard.
 	"../serve",
 }
 
@@ -48,16 +47,16 @@ var allowlist = map[string]bool{
 	"serve/serve.go:errForcedAbort": true,
 }
 
-// TestNoPackageLevelMutableState parses every fork-critical package and
+// TestNoPackageLevelMutableState parses every world package and
 // fails on package-level var declarations (and init funcs, which exist
 // only to mutate package state) that are not allowlisted.
 func TestNoPackageLevelMutableState(t *testing.T) {
-	for _, dir := range forkCriticalPackages {
+	for _, dir := range worldPackages {
 		pkg := filepath.Base(dir)
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			// Test files run outside forked worlds; only shipped code is
-			// shared between a template and its forks.
+			// Only shipped code runs inside the worlds that sweeps and
+			// shards build concurrently.
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)
 		if err != nil {
@@ -81,18 +80,18 @@ func TestNoPackageLevelMutableState(t *testing.T) {
 								key := pkg + "/" + base + ":" + name.Name
 								if !allowlist[key] {
 									t.Errorf("%s: package-level var %q is not on the fork-safety allowlist.\n"+
-										"Worlds forked from a device.Template share package state; a mutable var here\n"+
-										"leaks between forks. Move the state into a struct the fork.go deep-copy\n"+
-										"reaches, or — if it is truly immutable after init — add %q to the\n"+
-										"allowlist in internal/forksafety with an audit comment.",
+										"Every world a sweep, the explorer or a fleet shard runs shares package state;\n"+
+										"a mutable var here leaks between concurrent worlds. Move the state into a\n"+
+										"struct the world owns, or — if it is truly immutable after init — add %q\n"+
+										"to the allowlist in internal/forksafety with an audit comment.",
 										fset.Position(name.Pos()), key, key)
 								}
 							}
 						}
 					case *ast.FuncDecl:
 						if d.Name.Name == "init" && d.Recv == nil {
-							t.Errorf("%s: func init() in fork-critical package %s.\n"+
-								"init funcs exist to mutate package-level state, which forked worlds share.\n"+
+							t.Errorf("%s: func init() in world package %s.\n"+
+								"init funcs exist to mutate package-level state, which concurrent worlds share.\n"+
 								"Initialize through the device.Spec path instead.",
 								fset.Position(d.Pos()), pkg)
 						}

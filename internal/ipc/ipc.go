@@ -90,13 +90,6 @@ func NewBus(hop time.Duration) *Bus {
 	return &Bus{hop: hop}
 }
 
-// Clone returns an independent bus with the same hop latency and
-// accumulated transaction/byte counters, for the device fork facility.
-func (b *Bus) Clone() *Bus {
-	cp := *b
-	return &cp
-}
-
 // HopLatency returns the per-transaction latency.
 func (b *Bus) HopLatency() time.Duration { return b.hop }
 

@@ -302,30 +302,3 @@ func TestQueuePopKeepsCapacity(t *testing.T) {
 		t.Fatalf("TotalBusy = %v, want 102ms of charges", l.TotalBusy())
 	}
 }
-
-// A forked looper's pump keeps the event name and dispatches the fork's
-// own queue, never the looper it was forked from.
-func TestForkPumpDispatchesFork(t *testing.T) {
-	s, l := newTestLooper()
-	l.Post("warm", time.Millisecond, func() {})
-	s.Run()
-	fs, err := s.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := l.Fork(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &sim.RecordingTracer{}
-	fs.SetTracer(rec)
-	ran := false
-	f.Post("m", time.Millisecond, func() { ran = true })
-	fs.Run()
-	if !ran || f.Processed() != 2 || l.Processed() != 1 {
-		t.Fatalf("ran=%v fork processed=%d original processed=%d, want true/2/1", ran, f.Processed(), l.Processed())
-	}
-	if names := rec.Names(); len(names) != 1 || names[0] != "ui:pump" {
-		t.Fatalf("fork fired %v, want [ui:pump]", names)
-	}
-}

@@ -59,8 +59,6 @@ type TraceStats struct {
 	GuardMargins map[string][]time.Duration
 }
 
-// AnalyzeTrace derives the summary from events (as recorded by a
-// trace.Tracer or re-read from an exported file).
 // asDuration coerces an instant argument to a duration: in-memory
 // traces carry time.Duration values, re-read JSON exports carry their
 // formatted strings.
@@ -76,6 +74,8 @@ func asDuration(v any) (time.Duration, bool) {
 	return 0, false
 }
 
+// AnalyzeTrace derives the summary from events (as recorded by a
+// trace.Tracer or re-read from an exported file).
 func AnalyzeTrace(events []trace.Event) TraceStats {
 	st := TraceStats{
 		Events:       len(events),

@@ -31,9 +31,9 @@ func corruptingInstaller(name string, bad any) oracle.Installer {
 				if fg := proc.Thread().ForegroundActivity(); fg != nil {
 					fg.PutExtra(oracle.CounterKey, bad)
 				}
-				proc.PostApp("corruptCounter", 300*time.Millisecond, tick)
+				proc.UILooper().PostDelayed(300*time.Millisecond, "corruptCounter", 0, tick)
 			}
-			proc.PostApp("corruptCounter", 300*time.Millisecond, tick)
+			proc.UILooper().PostDelayed(300*time.Millisecond, "corruptCounter", 0, tick)
 		},
 	}
 }
@@ -57,7 +57,7 @@ func TestOracleRejectsCorruptedCounter(t *testing.T) {
 			inst := corruptingInstaller("RCHDroid-"+tc.name, tc.bad)
 			rep := sweep.Run(sweep.Config{Mode: "regression", Start: 1, Count: 16, Workers: 4},
 				func(seed uint64) sweep.Outcome {
-					v := oracle.DifferentialWith(seed, inst, chaos.Light(), nil)
+					v := oracle.DifferentialWith(seed, inst, chaos.Light())
 					return sweep.Outcome{OK: v.OK(), Detail: v.Summary(), Failures: v.Failures}
 				})
 			if rep.OK() {

@@ -252,9 +252,8 @@ func essenceOf(a *app.Activity) string {
 // oracleSpec is the device spec for a generated scenario's worlds. Its
 // factory builds the scenario's app on first use and returns that
 // read-only definition to every later world, so both arms of a
-// differential share one app; a fork path that never calls the factory
-// builds none. The memo is not synchronized: a spec belongs to one
-// differential on one goroutine.
+// differential share one app. The memo is not synchronized: a spec
+// belongs to one differential on one goroutine.
 func oracleSpec(sc *Scenario) device.Spec {
 	var def *app.App
 	return device.Spec{App: func() *app.App {
@@ -268,17 +267,18 @@ func oracleSpec(sc *Scenario) device.Spec {
 // DifferentialWith runs the seed's generated scenario under the stock
 // Android-10 handler and under the installer's handler, both on the
 // same chaos plan (the preset opts on the seed), then judges the
-// transparency contract. When forker is non-nil, both arms' worlds are
-// forked from per-image-count templates instead of being built from
-// scratch. The verdict is byte-identical either way: forks replay the
-// exact pre-chaos state and the plan arms at the same post-settle point
-// on both paths.
-func DifferentialWith(seed uint64, rch Installer, opts chaos.Options, forker *device.TemplateCache) Verdict {
+// transparency contract.
+//
+// The trailing variadic is ignored. It exists only so perfbench's
+// four-argument call, which passes a device.TemplateCache, keeps
+// compiling; ROADMAP item 4's benchmark change drops that argument and
+// this parameter. Callers in this module pass three arguments.
+func DifferentialWith(seed uint64, rch Installer, opts chaos.Options, _ ...*device.TemplateCache) Verdict {
 	sc := GenScenario(seed)
 	spec := oracleSpec(&sc)
 	v := Verdict{Seed: seed}
-	v.Stock = Run(&sc, spec, chaos.NewPlan(seed, opts), Installer{Name: "Android-10"}, nil, forker, nil)
-	v.RCH = Run(&sc, spec, chaos.NewPlan(seed, opts), rch, nil, forker, nil)
+	v.Stock = Run(&sc, spec, chaos.NewPlan(seed, opts), Installer{Name: "Android-10"}, nil, nil)
+	v.RCH = Run(&sc, spec, chaos.NewPlan(seed, opts), rch, nil, nil)
 	v.Failures = sc.Judge(&v.Stock, &v.RCH)
 	return v
 }
@@ -293,7 +293,7 @@ func DifferentialWith(seed uint64, rch Installer, opts chaos.Options, forker *de
 func TraceRCHWith(seed uint64, rch Installer, capacity int, opts chaos.Options) ([]byte, error) {
 	sc := GenScenario(seed)
 	tracer := trace.NewRing(nil, capacity)
-	Run(&sc, oracleSpec(&sc), chaos.NewPlan(seed, opts), rch, tracer, nil, nil)
+	Run(&sc, oracleSpec(&sc), chaos.NewPlan(seed, opts), rch, tracer, nil)
 	return tracer.MarshalJSON()
 }
 

@@ -68,7 +68,7 @@ func rchInstaller() oracle.Installer { return sweep.RCHInstaller() }
 // replays it.
 func TestTransparencyOracleSweep(t *testing.T) {
 	if *replaySeed != 0 {
-		v := oracle.DifferentialWith(*replaySeed, rchInstaller(), chaos.Light(), nil)
+		v := oracle.DifferentialWith(*replaySeed, rchInstaller(), chaos.Light())
 		t.Logf("replay verdict:\n%s%s", v.String(), failureTrace(t, *replaySeed))
 		if !v.OK() {
 			t.Fail()
@@ -100,8 +100,8 @@ func TestTransparencyOracleSweep(t *testing.T) {
 // actual reproducer.
 func TestVerdictDeterministic(t *testing.T) {
 	for _, seed := range []uint64{7, 42, 1337} {
-		a := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light(), nil)
-		b := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light(), nil)
+		a := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light())
+		b := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light())
 		as := fmt.Sprintf("%s|%+v|%+v", a.String(), a.RCH, b.Stock)
 		bs := fmt.Sprintf("%s|%+v|%+v", b.String(), b.RCH, a.Stock)
 		if as != bs {
@@ -138,8 +138,8 @@ func TestOracleHasTeeth(t *testing.T) {
 		},
 	}
 	for seed := uint64(1); seed <= 40; seed++ {
-		good := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light(), nil)
-		bad := oracle.DifferentialWith(seed, lossy, chaos.Light(), nil)
+		good := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light())
+		bad := oracle.DifferentialWith(seed, lossy, chaos.Light())
 		if good.OK() && !bad.OK() {
 			return // the oracle told the mutant apart from the real thing
 		}

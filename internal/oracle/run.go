@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,14 +62,13 @@ type runner struct {
 }
 
 // Run executes the scenario's script once, the one runner behind both
-// harnesses. The world is built from spec (or forked from forker's
-// template for the scenario) on the plan's seed and armed at its
-// post-settle point: the optional tracer on every layer, the plan, and
-// inst's handler. Each step runs, then virtual time advances by its
-// settle, and the run samples its invariants at that quiescent point.
-// A hook, when given, then acts at the edge. The script stops at the
-// first crash; a final drain lets async results and chaos delays land
-// before the final probe.
+// harnesses. The world is built from spec on the plan's seed and armed
+// at its post-settle point: the optional tracer on every layer, the
+// plan, and inst's handler. Each step runs, then virtual time advances
+// by its settle, and the run samples its invariants at that quiescent
+// point. A hook, when given, then acts at the edge. The script stops at
+// the first crash; a final drain lets async results and chaos delays
+// land before the final probe.
 //
 // Ground truth follows one rule: a UI step probes the foreground
 // instance just before its action and just after, and merges a field
@@ -78,7 +76,7 @@ type runner struct {
 // step changed its value. A step's Expect overrides win over its probe.
 // So state lost between steps stays lost: a later step never re-reads
 // it into the expectation.
-func Run(sc *Scenario, spec device.Spec, plan *chaos.Plan, inst Installer, tracer *trace.Tracer, forker *device.TemplateCache, hook EdgeHook) RunResult {
+func Run(sc *Scenario, spec device.Spec, plan *chaos.Plan, inst Installer, tracer *trace.Tracer, hook EdgeHook) RunResult {
 	fields := make([]Field, 24)
 	r := &runner{sc: sc, inst: inst, plan: plan, tracer: tracer,
 		expected: fields[0:0:8], before: fields[8:8:16], after: fields[16:16:24]}
@@ -92,13 +90,7 @@ func Run(sc *Scenario, spec device.Spec, plan *chaos.Plan, inst Installer, trace
 		plan.SetTracer(tracer)
 		r.install(w.Proc)
 	}
-	if forker == nil {
-		device.New(spec, plan.Seed(), arm)
-	} else if sc.Images > 0 {
-		forker.Fork("images:"+strconv.Itoa(sc.Images), spec, plan.Seed(), arm)
-	} else {
-		forker.Fork("scenario:"+sc.Name, spec, plan.Seed(), arm)
-	}
+	device.New(spec, plan.Seed(), arm)
 	r.proc = r.w.Proc
 	inv := sc.invariants()
 	if fg := r.fg(); fg != nil {

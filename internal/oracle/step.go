@@ -156,9 +156,7 @@ type Scenario struct {
 	Probe func(fg *app.Activity, dst []Field) []Field
 	Steps []Step
 	// Images is the oracle app's ImageView count in a generated scenario
-	// and 0 in a corpus one. Generated worlds of equal image count are
-	// identical before chaos arms, so they share a fork template; corpus
-	// scenarios key theirs by name.
+	// and 0 in a corpus one.
 	Images int
 	// AsyncDrain is how far an async-completion edge action advances
 	// virtual time (0 means 1s).

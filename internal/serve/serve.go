@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 )
 
@@ -63,12 +62,12 @@ var errForcedAbort = errors.New("serve: drain deadline expired; forced abort")
 // (as opposed to a double drain).
 func ForcedAbort(err error) bool { return errors.Is(err, errForcedAbort) }
 
-// Server is the fleet: shards, their template cache and metrics
-// registry, and the drain machinery.
+// Server is the fleet: shards, the device specs they boot from, the
+// metrics registry, and the drain machinery.
 type Server struct {
 	cfg    Config
 	shards []*shard
-	forker *device.TemplateCache
+	specs  specTable
 	reg    *obs.Registry
 
 	// admitMu serializes admission against the drain flip: Submit holds
@@ -91,7 +90,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
-		forker:  device.NewTemplateCache(),
+		specs:   newSpecTable(),
 		reg:     obs.NewRegistry(),
 		abortCh: make(chan struct{}),
 	}

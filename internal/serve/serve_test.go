@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/sweep"
 )
@@ -46,6 +45,37 @@ func TestBootAndDrive(t *testing.T) {
 	}
 	if total != 1 {
 		t.Fatalf("health reports %d devices, want 1", total)
+	}
+}
+
+// TestBootsShareSpecApp: every device booted from one spec installs the
+// app the server built for that spec, on any shard, while each device
+// keeps its own process; different specs keep different apps.
+func TestBootsShareSpecApp(t *testing.T) {
+	s := New(Config{Shards: 2})
+	defer s.Drain(5 * time.Second)
+	boot := func(device, spec string) *session {
+		t.Helper()
+		if r := submit(s, Request{Op: OpBoot, Device: device, Spec: spec, Seed: 1}); !r.OK {
+			t.Fatalf("boot %s: %+v", device, r)
+		}
+		// The shard goroutine touches the session only while it serves a
+		// request, and each Submit orders it against this goroutine.
+		return s.shards[ShardIndex(device, len(s.shards))].sessions[device]
+	}
+	a, b := boot("dev-a", ""), boot("dev-b", SpecOracle)
+	if a.world.Proc == b.world.Proc {
+		t.Fatal("two devices share one process")
+	}
+	if a.world.Proc.App() != b.world.Proc.App() {
+		t.Fatal("two devices booted from the oracle spec hold different apps, want the spec's one app")
+	}
+	p, q := boot("panic-a", SpecPanicRelaunch), boot("panic-b", SpecPanicRelaunch)
+	if p.world.Proc.App() != q.world.Proc.App() {
+		t.Fatal("two devices booted from the panic-on-relaunch spec hold different apps")
+	}
+	if p.world.Proc.App() == a.world.Proc.App() {
+		t.Fatal("two specs share one app")
 	}
 }
 
@@ -377,7 +407,7 @@ func TestCanaryCanonicalMatchesSweep(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rep := sweep.RunObs(sweep.Config{Mode: "oracle", Start: 1, Count: seeds, Workers: 2, Obs: reg},
-		sweep.OracleRunnerForked(device.NewTemplateCache()))
+		sweep.OracleRunner())
 	if !rep.OK() {
 		t.Fatalf("sweep failed:\n%s", rep.FailureOutput())
 	}

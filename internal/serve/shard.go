@@ -71,7 +71,7 @@ func newShard(idx int, srv *Server) *shard {
 		brk:      breaker{cfg: srv.cfg.Breaker},
 		sh:       sh,
 		seed:     sweep.NewSeedObs(sh),
-		canary:   sweep.OracleRunnerForked(srv.forker),
+		canary:   sweep.OracleRunner(),
 		sessions: make(map[string]*session),
 	}
 	// Define the wall-domain serve counters up front so an idle shard
@@ -225,8 +225,8 @@ func (s *shard) dispatch(req Request) Response {
 		Detail: fmt.Sprintf("unknown op %q", req.Op)}
 }
 
-// boot admits a new resident device, forking from the template cache
-// (which itself falls back to fresh builds for unforkable specs).
+// boot admits a new resident device, built fresh on its spec's shared
+// app.
 func (s *shard) boot(req Request) Response {
 	if req.Device == "" {
 		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: s.idx, Detail: "boot needs a device name"}
@@ -236,7 +236,7 @@ func (s *shard) boot(req Request) Response {
 		return Response{ID: req.ID, OK: false, Code: CodeOverloaded, Shard: s.idx,
 			Detail: fmt.Sprintf("shard at its %d-device limit", max)}
 	}
-	if _, err := specFor(req.Spec); err != nil {
+	if _, err := s.srv.specs.spec(req.Spec); err != nil {
 		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: s.idx, Detail: err.Error()}
 	}
 	if _, err := installerFor(req.Handler); err != nil {
@@ -261,7 +261,7 @@ func (s *shard) boot(req Request) Response {
 // deterministic function of spec, handler and seed, so a world that
 // fails to settle is counted and reported, never retried.
 func (s *shard) bootWorld(specName, handler string, seed uint64) (*device.World, func() *guard.Guard, bool) {
-	spec, err := specFor(specName)
+	spec, err := s.srv.specs.spec(specName)
 	if err != nil {
 		return nil, nil, false
 	}
@@ -269,7 +269,7 @@ func (s *shard) bootWorld(specName, handler string, seed uint64) (*device.World,
 	if err != nil {
 		return nil, nil, false
 	}
-	w := s.srv.forker.Fork("serve:"+orDefault(specName, SpecOracle), spec, seed, func(w *device.World) {
+	w := device.New(spec, seed, func(w *device.World) {
 		if inst.Install != nil {
 			inst.Install(w.Sys, w.Proc, nil)
 		}

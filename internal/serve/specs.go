@@ -32,14 +32,24 @@ const (
 	HandlerStock   = "stock"
 )
 
-// specFor resolves a wire spec name. The table is built per call — the
-// package keeps no package-level state (forksafety).
-func specFor(name string) (device.Spec, error) {
-	switch name {
-	case "", SpecOracle:
-		return device.Spec{App: func() *app.App { return oracle.OracleApp(4) }}, nil
-	case SpecPanicRelaunch:
-		return device.Spec{App: panicRelaunchApp}, nil
+// specTable maps each wire spec name to the device spec a boot builds
+// from. Each spec's app is built once, with the table, and every device
+// booted from the spec installs that read-only definition, so a fleet
+// holds one app per spec rather than one per device. Each Server owns
+// its table: the package keeps no package-level state (forksafety).
+type specTable map[string]device.Spec
+
+func newSpecTable() specTable {
+	return specTable{
+		SpecOracle:        device.Shared(oracle.OracleApp(4)),
+		SpecPanicRelaunch: device.Shared(panicRelaunchApp()),
+	}
+}
+
+// spec resolves a wire spec name; empty means SpecOracle.
+func (t specTable) spec(name string) (device.Spec, error) {
+	if spec, ok := t[orDefault(name, SpecOracle)]; ok {
+		return spec, nil
 	}
 	return device.Spec{}, fmt.Errorf("unknown device spec %q (want %s or %s)", name, SpecOracle, SpecPanicRelaunch)
 }

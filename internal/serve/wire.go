@@ -24,16 +24,16 @@
 // sweep runners, so a fleet canary dump byte-compares equal to an
 // rchsweep dump over the same seeds.
 //
-// The package is fork-critical (worlds fork inside shards), so it keeps
-// zero package-level mutable state — internal/forksafety enforces it.
+// Shards run resident worlds concurrently, so the package keeps zero
+// package-level mutable state — internal/forksafety enforces it.
 package serve
 
 import "encoding/json"
 
 // Op names accepted on the wire.
 const (
-	// OpBoot forks (or fresh-builds) a resident device on the shard that
-	// owns the device name.
+	// OpBoot builds a resident device on the shard that owns the device
+	// name.
 	OpBoot = "boot"
 	// OpDrive runs a burst on a resident device: a config change, a
 	// monkey burst, a chaos storm, or a diagnostic stall.
@@ -133,7 +133,7 @@ type Request struct {
 	// Handler picks the change handler armed at boot: "rch" (default),
 	// "guarded", or "stock".
 	Handler string `json:"handler,omitempty"`
-	// Seed drives boot forking, monkey/chaos bursts, and canary runs.
+	// Seed drives boots, monkey/chaos bursts, and canary runs.
 	Seed uint64 `json:"seed,omitempty"`
 	// Kind selects the drive burst (Kind* constants).
 	Kind string `json:"kind,omitempty"`

@@ -112,15 +112,9 @@ func ObserveHandlings(sh *obs.Shard, times []time.Duration) {
 
 // OracleRunner runs one seed of the differential RCHDroid-vs-stock
 // oracle under the Light chaos preset.
-func OracleRunner() ObsRunner { return OracleRunnerForked(nil) }
-
-// OracleRunnerForked is OracleRunner with an optional fork cache shared
-// by every worker: per-seed worlds fork from settled pre-chaos templates
-// instead of being rebuilt, with byte-identical verdicts. A nil cache
-// builds fresh worlds.
-func OracleRunnerForked(forker *device.TemplateCache) ObsRunner {
+func OracleRunner() ObsRunner {
 	return func(seed uint64, sh *obs.Shard) Outcome {
-		v := oracle.DifferentialWith(seed, RCHInstallerObs(sh), chaos.Light(), forker)
+		v := oracle.DifferentialWith(seed, RCHInstallerObs(sh), chaos.Light())
 		foldVerdict(sh, v)
 		return verdictOutcome(v)
 	}
@@ -128,12 +122,9 @@ func OracleRunnerForked(forker *device.TemplateCache) ObsRunner {
 
 // GuardRunner runs one seed of the guarded-chaos sweep: the supervised
 // build under the heavy Guarded preset, judged mode-aware.
-func GuardRunner() ObsRunner { return GuardRunnerForked(nil) }
-
-// GuardRunnerForked is GuardRunner with an optional shared fork cache.
-func GuardRunnerForked(forker *device.TemplateCache) ObsRunner {
+func GuardRunner() ObsRunner {
 	return func(seed uint64, sh *obs.Shard) Outcome {
-		v := oracle.DifferentialWith(seed, GuardedInstallerObs(sh), chaos.Guarded(), forker)
+		v := oracle.DifferentialWith(seed, GuardedInstallerObs(sh), chaos.Guarded())
 		foldVerdict(sh, v)
 		return verdictOutcome(v)
 	}
@@ -160,22 +151,15 @@ func MonkeyRunner() ObsRunner {
 	}
 }
 
-// BootRunnerForked measures device spin-up throughput: each seed stamps
-// out one settled pre-chaos world and verifies it is ready to run. This
-// is the rchserve workload — worlds/sec, nothing else — and the sweep
-// mode where the fork facility's construction speedup is visible
-// undiluted: a chaos sweep amortizes construction against the run, a
-// boot sweep is construction. With a cache, every seed's world forks
-// from one settled template; with nil, each is built fresh.
-func BootRunnerForked(forker *device.TemplateCache) ObsRunner {
-	spec := device.Spec{App: func() *app.App { return oracle.OracleApp(16) }}
+// BootRunner measures device spin-up throughput: each seed builds one
+// settled pre-chaos world and verifies it is ready to run. This is the
+// rchserve boot path, worlds/sec and nothing else: like a fleet spec,
+// the runner builds its app once and every world, on every worker,
+// installs that read-only definition.
+func BootRunner() ObsRunner {
+	spec := device.Shared(oracle.OracleApp(16))
 	return func(seed uint64, sh *obs.Shard) Outcome {
-		var w *device.World
-		if forker != nil {
-			w = forker.Fork("boot", spec, seed, nil)
-		} else {
-			w = device.New(spec, seed, nil)
-		}
+		w := device.New(spec, seed, nil)
 		sh.Counter("boot_worlds_total", "device worlds spun up", obs.Sim).Inc()
 		if fg := w.Proc.Thread().ForegroundActivity(); w.Proc.Crashed() || fg == nil {
 			return Outcome{OK: false, Detail: fmt.Sprintf("seed=%d boot failed", seed),
@@ -187,27 +171,15 @@ func BootRunnerForked(forker *device.TemplateCache) ObsRunner {
 
 // ForMode resolves a mode name to its runner and replay format.
 func ForMode(mode string) (ObsRunner, string, error) {
-	return ForModeForked(mode, false)
-}
-
-// ForModeForked is ForMode with the fork toggle: when fork is set, the
-// oracle and guard runners share one template cache across the worker
-// pool. Monkey stress always builds fresh (its relaunch-heavy runs spend
-// almost no time in world construction).
-func ForModeForked(mode string, fork bool) (ObsRunner, string, error) {
-	var forker *device.TemplateCache
-	if fork {
-		forker = device.NewTemplateCache()
-	}
 	switch mode {
 	case "oracle":
-		return OracleRunnerForked(forker), ReplayOracle, nil
+		return OracleRunner(), ReplayOracle, nil
 	case "guard":
-		return GuardRunnerForked(forker), ReplayGuard, nil
+		return GuardRunner(), ReplayGuard, nil
 	case "monkey":
 		return MonkeyRunner(), ReplayMonkey, nil
 	case "boot":
-		return BootRunnerForked(forker), ReplayBoot, nil
+		return BootRunner(), ReplayBoot, nil
 	}
 	return nil, "", fmt.Errorf("unknown sweep mode %q (want oracle, guard, monkey or boot)", mode)
 }

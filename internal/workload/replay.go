@@ -62,7 +62,7 @@ type Report struct {
 	// an event was sent, the replay's own pacing health.
 	MaxLagMS float64 `json:"max_lag_ms"`
 
-	// Boot is cold/forked boot latency; Flip is config-change latency
+	// Boot is cold boot latency; Flip is config-change latency
 	// under whatever contention the trace generates (the paper's
 	// transparency number, measured at the fleet edge); Batch is the
 	// round-trip of a coalesced burst dispatch.

@@ -91,7 +91,7 @@ type Event struct {
 	// Handler picks the change handler for EvBoot ("rch", "guarded",
 	// "stock"; empty = rch).
 	Handler string `json:"handler,omitempty"`
-	// Seed drives boot forking and burst monkeys.
+	// Seed drives boots and burst monkeys.
 	Seed uint64 `json:"seed,omitempty"`
 	// Events sizes an EvBurst monkey run.
 	Events int `json:"events,omitempty"`

@@ -7,15 +7,19 @@
 #   1. gofmt         — no unformatted files
 #   2. go vet        — static checks
 #   3. go build      — every package compiles
-#   4. go test -race — full suite, short mode, race detector on (this is
+#   4. perfbench vet — go vet over the perfbench module, which the root
+#                      build and vet skip (it is a module of its own): a
+#                      change that removes or reshapes a name perfbench
+#                      calls fails here, not only in the benchmark run
+#   5. go test -race — full suite, short mode, race detector on (this is
 #                      also the tier-1 race pass over a parallel sweep:
 #                      internal/sweep's determinism tests run -workers=8
 #                      pools in short mode)
-#   5. trace guard   — 89.2 ms flip anchor with tracing disabled, and
+#   6. trace guard   — 89.2 ms flip anchor with tracing disabled, and
 #                      zero virtual-time drift with tracing enabled
-#   6. guard idle    — same anchor with the supervision guard armed but
+#   7. guard idle    — same anchor with the supervision guard armed but
 #                      idle: the watchdog must be tick-for-tick free
-#   7. allocs gate   — bundle save/restore, a guard-transfer-shaped
+#   8. allocs gate   — bundle save/restore, a guard-transfer-shaped
 #                      save + two checksums, one simulated runtime
 #                      change, unguarded and guarded, one judged
 #                      depth-3 explorer schedule, and one judged Light
@@ -24,25 +28,20 @@
 #                      -benchmem: allocs/op (deterministic, unlike
 #                      ns/op) must stay at or under its ceiling in
 #                      ALLOC_CEILINGS below
-#   8. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
+#   9. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
 #                      the parallel sweep engine (GOMAXPROCS workers)
 #                      with the metrics registry armed: the canonical
 #                      dump lands in ./artifacts/ and the run enforces
 #                      the seeds/sec floor (RCH_SEEDS_FLOOR, default
 #                      250 — ~10× headroom under the measured ~2–3k)
-#   9. fork gate     — the same 512-seed oracle sweep through the device
-#                      fork path (-fork: every per-seed world forked from
-#                      one settled pre-chaos template): merged report AND
-#                      canonical metrics dump must be byte-identical to
-#                      stage 8's fresh-build run
 #  10. determinism   — cross-check matrix (rchsweep -crosscheck): the
 #                      128-seed oracle and guard sweeps and a 5000-seed
-#                      boot sweep, each fresh and with -fork, at
-#                      -workers=2, 4 and 8; every merged report AND
-#                      canonical metric dump must be byte-identical to
-#                      the same sweep's -workers=1 run (the explicit
-#                      -workers keep the comparison real on one-core
-#                      runners, where GOMAXPROCS would give one worker)
+#                      boot sweep at -workers=2, 4 and 8; every merged
+#                      report AND canonical metric dump must be
+#                      byte-identical to the same sweep's -workers=1
+#                      run (the explicit -workers keep the comparison
+#                      real on one-core runners, where GOMAXPROCS would
+#                      give one worker)
 #  11. guarded sweep — 1024-seed guarded-chaos run on the engine: zero
 #                      invariant violations, no quarantine/breaker
 #                      decision without a preceding injected fault, and
@@ -100,6 +99,9 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> go -C perfbench vet ./..."
+go -C perfbench vet ./...
+
 echo "==> go test -race -short ./..."
 go test -race -short ./...
 
@@ -144,19 +146,11 @@ artifacts/rchsweep -mode=oracle -seeds=512 -trace-on-fail \
     -min-seeds-per-sec "${RCH_SEEDS_FLOOR:-250}" > artifacts/report.oracle.txt
 cat artifacts/report.oracle.txt
 
-echo "==> fork determinism gate (512-seed oracle via template forks, byte-compare vs fresh)"
-artifacts/rchsweep -mode=oracle -seeds=512 -fork \
-    -metrics-out artifacts/metrics.oracle.fork.json > artifacts/report.oracle.fork.txt
-cmp artifacts/report.oracle.txt artifacts/report.oracle.fork.txt
-cmp artifacts/metrics.oracle.json artifacts/metrics.oracle.fork.json
-
-echo "==> determinism cross-check matrix (workers=1 vs 2/4/8; oracle, guard, boot; fresh and forked)"
+echo "==> determinism cross-check matrix (workers=1 vs 2/4/8; oracle, guard, boot)"
 for spec in oracle:128 guard:128 boot:5000; do
     mode=${spec%:*} seeds=${spec#*:}
-    for fork in "" -fork; do
-        for workers in 2 4 8; do
-            artifacts/rchsweep -mode="$mode" -seeds="$seeds" -workers="$workers" $fork -crosscheck
-        done
+    for workers in 2 4 8; do
+        artifacts/rchsweep -mode="$mode" -seeds="$seeds" -workers="$workers" -crosscheck
     done
 done
 
