@@ -283,9 +283,11 @@ func BenchmarkBundleSaveRestore64Views(b *testing.B) {
 	}
 }
 
-// BenchmarkBundleTransferChecksum64Views is one guard.Transfer attempt's
-// bundle work: save a 64-view tree, then checksum it on both sides of the
-// transport.
+// BenchmarkBundleTransferChecksum64Views is the bundle layer's
+// save-and-hash cost: save a 64-view tree into an unsized bundle, then
+// checksum it twice, as a transport that re-hashes every arrival would.
+// guard.Transfer hashes a clean arrival once
+// (BenchmarkGuardTransfer64Views).
 func BenchmarkBundleTransferChecksum64Views(b *testing.B) {
 	root := view.NewDecorView(1)
 	for i := 0; i < 64; i++ {
@@ -298,6 +300,42 @@ func BenchmarkBundleTransferChecksum64Views(b *testing.B) {
 		if state.Checksum() != state.Checksum() {
 			b.Fatal("checksum differs between the two sides of one transfer")
 		}
+	}
+}
+
+// BenchmarkGuardTransfer64Views is one guard.Transfer of a 64-view
+// tree's saved state, sized as a repeat snapshot is (the decor and its
+// 64 children). In "clean" the first attempt lands: one save, one hash.
+// In "corrupt3" the first three attempts arrive corrupted, each a clone
+// the receiver hashes, and the fourth lands; the snapshot is still saved
+// once.
+func BenchmarkGuardTransfer64Views(b *testing.B) {
+	root := view.NewDecorView(1)
+	for i := 0; i < 64; i++ {
+		root.AddChild(view.NewEditText(view.ID(10+i), "content"))
+	}
+	save := func() *bundle.Bundle {
+		out := bundle.NewCap(65)
+		root.SaveState(out)
+		return out
+	}
+	for _, bc := range []struct {
+		name    string
+		corrupt int
+	}{{"clean", 0}, {"corrupt3", 3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rig := experiments.NewRig(benchapp.New(benchapp.Config{}), experiments.ModeStock)
+			g := guard.New(guard.DefaultConfig(), rig.Sched, rig.Proc, rig.Sys)
+			fault := func(attempt int) chaos.TransferFault {
+				return chaos.TransferFault{Corrupt: attempt < bc.corrupt}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := g.Transfer("Main", save, fault); !ok {
+					b.Fatal("transfer failed")
+				}
+			}
+		})
 	}
 }
 

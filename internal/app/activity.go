@@ -80,6 +80,10 @@ type Activity struct {
 	// shadow state (§3.2).
 	savedShadowState *bundle.Bundle
 
+	// stateLen is the key count of the saved state this instance last
+	// restored from or snapshotted, the size of its next save.
+	stateLen int
+
 	// enteredShadowAt and shadowEntries feed the threshold GC (§3.5).
 	enteredShadowAt sim.Time
 	shadowEntries   []sim.Time
@@ -213,16 +217,17 @@ func (a *Activity) StartActivity(className string) {
 }
 
 // SaveInstanceState produces the full saved-state bundle: the view
-// hierarchy state plus whatever the app's OnSaveInstanceState adds.
+// hierarchy state plus whatever the app's OnSaveInstanceState adds. It
+// has no side effects as long as the app's callback has none (none in
+// this repository does): it only reads the activity, so saving twice
+// with nothing changed in between yields equal bundles. The bundle is
+// sized from the saved state the instance last restored from or
+// snapshotted, so a save without a structural change never regrows.
 func (a *Activity) SaveInstanceState() *bundle.Bundle {
-	out := bundle.New()
-	a.decor.SaveState(out)
+	out := bundle.NewCap(max(2, a.stateLen))
+	a.saveAppState(out)
 	a.fragmentMgr.saveMeta(out)
-	if a.class.Callbacks.OnSaveInstanceState != nil {
-		appState := bundle.New()
-		a.class.Callbacks.OnSaveInstanceState(a, appState)
-		out.PutBundle("app:private", appState)
-	}
+	a.decor.SaveState(out)
 	return out
 }
 
@@ -233,14 +238,22 @@ func (a *Activity) SaveInstanceState() *bundle.Bundle {
 // every Table 1 attribute.
 func (a *Activity) SaveInstanceStateStock() *bundle.Bundle {
 	out := bundle.New()
-	view.SaveStockTree(a.decor, out)
+	a.saveAppState(out)
 	a.fragmentMgr.saveMeta(out) // FragmentManager state IS stock-persisted
-	if a.class.Callbacks.OnSaveInstanceState != nil {
+	view.SaveStockTree(a.decor, out)
+	return out
+}
+
+// saveAppState puts the app's OnSaveInstanceState section into out, if
+// the app implements the callback. The saves put it first, then the
+// fragment metadata, then the views: their keys ("app:", "fragments:",
+// "view:") sort in that order, so each section appends.
+func (a *Activity) saveAppState(out *bundle.Bundle) {
+	if cb := a.class.Callbacks.OnSaveInstanceState; cb != nil {
 		appState := bundle.New()
-		a.class.Callbacks.OnSaveInstanceState(a, appState)
+		cb(a, appState)
 		out.PutBundle("app:private", appState)
 	}
-	return out
 }
 
 // RestoreInstanceState applies a saved-state bundle: view hierarchy state
@@ -249,6 +262,7 @@ func (a *Activity) RestoreInstanceState(saved *bundle.Bundle) {
 	if saved == nil {
 		return
 	}
+	a.stateLen = saved.Len()
 	// Fragments first: re-attaching them creates their views, which the
 	// view-state pass below then restores by id.
 	a.restoreMeta(saved)
@@ -320,7 +334,10 @@ func (a *Activity) ApplyConfiguration(cfg config.Configuration) { a.cfg = cfg }
 func (a *Activity) ShadowSnapshot() *bundle.Bundle { return a.savedShadowState }
 
 // SetShadowSnapshot stores the shadow-entry snapshot.
-func (a *Activity) SetShadowSnapshot(b *bundle.Bundle) { a.savedShadowState = b }
+func (a *Activity) SetShadowSnapshot(b *bundle.Bundle) {
+	a.savedShadowState = b
+	a.stateLen = b.Len()
+}
 
 // EnterShadowBookkeeping records a shadow entry for the GC policy and
 // flags the tree.
@@ -364,8 +381,8 @@ func (a *Activity) MemoryBytes() int64 {
 	m := a.proc.model
 	total := m.ActivityBaseBytes
 	view.Walk(a.decor, func(v view.View) bool {
-		switch v.TypeName() {
-		case "ImageView", "VideoView":
+		switch v.(type) {
+		case *view.ImageView, *view.VideoView:
 			total += m.ImageViewBytes
 		default:
 			total += m.ViewBytes

@@ -79,16 +79,46 @@ type Bundle struct {
 	entries []entry
 }
 
-// New returns an empty Bundle. The bundle and room for its first two
-// entries share one allocation, which is all a one- or two-key view
-// section ever needs.
-func New() *Bundle {
-	s := new(struct {
-		b Bundle
-		e [2]entry
-	})
-	s.b.entries = s.e[:0]
-	return &s.b
+// New returns an empty Bundle with room for two entries, in the
+// bundle's own allocation (see NewCap).
+func New() *Bundle { return NewCap(2) }
+
+// NewCap returns an empty Bundle with room for n entries. Up to four
+// entries share one allocation with the bundle, which covers every view
+// section; a larger bundle allocates its n entries once. A bundle that
+// outgrows n still grows as append does.
+func NewCap(n int) *Bundle {
+	switch {
+	case n <= 1:
+		s := new(struct {
+			b Bundle
+			e [1]entry
+		})
+		s.b.entries = s.e[:0]
+		return &s.b
+	case n == 2:
+		s := new(struct {
+			b Bundle
+			e [2]entry
+		})
+		s.b.entries = s.e[:0]
+		return &s.b
+	case n == 3:
+		s := new(struct {
+			b Bundle
+			e [3]entry
+		})
+		s.b.entries = s.e[:0]
+		return &s.b
+	case n == 4:
+		s := new(struct {
+			b Bundle
+			e [4]entry
+		})
+		s.b.entries = s.e[:0]
+		return &s.b
+	}
+	return &Bundle{entries: make([]entry, 0, n)}
 }
 
 // find returns the index of key, or the index it would be inserted at,
@@ -118,13 +148,25 @@ func (b *Bundle) lookup(key string, kind Kind) *entry {
 	return nil
 }
 
-// put stores e under e.key, replacing any value already there.
+// put stores e under e.key, replacing any value already there. A key
+// that sorts after every stored key, as a save in key order writes them,
+// is appended without a search.
 func (b *Bundle) put(e entry) {
-	i, ok := b.find(e.key)
-	if !ok {
-		b.entries = append(b.entries, entry{})
-		copy(b.entries[i+1:], b.entries[i:])
+	if n := len(b.entries); n == 0 || b.entries[n-1].key < e.key {
+		b.entries = append(b.entries, e)
+		return
 	}
+	if i, ok := b.find(e.key); ok {
+		b.entries[i] = e
+	} else {
+		b.insert(i, e)
+	}
+}
+
+// insert places e at index i, shifting the entries from i up by one.
+func (b *Bundle) insert(i int, e entry) {
+	b.entries = append(b.entries, entry{})
+	copy(b.entries[i+1:], b.entries[i:])
 	b.entries[i] = e
 }
 
@@ -150,6 +192,10 @@ func (b *Bundle) Keys() []string {
 	}
 	return keys
 }
+
+// KeyAt returns the i-th key in sorted order. It panics if i is out of
+// range, as a slice index does.
+func (b *Bundle) KeyAt(i int) string { return b.entries[i].key }
 
 // Has reports whether key is present with any kind.
 func (b *Bundle) Has(key string) bool {
@@ -268,6 +314,27 @@ func (b *Bundle) PutBundle(key string, v *Bundle) {
 	b.put(entry{key: key, kind: KindBundle, ref: v})
 }
 
+// Section returns the nested bundle under key for writing, creating it
+// with NewCap(n) when key is absent or holds another kind or a nil
+// section; the created section replaces that value, as PutBundle would.
+// It searches b once.
+func (b *Bundle) Section(key string, n int) *Bundle {
+	i, ok := b.find(key)
+	if ok {
+		if sec := b.entries[i].nested(); sec != nil {
+			return sec
+		}
+	}
+	sec := NewCap(n)
+	e := entry{key: key, kind: KindBundle, ref: sec}
+	if ok {
+		b.entries[i] = e
+	} else {
+		b.insert(i, e)
+	}
+	return sec
+}
+
 // GetBundle returns the nested bundle under key, or nil if absent.
 func (b *Bundle) GetBundle(key string) *Bundle {
 	if e := b.lookup(key, KindBundle); e != nil {
@@ -296,7 +363,7 @@ func (b *Bundle) Clone() *Bundle {
 	if b == nil {
 		return nil
 	}
-	out := New()
+	out := NewCap(len(b.entries))
 	out.entries = append(out.entries, b.entries...)
 	for i := range out.entries {
 		out.entries[i].ref = cloneRef(&out.entries[i])
@@ -420,7 +487,7 @@ func (b *Bundle) appendKey(dst []byte, i int) []byte {
 func (e *entry) appendValue(dst []byte) []byte {
 	switch e.kind {
 	case KindString:
-		dst = strconv.AppendQuote(dst, e.str)
+		dst = appendQuoted(dst, e.str)
 	case KindInt:
 		dst = strconv.AppendInt(dst, e.num, 10)
 	case KindFloat:
@@ -433,7 +500,7 @@ func (e *entry) appendValue(dst []byte) []byte {
 			if j > 0 {
 				dst = append(dst, ' ')
 			}
-			dst = strconv.AppendQuote(dst, s)
+			dst = appendQuoted(dst, s)
 		}
 		dst = append(dst, ']')
 	case KindIntSlice:
@@ -447,4 +514,23 @@ func (e *entry) appendValue(dst []byte) []byte {
 		dst = append(dst, ']')
 	}
 	return dst
+}
+
+// plainByte reports whether strconv.AppendQuote copies c through
+// unchanged: printable ASCII other than the double quote and the
+// backslash.
+func plainByte(c byte) bool { return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' }
+
+// appendQuoted appends s quoted exactly as strconv.AppendQuote does. A
+// string of plain bytes quotes to itself between two '"', so it is
+// copied in one append; any other string goes through AppendQuote.
+func appendQuoted(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plainByte(s[i]) {
+			return strconv.AppendQuote(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }

@@ -1,6 +1,8 @@
 package bundle
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -299,4 +301,104 @@ func TestNilSections(t *testing.T) {
 		t.Error("nil Clone is not nil")
 	}
 	nilB.Remove("k") // must not panic
+}
+
+// NewCap gives room for n entries up front and still grows past n.
+func TestNewCap(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 64} {
+		b := NewCap(n)
+		if b.Len() != 0 || cap(b.entries) < n {
+			t.Fatalf("NewCap(%d): len %d, room for %d", n, b.Len(), cap(b.entries))
+		}
+		ref := New()
+		for i := n + 3; i > 0; i-- { // past n, in descending key order
+			k := fmt.Sprintf("k%02d", i)
+			b.PutInt(k, int64(i))
+			ref.PutInt(k, int64(i))
+		}
+		if !b.Equal(ref) || b.String() != ref.String() {
+			t.Fatalf("NewCap(%d) filled past n = %s, want %s", n, b, ref)
+		}
+	}
+}
+
+// Section finds or creates a nested bundle in one search, with the
+// outcome PutBundle gives: it reuses a section already there, and
+// replaces a value of another kind or a nil section with a new one.
+func TestSection(t *testing.T) {
+	// reference is the two-search find-or-create Section replaces.
+	reference := func(b *Bundle, key string) *Bundle {
+		sec := b.GetBundle(key)
+		if sec == nil {
+			sec = New()
+			b.PutBundle(key, sec)
+		}
+		return sec
+	}
+	fill := func(b *Bundle) {
+		b.PutString("view:1", "not a section")
+		b.PutBundle("view:2", nil)
+		sec := New()
+		sec.PutBool("visible", true)
+		b.PutBundle("view:3", sec)
+		b.PutIntSlice("view:4", []int64{1})
+	}
+	for _, key := range []string{"view:0", "view:1", "view:2", "view:3", "view:4", "view:9"} {
+		got, want := New(), New()
+		fill(got)
+		fill(want)
+		existing := got.GetBundle(key)
+		sec := got.Section(key, 3)
+		wantSec := reference(want, key)
+		if sec == nil || got.GetBundle(key) != sec {
+			t.Fatalf("Section(%q) = %p, bundle holds %p", key, sec, got.GetBundle(key))
+		}
+		if existing != nil && sec != existing {
+			t.Fatalf("Section(%q) replaced the section already there", key)
+		}
+		if existing == nil && (sec.Len() != 0 || cap(sec.entries) < 3) {
+			t.Fatalf("Section(%q) created %s with room for %d, want empty with room for 3", key, sec, cap(sec.entries))
+		}
+		sec.PutInt("n", 1)
+		wantSec.PutInt("n", 1)
+		if !got.Equal(want) || got.String() != want.String() {
+			t.Fatalf("Section(%q): %s, want %s", key, got, want)
+		}
+	}
+}
+
+// Property: whatever order keys arrive in, including ascending runs that
+// take put's append path and a key put again while it sorts last, the
+// bundle holds each key once, in sorted order, with its last value.
+func TestPutKeepsKeysSortedProperty(t *testing.T) {
+	f := func(ops []uint16) bool {
+		b := New()
+		model := map[string]int64{}
+		for i, op := range ops {
+			k := fmt.Sprintf("k%03d", op%512)
+			if op&0x8000 != 0 { // an ascending run through the append path
+				k = fmt.Sprintf("k%03d", 512+i)
+			}
+			v := int64(i)
+			b.PutInt(k, v)
+			if op&0x4000 != 0 { // the same key again
+				v = -v
+				b.PutInt(k, v)
+			}
+			model[k] = v
+		}
+		keys := b.Keys()
+		if len(keys) != len(model) || !slices.IsSorted(keys) {
+			return false
+		}
+		for i, k := range keys {
+			if (i > 0 && keys[i-1] == k) || b.GetInt(k, -1) != model[k] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,9 +91,21 @@ var (
 		1e21, 1e20, 1e-7, 1e-5, 0.1, -2.5, 123456789, math.MaxFloat64,
 		math.SmallestNonzeroFloat64, 1.0 / 3,
 	}
-	renderStrings = []string{
-		"", "a", `"`, `\`, "quote\"inside", "tab\there", "nl\n", "\x00", "\x7f",
+	renderStrings = append([]string{
+		"", "a", "quote\"inside", "tab\there", "nl\n", "\x00",
 		"\xff\xfe", "héllo", "日本", " ", "a=b, c", "{}", "[x y]", "view:7",
+	}, plainBoundary...)
+
+	// plainBoundary sits on both sides of the line between the strings
+	// Checksum hashes in place (every byte printable ASCII other than the
+	// double quote and the backslash) and those it renders through
+	// strconv.AppendQuote: the bytes either side of the printable range,
+	// the two escaped ASCII bytes, a multi-byte rune, invalid UTF-8, and
+	// strings longer than the hash's 256-byte stack buffer, plain and
+	// escaped.
+	plainBoundary = []string{
+		"\x1f", " ", "~", "\x7f", `"`, `\`, "é", "\xff",
+		strings.Repeat("p", 300), strings.Repeat("p", 299) + `"`,
 	}
 )
 
@@ -251,7 +264,32 @@ func FuzzBundleRender(f *testing.F) {
 	f.Add([]byte{7, 0, 2, 0, 1, 2, 0, 2, 2, 0, 3, 2, 0, 4, 7, 9, 1, 3, 5})
 	f.Add([]byte{5, 201, 3, '"', 0, 255, 8, 3, 1, 5, 2, 0, 7, 6, 3})
 	f.Add([]byte("\x06\x10\x05\x03\x11\x12\x13\x06\x02\x07\x09\x04\x00\x01\x02\x03\x04\x05\x06\x07"))
+	view7 := byte(slices.Index(renderStrings, "view:7"))
+	for _, str := range plainBoundary {
+		i := byte(slices.Index(renderStrings, str))
+		// Three entries: key "a" holding str, key "view:7" holding
+		// [str "a"], and key str holding an int.
+		f.Add([]byte{3, 1, 0, i, view7, 5, 2, i, 1, i, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRender(t, genBundle(&genReader{data: data}, 3))
 	})
+}
+
+// TestChecksumAtPlainEscapeBoundary: on each side of the line between
+// strings hashed in place and strings quoted through strconv, as a
+// value, inside a longer value, as a string-slice element and in a
+// nested section, String matches the fmt reference and Checksum is
+// FNV-1a-64 of String.
+func TestChecksumAtPlainEscapeBoundary(t *testing.T) {
+	for _, s := range plainBoundary {
+		b := New()
+		b.PutString("s", s)
+		b.PutString("t", "a"+s+"b")
+		b.PutStringSlice("ss", []string{s, "plain", s})
+		sec := New()
+		sec.PutString("text", s)
+		b.PutBundle("view:1", sec)
+		checkRender(t, b)
+	}
 }

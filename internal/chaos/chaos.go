@@ -455,19 +455,19 @@ type TransferFault struct {
 
 // Apply returns the bundle as it arrives on the far side of the
 // transfer: nil when dropped, a clone missing its first (sorted) key
-// when corrupted, the original otherwise. Callers without a checksum
-// verifier should treat a nil arrival as an empty bundle — that is what
-// a stock restart restores after a lost transfer.
+// when corrupted, the original otherwise. Apply never writes into b, so
+// a sender may re-send b after a failed attempt, and an arrival that is
+// b itself is known intact without hashing it. Callers without a
+// checksum verifier should treat a nil arrival as an empty bundle —
+// that is what a stock restart restores after a lost transfer.
 func (f TransferFault) Apply(b *bundle.Bundle) *bundle.Bundle {
 	if f.Drop {
 		return nil
 	}
-	if f.Corrupt && b != nil {
-		if keys := b.Keys(); len(keys) > 0 {
-			c := b.Clone()
-			c.Remove(keys[0])
-			return c
-		}
+	if f.Corrupt && !b.IsEmpty() {
+		c := b.Clone()
+		c.Remove(c.KeyAt(0))
+		return c
 	}
 	return b
 }

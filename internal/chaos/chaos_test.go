@@ -8,6 +8,7 @@ import (
 	"rchdroid/internal/app"
 	"rchdroid/internal/atms"
 	"rchdroid/internal/benchapp"
+	"rchdroid/internal/bundle"
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/config"
 	"rchdroid/internal/core"
@@ -200,5 +201,46 @@ func TestInstallWiring(t *testing.T) {
 	if !sawLooper || !sawCore {
 		t.Fatalf("expected looper and lifecycle injections, got looper=%v core=%v (%d records)",
 			sawLooper, sawCore, len(plan.Injections()))
+	}
+}
+
+// TestTransferFaultApplyLeavesInputIntact: Apply never writes into the
+// bundle it is given, which is what lets the guard re-send one snapshot
+// on every retry. A drop arrives as nil, a corruption is a fresh bundle
+// equal to the input minus its first key, and an empty or nil input
+// arrives as itself.
+func TestTransferFaultApplyLeavesInputIntact(t *testing.T) {
+	in := bundle.New()
+	in.PutString("a:first", "x")
+	in.PutInt("b", 7)
+	sec := bundle.New()
+	sec.PutBool("visible", true)
+	in.PutBundle("view:3", sec)
+	wantString, wantSum := in.String(), in.Checksum()
+
+	if got := (chaos.TransferFault{Drop: true}).Apply(in); got != nil {
+		t.Fatalf("drop arrived as %v, want nil", got)
+	}
+	got := (chaos.TransferFault{Corrupt: true}).Apply(in)
+	if in.String() != wantString || in.Checksum() != wantSum {
+		t.Fatalf("Apply wrote into its input: %s, want %s", in, wantString)
+	}
+	minusFirst := in.Clone()
+	minusFirst.Remove("a:first")
+	if got == in || !got.Equal(minusFirst) || got.String() != minusFirst.String() {
+		t.Fatalf("corruption arrived as %s, want a new bundle %s", got, minusFirst)
+	}
+	if got.GetBundle("view:3") == sec {
+		t.Fatal("corruption shares a nested section with its input")
+	}
+	if got := (chaos.TransferFault{}).Apply(in); got != in {
+		t.Fatalf("clean transfer arrived as %p, want the input %p", got, in)
+	}
+	empty := bundle.New()
+	if got := (chaos.TransferFault{Corrupt: true}).Apply(empty); got != empty {
+		t.Fatal("corrupting an empty bundle did not return it unchanged")
+	}
+	if got := (chaos.TransferFault{Corrupt: true}).Apply(nil); got != nil {
+		t.Fatalf("corrupting nil arrived as %v", got)
 	}
 }

@@ -487,11 +487,21 @@ func (g *Guard) firstArmedClass() string {
 }
 
 // Transfer performs one checksummed saved-state transfer: snapshot via
-// save, hash, push through the fault model, re-hash on arrival. A
-// mismatched or dropped arrival is retried up to TransferRetries times
-// with deterministic exponential backoff; the accumulated backoff is
-// returned so the caller can charge it to the UI thread. ok=false means
-// every attempt failed and the caller must degrade.
+// save and hash it once, then push the snapshot through the fault model
+// and check what arrives against that hash. A mismatched or dropped
+// arrival is retried, re-sending the same snapshot, up to
+// TransferRetries times with deterministic exponential backoff; the
+// accumulated backoff is returned so the caller can charge it to the UI
+// thread. ok=false means every attempt failed and the caller must
+// degrade.
+//
+// Two invariants make one snapshot enough. save has no side effects
+// (Activity.SaveInstanceState only reads the activity, which cannot
+// change inside the synchronous phase that transfers it), so saving
+// again per attempt would rebuild the same bundle. And
+// chaos.TransferFault.Apply never writes into its argument, so the
+// snapshot survives a failed attempt intact, and an arrival that is the
+// snapshot itself needs no second hash.
 func (g *Guard) Transfer(class string, save func() *bundle.Bundle, fault func(attempt int) chaos.TransferFault) (*bundle.Bundle, time.Duration, bool) {
 	if g == nil {
 		b := save()
@@ -507,15 +517,15 @@ func (g *Guard) Transfer(class string, save func() *bundle.Bundle, fault func(at
 	if attempts < 1 {
 		attempts = 1
 	}
+	b := save()
+	want := b.Checksum()
 	var backoff time.Duration
 	for i := 0; i < attempts; i++ {
-		b := save()
-		want := b.Checksum()
 		got := b
 		if fault != nil {
 			got = fault(i).Apply(b)
 		}
-		if got.Checksum() == want {
+		if got == b || got.Checksum() == want {
 			return got, backoff, true
 		}
 		cause := "corrupt"

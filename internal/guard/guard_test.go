@@ -1,6 +1,7 @@
 package guard_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -174,55 +175,114 @@ func TestDispatchOverrunAttribution(t *testing.T) {
 	}
 }
 
+// TestTransferRetriesAndBackoff drives one transfer through 0 to 4
+// failing attempts, dropped or corrupted (and one drop then one
+// corruption), with three retries: the snapshot is saved once and
+// re-sent, a clean arrival is the snapshot itself, the charged backoff
+// is the deterministic exponential sum, and the decision log holds one
+// retry per failed attempt that had one left, then transferFail when
+// all four failed.
 func TestTransferRetriesAndBackoff(t *testing.T) {
-	cfg := guard.DefaultConfig()
-	cfg.TransferRetries = 3
-	cfg.RetryBackoff = 5 * time.Millisecond
-	r := newRig(t, cfg)
-	g := r.g
-
-	save := func() *bundle.Bundle {
-		b := bundle.New()
-		b.PutString("k", "v")
-		b.PutInt("n", 42)
-		return b
+	drop, corrupt := chaos.TransferFault{Drop: true}, chaos.TransferFault{Corrupt: true}
+	type tc struct {
+		name    string
+		failing []chaos.TransferFault // the faults of the first attempts
 	}
-
-	// Two failures then success: the snapshot survives and the charged
-	// backoff is the deterministic exponential sum 5ms + 10ms.
-	calls := 0
-	snap, backoff, ok := g.Transfer(r.class, save, func(attempt int) chaos.TransferFault {
-		calls++
-		if attempt == 0 {
-			return chaos.TransferFault{Drop: true}
+	cases := []tc{{"drop-then-corrupt", []chaos.TransferFault{drop, corrupt}}}
+	for _, f := range []struct {
+		name  string
+		fault chaos.TransferFault
+	}{{"dropped", drop}, {"corrupt", corrupt}} {
+		for n := 0; n <= 4; n++ {
+			failing := make([]chaos.TransferFault, n)
+			for i := range failing {
+				failing[i] = f.fault
+			}
+			cases = append(cases, tc{fmt.Sprintf("%s-%d", f.name, n), failing})
 		}
-		if attempt == 1 {
-			return chaos.TransferFault{Corrupt: true}
-		}
-		return chaos.TransferFault{}
-	})
-	if !ok || calls != 3 {
-		t.Fatalf("transfer ok=%v after %d attempts", ok, calls)
 	}
-	if got := snap.GetString("k", ""); got != "v" {
-		t.Fatalf("snapshot corrupted: k=%q", got)
-	}
-	if want := 5*time.Millisecond + 10*time.Millisecond; backoff != want {
-		t.Fatalf("backoff = %v, want %v", backoff, want)
-	}
-	if g.Count(guard.KindRetry) != 2 {
-		t.Fatalf("Retries = %d, want 2", g.Count(guard.KindRetry))
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := guard.DefaultConfig()
+			cfg.TransferRetries = 3
+			cfg.RetryBackoff = 5 * time.Millisecond
+			r := newRig(t, cfg)
 
-	// Every attempt failing reports degradation to the caller.
-	snap, _, ok = g.Transfer(r.class, save, func(int) chaos.TransferFault {
-		return chaos.TransferFault{Drop: true}
-	})
-	if ok || snap != nil {
-		t.Fatalf("all-fail transfer returned ok=%v snap=%v", ok, snap)
-	}
-	if g.Count(guard.KindTransferFail) != 1 {
-		t.Fatalf("TransferFailures = %d, want 1", g.Count(guard.KindTransferFail))
+			saves := 0
+			var saved *bundle.Bundle
+			save := func() *bundle.Bundle {
+				saves++
+				saved = bundle.New()
+				saved.PutString("k", "v")
+				saved.PutInt("n", 42)
+				return saved
+			}
+			attempts := 0
+			snap, backoff, ok := r.g.Transfer(r.class, save, func(attempt int) chaos.TransferFault {
+				if attempt != attempts {
+					t.Fatalf("fault drawn for attempt %d, want %d", attempt, attempts)
+				}
+				attempts++
+				if attempt < len(c.failing) {
+					return c.failing[attempt]
+				}
+				return chaos.TransferFault{}
+			})
+			failing := len(c.failing)
+			if saves != 1 {
+				t.Fatalf("save ran %d times, want once per transfer", saves)
+			}
+			if want := min(failing+1, 4); attempts != want {
+				t.Fatalf("%d attempts, want %d", attempts, want)
+			}
+
+			var wantLog []string
+			var wantBackoff time.Duration
+			for i := 0; i < min(failing, 3); i++ {
+				cause := "corrupt"
+				if c.failing[i].Drop {
+					cause = "dropped"
+				}
+				wait := 5 * time.Millisecond << i
+				wantBackoff += wait
+				wantLog = append(wantLog, fmt.Sprintf("retry %s: transfer %s, attempt %d, backoff %v", r.class, cause, i+1, wait))
+			}
+			if failing == 4 {
+				wantLog = append(wantLog, fmt.Sprintf("transferFail %s: all 4 attempts failed", r.class))
+			}
+			var gotLog []string
+			for _, d := range r.g.Decisions() {
+				gotLog = append(gotLog, fmt.Sprintf("%s %s: %s", d.Kind, d.Class, d.Detail))
+			}
+			if strings.Join(gotLog, "\n") != strings.Join(wantLog, "\n") {
+				t.Fatalf("decision log:\n%s\nwant:\n%s", strings.Join(gotLog, "\n"), strings.Join(wantLog, "\n"))
+			}
+			if backoff != wantBackoff {
+				t.Fatalf("backoff = %v, want %v", backoff, wantBackoff)
+			}
+			if r.g.Count(guard.KindRetry) != min(failing, 3) {
+				t.Fatalf("Retries = %d, want %d", r.g.Count(guard.KindRetry), min(failing, 3))
+			}
+
+			if failing == 4 {
+				if ok || snap != nil {
+					t.Fatalf("all-fail transfer returned ok=%v snap=%v", ok, snap)
+				}
+				if r.g.Count(guard.KindTransferFail) != 1 {
+					t.Fatalf("TransferFailures = %d, want 1", r.g.Count(guard.KindTransferFail))
+				}
+				return
+			}
+			if !ok || snap != saved {
+				t.Fatalf("transfer ok=%v returned %v, want the saved snapshot %v", ok, snap, saved)
+			}
+			if got, want := snap.String(), `{k="v", n=42}`; got != want {
+				t.Fatalf("snapshot = %s, want %s", got, want)
+			}
+			if r.g.Count(guard.KindTransferFail) != 0 {
+				t.Fatalf("TransferFailures = %d, want 0", r.g.Count(guard.KindTransferFail))
+			}
+		})
 	}
 }
 

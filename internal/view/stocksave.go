@@ -19,16 +19,16 @@ type StockSaver interface {
 // SaveStockState implements StockSaver for EditText: text and cursor are
 // saved (android.widget.TextView.onSaveInstanceState with an editable).
 func (e *EditText) SaveStockState(out *bundle.Bundle) {
-	if sec := e.saveSection(out); sec != nil {
-		sec.PutString("text", e.text)
+	if sec := e.saveSection(out, 2); sec != nil {
 		sec.PutInt("cursor", int64(e.cursor))
+		sec.PutString("text", e.text)
 	}
 }
 
 // SaveStockState implements StockSaver for CheckBox: the checked flag is
 // saved (CompoundButton.onSaveInstanceState).
 func (c *CheckBox) SaveStockState(out *bundle.Bundle) {
-	if sec := c.saveSection(out); sec != nil {
+	if sec := c.saveSection(out, 1); sec != nil {
 		sec.PutBool("checked", c.checked)
 	}
 }

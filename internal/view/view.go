@@ -189,18 +189,15 @@ func (b *BaseView) release() {
 	b.sunnyPeer = nil
 }
 
-// saveSection allocates (or reuses) this view's nested bundle in out.
-// Views without an ID save nothing, matching Android.
-func (b *BaseView) saveSection(out *bundle.Bundle) *bundle.Bundle {
+// saveSection allocates (or reuses) this view's nested bundle in out,
+// with room for the n entries the caller will put. Savers put their keys
+// in sorted order, so each put appends. Views without an ID save
+// nothing, matching Android.
+func (b *BaseView) saveSection(out *bundle.Bundle, n int) *bundle.Bundle {
 	if b.id == NoID {
 		return nil
 	}
-	sec := out.GetBundle(b.key)
-	if sec == nil {
-		sec = bundle.New()
-		out.PutBundle(b.key, sec)
-	}
-	return sec
+	return out.Section(b.key, n)
 }
 
 // restoreSection fetches this view's nested bundle from in, or nil.
@@ -213,7 +210,7 @@ func (b *BaseView) restoreSection(in *bundle.Bundle) *bundle.Bundle {
 
 // SaveState implements View for widgets with no extra state.
 func (b *BaseView) SaveState(out *bundle.Bundle) {
-	if sec := b.saveSection(out); sec != nil {
+	if sec := b.saveSection(out, 1); sec != nil {
 		sec.PutBool("visible", b.visible)
 	}
 }

@@ -1,6 +1,10 @@
 package view
 
-import "rchdroid/internal/bundle"
+import (
+	"slices"
+
+	"rchdroid/internal/bundle"
+)
 
 // This file defines the concrete widget types of Table 1. Each widget
 // carries the attributes its migration policy transfers:
@@ -63,11 +67,11 @@ func (t *TextView) SetHint(s string) { t.hint = s }
 // static layout text stays with the layout so a configuration change can
 // re-resolve it.
 func (t *TextView) SaveState(out *bundle.Bundle) {
-	if sec := t.saveSection(out); sec != nil {
-		sec.PutBool("visible", t.visible)
+	if sec := t.saveSection(out, 2); sec != nil {
 		if t.textModified {
 			sec.PutString("text", t.text)
 		}
+		sec.PutBool("visible", t.visible)
 	}
 }
 
@@ -120,10 +124,10 @@ func (e *EditText) Type(s string) {
 
 // SaveState stores text and cursor.
 func (e *EditText) SaveState(out *bundle.Bundle) {
-	if sec := e.saveSection(out); sec != nil {
-		sec.PutBool("visible", e.visible)
-		sec.PutString("text", e.text)
+	if sec := e.saveSection(out, 3); sec != nil {
 		sec.PutInt("cursor", int64(e.cursor))
+		sec.PutString("text", e.text)
+		sec.PutBool("visible", e.visible)
 	}
 }
 
@@ -191,12 +195,12 @@ func (c *CheckBox) SetChecked(v bool) {
 // SaveState stores the checked flag (and the label only if it was
 // relabelled programmatically).
 func (c *CheckBox) SaveState(out *bundle.Bundle) {
-	if sec := c.saveSection(out); sec != nil {
-		sec.PutBool("visible", c.visible)
+	if sec := c.saveSection(out, 3); sec != nil {
+		sec.PutBool("checked", c.checked)
 		if c.textModified {
 			sec.PutString("text", c.text)
 		}
-		sec.PutBool("checked", c.checked)
+		sec.PutBool("visible", c.visible)
 	}
 }
 
@@ -244,11 +248,11 @@ func (v *ImageView) SetDrawable(res string) {
 // SaveState stores the drawable reference when it was swapped in
 // programmatically.
 func (v *ImageView) SaveState(out *bundle.Bundle) {
-	if sec := v.saveSection(out); sec != nil {
-		sec.PutBool("visible", v.visible)
+	if sec := v.saveSection(out, 2); sec != nil {
 		if v.drawableModified {
 			sec.PutString("drawable", v.drawable)
 		}
+		sec.PutBool("visible", v.visible)
 	}
 }
 
@@ -370,16 +374,16 @@ func (l *AbsListView) ScrollTo(off int) {
 
 // SaveState stores selection, checked set and scroll offset.
 func (l *AbsListView) SaveState(out *bundle.Bundle) {
-	if sec := l.saveSection(out); sec != nil {
-		sec.PutBool("visible", l.visible)
-		sec.PutInt("selector", int64(l.selectorPos))
-		sec.PutInt("scroll", int64(l.scrollOffset))
-		checked := l.CheckedPositions()
-		ints := make([]int64, len(checked))
-		for i, p := range checked {
-			ints[i] = int64(p)
+	if sec := l.saveSection(out, 4); sec != nil {
+		checked := make([]int64, 0, len(l.checkedItems))
+		for p := range l.checkedItems {
+			checked = append(checked, int64(p))
 		}
-		sec.PutIntSlice("checked", ints)
+		slices.Sort(checked)
+		sec.PutIntSlice("checked", checked)
+		sec.PutInt("scroll", int64(l.scrollOffset))
+		sec.PutInt("selector", int64(l.selectorPos))
+		sec.PutBool("visible", l.visible)
 	}
 }
 
@@ -481,11 +485,11 @@ func (v *VideoView) SetPlaying(on bool) {
 
 // SaveState stores URI and position.
 func (v *VideoView) SaveState(out *bundle.Bundle) {
-	if sec := v.saveSection(out); sec != nil {
-		sec.PutBool("visible", v.visible)
-		sec.PutString("uri", v.videoURI)
-		sec.PutInt("pos", int64(v.positionMS))
+	if sec := v.saveSection(out, 4); sec != nil {
 		sec.PutBool("playing", v.playing)
+		sec.PutInt("pos", int64(v.positionMS))
+		sec.PutString("uri", v.videoURI)
+		sec.PutBool("visible", v.visible)
 	}
 }
 
@@ -545,10 +549,10 @@ func (p *ProgressBar) SetProgress(v int) {
 
 // SaveState stores progress and max.
 func (p *ProgressBar) SaveState(out *bundle.Bundle) {
-	if sec := p.saveSection(out); sec != nil {
-		sec.PutBool("visible", p.visible)
-		sec.PutInt("progress", int64(p.progress))
+	if sec := p.saveSection(out, 3); sec != nil {
 		sec.PutInt("max", int64(p.max))
+		sec.PutInt("progress", int64(p.progress))
+		sec.PutBool("visible", p.visible)
 	}
 }
 

@@ -117,10 +117,10 @@ func (c *Chronometer) SetElapsedSec(v int) {
 
 // SaveState stores the elapsed count and running flag.
 func (c *Chronometer) SaveState(out *bundle.Bundle) {
-	if sec := c.saveSection(out); sec != nil {
-		sec.PutBool("visible", c.visible)
+	if sec := c.saveSection(out, 3); sec != nil {
 		sec.PutInt("elapsed", int64(c.elapsedSec))
 		sec.PutBool("running", c.running)
+		sec.PutBool("visible", c.visible)
 	}
 }
 

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"rchdroid/internal/sim"
 )
@@ -74,13 +76,32 @@ func weightAt(at, span int64) int {
 // memory-pressure trims 15%.
 func Generate(spec GenSpec) *Log {
 	spec = spec.withDefaults()
+	events := timeline(generate(spec))
+	return &Log{
+		Header: Header{
+			Format: FormatName, Version: FormatVersion,
+			Seed: spec.Seed, Devices: spec.Devices,
+			SpanMS: spec.SpanMS, Events: len(events),
+		},
+		Events: events,
+	}
+}
+
+// generate draws spec's events device by device, each device's stream
+// in time order (ties possible), before the timeline merge.
+func generate(spec GenSpec) []Event {
 	var sumW int64
 	for _, w := range diurnalWeights {
 		sumW += int64(w)
 	}
 	avgW := sumW / 24
 
-	var events []Event
+	// Room for half again the nominal event count, which the diurnal
+	// gaps overshoot by about a fifth: growing a fleet-sized log by
+	// append alone allocates about five times its final size on the way.
+	// Gaps are at least 1 ms, so the span bounds the nominal count.
+	perDevice := min(int64(spec.EventsPerDevice), spec.SpanMS)
+	events := make([]Event, 0, int64(spec.Devices)*(perDevice*3/2+1))
 	for d := 0; d < spec.Devices; d++ {
 		// A distinct SplitMix stream per device: the golden-ratio stride
 		// is the same decorrelation NewRNG itself advances by.
@@ -141,25 +162,50 @@ func Generate(spec GenSpec) *Log {
 		}
 	}
 
-	// Merge the per-device streams into one timeline. The tie-break on
-	// (device, kind) keeps the order a pure function of the event set.
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.AtMS != b.AtMS {
-			return a.AtMS < b.AtMS
-		}
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		return a.Kind < b.Kind
-	})
+	return events
+}
 
-	return &Log{
-		Header: Header{
-			Format: FormatName, Version: FormatVersion,
-			Seed: spec.Seed, Devices: spec.Devices,
-			SpanMS: spec.SpanMS, Events: len(events),
-		},
-		Events: events,
+// timeline merges generated per-device streams into one timeline,
+// ordered by time, then device name, then kind, with full ties kept in
+// generation order, so the order is a pure function of the event set.
+// It sorts 16-byte keys that carry each device's rank by name, so most
+// comparisons read no event, and moves each 72-byte event once.
+func timeline(events []Event) []Event {
+	rank := make(map[string]int32)
+	var names []string
+	for i := range events {
+		if _, ok := rank[events[i].Device]; !ok {
+			rank[events[i].Device] = 0
+			names = append(names, events[i].Device)
+		}
 	}
+	slices.Sort(names)
+	for r, name := range names {
+		rank[name] = int32(r)
+	}
+	type key struct {
+		at       int64
+		dev, idx int32
+	}
+	keys := make([]key, len(events))
+	for i := range events {
+		keys[i] = key{at: events[i].AtMS, dev: rank[events[i].Device], idx: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		if a.dev != b.dev {
+			return cmp.Compare(a.dev, b.dev)
+		}
+		if c := strings.Compare(events[a.idx].Kind, events[b.idx].Kind); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	out := make([]Event, len(events))
+	for i, k := range keys {
+		out[i] = events[k.idx]
+	}
+	return out
 }

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -122,5 +124,64 @@ func TestGenerateValidAndDiurnal(t *testing.T) {
 	if perSlice[18] <= 2*perSlice[1] {
 		t.Fatalf("no diurnal shape: peak slice 18 has %d events, trough slice 1 has %d",
 			perSlice[18], perSlice[1])
+	}
+}
+
+// TestTimelineMatchesStableSort: the timeline merge orders generated
+// events exactly as the stable sort with the original comparator did,
+// kept here as the reference, including events that tie on time,
+// device and kind (kept in generation order) and device names past
+// w-999, whose name order is not their index order.
+func TestTimelineMatchesStableSort(t *testing.T) {
+	reference := func(events []Event) []Event {
+		out := slices.Clone(events)
+		sort.SliceStable(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if a.AtMS != b.AtMS {
+				return a.AtMS < b.AtMS
+			}
+			if a.Device != b.Device {
+				return a.Device < b.Device
+			}
+			return a.Kind < b.Kind
+		})
+		return out
+	}
+	specs := []struct {
+		name     string
+		spec     GenSpec
+		fullTies bool // some events tie on time, device and kind
+	}{
+		{"default", GenSpec{Seed: 1}, false},
+		{"fleet-shaped", GenSpec{Seed: 7, Devices: 64, EventsPerDevice: 300}, false},
+		{"50ms-span", GenSpec{Seed: 3, Devices: 16, SpanMS: 50, EventsPerDevice: 40}, true},
+		{"8ms-span", GenSpec{Seed: 4, Devices: 4, SpanMS: 8, EventsPerDevice: 30}, true},
+		{"1200-devices", GenSpec{Seed: 5, Devices: 1200, SpanMS: 200, EventsPerDevice: 4}, false},
+		{"events-past-span", GenSpec{Seed: 6, Devices: 2, SpanMS: 2000, EventsPerDevice: 1_000_000_000}, true},
+	}
+	for _, tc := range specs {
+		t.Run(tc.name, func(t *testing.T) {
+			events := generate(tc.spec.withDefaults())
+			want := reference(events)
+			got := timeline(events)
+			if len(got) != len(want) {
+				t.Fatalf("timeline has %d events, want %d", len(got), len(want))
+			}
+			ties := 0
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+				}
+				if i > 0 {
+					a, b := want[i-1], want[i]
+					if a.AtMS == b.AtMS && a.Device == b.Device && a.Kind == b.Kind {
+						ties++
+					}
+				}
+			}
+			if tc.fullTies && ties == 0 {
+				t.Fatal("spec produced no full ties; it no longer tests the generation-order tie-break")
+			}
+		})
 	}
 }

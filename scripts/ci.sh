@@ -19,15 +19,16 @@
 #                      zero virtual-time drift with tracing enabled
 #   7. guard idle    — same anchor with the supervision guard armed but
 #                      idle: the watchdog must be tick-for-tick free
-#   8. allocs gate   — bundle save/restore, a guard-transfer-shaped
-#                      save + two checksums, one simulated runtime
-#                      change, unguarded and guarded, one judged
-#                      depth-3 explorer schedule, and one judged Light
-#                      and one judged Guarded oracle seed (the sampled
-#                      path the sweeps run), each run 200x with
-#                      -benchmem: allocs/op (deterministic, unlike
-#                      ns/op) must stay at or under its ceiling in
-#                      ALLOC_CEILINGS below
+#   8. allocs gate   — bundle save/restore, a bundle save + two
+#                      checksums, one guard.Transfer of a 64-view
+#                      snapshot (clean, and with three corrupted
+#                      attempts), one simulated runtime change,
+#                      unguarded and guarded, one judged depth-3
+#                      explorer schedule, and one judged Light and one
+#                      judged Guarded oracle seed (the sampled path the
+#                      sweeps run), each run 200x with -benchmem:
+#                      allocs/op (deterministic, unlike ns/op) must stay
+#                      at or under its ceiling in ALLOC_CEILINGS below
 #   9. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
 #                      the parallel sweep engine (GOMAXPROCS workers)
 #                      with the metrics registry armed: the canonical
@@ -111,18 +112,20 @@ go test ./internal/experiments -run TestTraceOverheadGuard -count=1
 echo "==> guard idle anchor"
 go test ./internal/experiments -run TestGuardIdleAnchor -count=1
 
-echo "==> allocs/op gate (bundle save/restore, transfer checksum, runtime change, guarded change, explore schedule, oracle seed)"
+echo "==> allocs/op gate (bundle save/restore, save + checksums, guard transfer, runtime change, guarded change, explore schedule, oracle seed)"
 # Ceilings are the allocs/op measured when each benchmark's last saving
 # landed; lower one when a change saves allocations, never raise one to
 # pass.
-ALLOC_CEILINGS="BenchmarkBundleSaveRestore64Views=135
-BenchmarkBundleTransferChecksum64Views=135
-BenchmarkSimulatedRuntimeChange=35
-BenchmarkGuardedRuntimeChange=37
-BenchmarkExploreSchedule=771
-BenchmarkOracleSeed=1754"
+ALLOC_CEILINGS="BenchmarkBundleSaveRestore64Views=71
+BenchmarkBundleTransferChecksum64Views=71
+BenchmarkGuardTransfer64Views/clean=67
+BenchmarkGuardTransfer64Views/corrupt3=280
+BenchmarkSimulatedRuntimeChange=33
+BenchmarkGuardedRuntimeChange=35
+BenchmarkExploreSchedule=765
+BenchmarkOracleSeed=1710"
 mkdir -p artifacts
-go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|SimulatedRuntimeChange|GuardedRuntimeChange|ExploreSchedule|OracleSeed)$' \
+go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|GuardTransfer64Views|SimulatedRuntimeChange|GuardedRuntimeChange|ExploreSchedule|OracleSeed)$' \
     -benchtime=200x -benchmem . > artifacts/bench.allocs.txt
 cat artifacts/bench.allocs.txt
 for pair in $ALLOC_CEILINGS; do
