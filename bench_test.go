@@ -14,11 +14,14 @@ import (
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/core"
+	"rchdroid/internal/device"
 	"rchdroid/internal/experiments"
 	"rchdroid/internal/explore"
 	"rchdroid/internal/guard"
+	"rchdroid/internal/monkey"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
+	"rchdroid/internal/serve"
 	"rchdroid/internal/sweep"
 	"rchdroid/internal/view"
 )
@@ -417,6 +420,72 @@ func BenchmarkOracleSeed(b *testing.B) {
 	}
 	if !light.OK() || !guarded.OK() {
 		b.Fatalf("benchmark seeds failed:\n%s\n%s", light.String(), guarded.String())
+	}
+}
+
+// BenchmarkWireRoundTrip is the wire codec's share of one fleet round
+// trip: the client encodes the request, the server decodes it, the
+// server encodes the reply and the client decodes it, each through the
+// serve codec with the line buffers reused as a connection reuses them.
+// "flip" is a drive rotate and its reply; "batch3" is a three-step batch
+// (a 14-event monkey burst with a 20-digit seed, a rotation, a night
+// switch) and its three results.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		req  serve.Request
+		resp serve.Response
+	}{
+		{"flip",
+			serve.Request{ID: "r1042", Op: serve.OpDrive, Device: "dev-17", Kind: serve.KindRotate},
+			serve.Response{ID: "r1042", OK: true, Shard: 1, Detail: "rotated"}},
+		{"batch3",
+			serve.Request{ID: "x2210", Op: serve.OpBatch, Batch: []serve.BatchStep{
+				{Device: "dev-3", Kind: serve.KindMonkey, Seed: 12786962302290339731, Events: 14},
+				{Device: "dev-40", Kind: serve.KindRotate},
+				{Device: "dev-9", Kind: serve.KindNight},
+			}},
+			serve.Response{ID: "x2210", OK: true, Shard: -1, Results: []serve.BatchResult{
+				{Index: 0, OK: true, Shard: 1, Detail: "monkey clean: 14 events (3 changes)"},
+				{Index: 1, OK: true, Shard: 0, Detail: "rotated"},
+				{Index: 2, OK: true, Shard: 1, Detail: "ui-mode night"},
+			}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var reqLine, respLine []byte
+			var req serve.Request
+			var resp serve.Response
+			for i := 0; i < b.N; i++ {
+				var ok bool
+				if reqLine, ok = serve.AppendRequest(reqLine[:0], &bc.req); !ok {
+					b.Fatal("request declined")
+				}
+				if err := serve.DecodeRequest(reqLine[:len(reqLine)-1], &req); err != nil {
+					b.Fatal(err)
+				}
+				if respLine, ok = serve.AppendResponse(respLine[:0], &bc.resp); !ok {
+					b.Fatal("reply declined")
+				}
+				if err := serve.DecodeResponse(respLine[:len(respLine)-1], &resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMonkeyBurst is one fleet monkey burst: 14 events (the
+// replayed log's typical size) on a resident RCHDroid oracle device,
+// which keeps the state every earlier burst left.
+func BenchmarkMonkeyBurst(b *testing.B) {
+	w := device.New(device.Shared(oracle.OracleApp(4)), 7, func(w *device.World) {
+		core.Install(w.Sys, w.Proc, core.DefaultOptions())
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := monkey.Run(w.Sched, w.Sys, w.Proc, monkey.Options{Events: 14, Seed: uint64(i + 1)}); out.Crashed {
+			b.Fatalf("burst %d crashed: %v", i+1, out.CrashCause)
+		}
 	}
 }
 

@@ -77,8 +77,12 @@ type Activity struct {
 	content view.View
 
 	// savedShadowState is the bundle snapshotted when entering the
-	// shadow state (§3.2).
+	// shadow state (§3.2). Nothing writes into a held snapshot: the flip
+	// and the sunny launch only restore from it. So its size, which the
+	// memory charge reads on every update, is taken once, in
+	// shadowStateBytes, when SetShadowSnapshot installs it.
 	savedShadowState *bundle.Bundle
+	shadowStateBytes int64
 
 	// stateLen is the key count of the saved state this instance last
 	// restored from or snapshotted, the size of its next save.
@@ -140,7 +144,7 @@ func (a *Activity) Decor() *view.DecorView { return a.decor }
 func (a *Activity) Content() view.View { return a.content }
 
 // ViewCount returns the number of views under the decor, excluding the
-// decor itself.
+// decor itself. It reads the decor's census and does not walk the tree.
 func (a *Activity) ViewCount() int {
 	return view.Count(a.decor) - 1
 }
@@ -333,9 +337,12 @@ func (a *Activity) ApplyConfiguration(cfg config.Configuration) { a.cfg = cfg }
 // the shadow state, or nil.
 func (a *Activity) ShadowSnapshot() *bundle.Bundle { return a.savedShadowState }
 
-// SetShadowSnapshot stores the shadow-entry snapshot.
+// SetShadowSnapshot stores the shadow-entry snapshot and records its
+// size for the memory charge. The caller hands the snapshot over:
+// nothing may write into it afterwards.
 func (a *Activity) SetShadowSnapshot(b *bundle.Bundle) {
 	a.savedShadowState = b
+	a.shadowStateBytes = int64(b.SizeBytes())
 	a.stateLen = b.Len()
 }
 
@@ -373,32 +380,24 @@ func (a *Activity) ShadowFrequency(now sim.Time, window time.Duration) int {
 
 // MemoryBytes returns the instance's heap footprint under the cost model:
 // base + per-view cost (image-bearing views carry decoded bitmaps) + the
-// shadow snapshot, if any.
+// shadow snapshot, if any. A showing dialog's views, its decor included,
+// count at the plain per-view cost. The view counts come from the decors'
+// census and the snapshot size from SetShadowSnapshot, so nothing is
+// walked.
 func (a *Activity) MemoryBytes() int64 {
 	if !a.state.Alive() {
 		return 0
 	}
 	m := a.proc.model
-	total := m.ActivityBaseBytes
-	view.Walk(a.decor, func(v view.View) bool {
-		switch v.(type) {
-		case *view.ImageView, *view.VideoView:
-			total += m.ImageViewBytes
-		default:
-			total += m.ViewBytes
-		}
-		return true
-	})
+	views, media := view.Census(a.decor)
+	total := m.ActivityBaseBytes + int64(views-media)*m.ViewBytes + int64(media)*m.ImageViewBytes
 	for _, d := range a.dialogs {
 		if d.showing {
-			view.Walk(d.decor, func(v view.View) bool {
-				total += m.ViewBytes
-				return true
-			})
+			total += int64(view.Count(d.decor)) * m.ViewBytes
 		}
 	}
 	if a.savedShadowState != nil {
-		total += m.BundleOverhead + int64(a.savedShadowState.SizeBytes())
+		total += m.BundleOverhead + a.shadowStateBytes
 	}
 	return total
 }

@@ -9,6 +9,7 @@ package monkey
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"rchdroid/internal/app"
@@ -43,12 +44,27 @@ type Outcome struct {
 	CrashAfterEvents int
 }
 
+// String renders the outcome as the fleet's burst replies carry it:
+// "clean: N events (C changes)" or "CRASH after N events (C changes):
+// cause".
 func (o Outcome) String() string {
+	var buf [96]byte
+	b := buf[:0]
+	n := o.EventsInjected
 	if o.Crashed {
-		return fmt.Sprintf("CRASH after %d events (%d changes): %v",
-			o.CrashAfterEvents, o.ChangesInjected, o.CrashCause)
+		b = append(b, "CRASH after "...)
+		n = o.CrashAfterEvents
+	} else {
+		b = append(b, "clean: "...)
 	}
-	return fmt.Sprintf("clean: %d events (%d changes)", o.EventsInjected, o.ChangesInjected)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, " events ("...)
+	b = strconv.AppendInt(b, int64(o.ChangesInjected), 10)
+	b = append(b, " changes)"...)
+	if o.Crashed {
+		b = fmt.Append(append(b, ": "...), o.CrashCause)
+	}
+	return string(b)
 }
 
 // Run injects events into the foreground app of sys until the budget is
@@ -60,7 +76,12 @@ func Run(sched *sim.Scheduler, sys *atms.ATMS, proc *app.Process, opts Options) 
 	if opts.ChangeBias <= 0 {
 		opts.ChangeBias = 25
 	}
-	rng := sim.NewRNG(opts.Seed*0x9E3779B9 + 1)
+	return run(sched, sys, proc, opts, sim.NewRNG(opts.Seed*0x9E3779B9+1))
+}
+
+// run is Run with its defaults applied and its event stream's generator
+// made.
+func run(sched *sim.Scheduler, sys *atms.ATMS, proc *app.Process, opts Options, rng *sim.RNG) Outcome {
 	out := Outcome{CrashAfterEvents: -1}
 
 	for i := 0; i < opts.Events; i++ {
@@ -110,52 +131,83 @@ func injectChange(sched *sim.Scheduler, sys *atms.ATMS, rng *sim.RNG) {
 	sched.Advance(time.Duration(20+rng.Intn(400)) * time.Millisecond)
 }
 
+// injectUIEvent taps one widget of the foreground activity. It draws
+// the widget kind first (0 Button, 1 EditText, 2 CheckBox, 3 SeekBar,
+// 4 ListView) and collects only the widgets of that kind — fresh each
+// time, since instances change across restarts. The tap is posted to the
+// app's looper and taps the instances collected here, so one that lands
+// after a relaunch hits a released view, as a real stale tap would.
 func injectUIEvent(sched *sim.Scheduler, proc *app.Process, rng *sim.RNG) {
 	fg := proc.Thread().ForegroundActivity()
 	if fg == nil {
 		sched.Advance(100 * time.Millisecond)
 		return
 	}
-	// Collect interactable widgets fresh each time — instances change
-	// across restarts.
-	var buttons []*view.Button
-	var edits []*view.EditText
-	var checks []*view.CheckBox
-	var seeks []*view.SeekBar
-	var lists []*view.ListView
-	view.Walk(fg.Decor(), func(v view.View) bool {
-		switch w := v.(type) {
-		case *view.Button:
-			buttons = append(buttons, w)
-		case *view.EditText:
-			edits = append(edits, w)
-		case *view.CheckBox:
-			checks = append(checks, w)
-		case *view.SeekBar:
-			seeks = append(seeks, w)
-		case *view.ListView:
-			lists = append(lists, w)
+	var tap func()
+	switch rng.Intn(5) {
+	case 0:
+		buttons := collect[*view.Button](fg.Decor())
+		tap = func() {
+			if len(buttons) > 0 {
+				buttons[rng.Intn(len(buttons))].Click()
+			}
+		}
+	case 1:
+		edits := collect[*view.EditText](fg.Decor())
+		tap = func() {
+			if len(edits) > 0 {
+				edits[rng.Intn(len(edits))].Type("x")
+			}
+		}
+	case 2:
+		checks := collect[*view.CheckBox](fg.Decor())
+		tap = func() {
+			if len(checks) > 0 {
+				c := checks[rng.Intn(len(checks))]
+				c.SetChecked(!c.Checked())
+			}
+		}
+	case 3:
+		seeks := collect[*view.SeekBar](fg.Decor())
+		tap = func() {
+			if len(seeks) > 0 {
+				seeks[rng.Intn(len(seeks))].SetProgress(rng.Intn(101))
+			}
+		}
+	default:
+		lists := collect[*view.ListView](fg.Decor())
+		tap = func() {
+			if len(lists) > 0 {
+				l := lists[rng.Intn(len(lists))]
+				if len(l.Items()) > 0 {
+					l.PositionSelector(rng.Intn(len(l.Items())))
+				}
+			}
+		}
+	}
+	proc.PostApp("monkey:event", time.Millisecond, tap)
+	sched.Advance(time.Duration(10+rng.Intn(100)) * time.Millisecond)
+}
+
+// collect returns the views of type T in root's tree, in tree order, in
+// a slice of exactly their number (nil when there are none).
+func collect[T view.View](root view.View) []T {
+	n := 0
+	view.Walk(root, func(v view.View) bool {
+		if _, ok := v.(T); ok {
+			n++
 		}
 		return true
 	})
-	n := rng.Intn(5)
-	proc.PostApp("monkey:event", time.Millisecond, func() {
-		switch {
-		case n == 0 && len(buttons) > 0:
-			buttons[rng.Intn(len(buttons))].Click()
-		case n == 1 && len(edits) > 0:
-			edits[rng.Intn(len(edits))].Type("x")
-		case n == 2 && len(checks) > 0:
-			c := checks[rng.Intn(len(checks))]
-			c.SetChecked(!c.Checked())
-		case n == 3 && len(seeks) > 0:
-			seeks[rng.Intn(len(seeks))].SetProgress(rng.Intn(101))
-		case n == 4 && len(lists) > 0:
-			l := lists[rng.Intn(len(lists))]
-			if len(l.Items()) > 0 {
-				l.PositionSelector(rng.Intn(len(l.Items())))
-			}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	view.Walk(root, func(v view.View) bool {
+		if w, ok := v.(T); ok {
+			out = append(out, w)
 		}
+		return true
 	})
-	sched.Advance(time.Duration(10+rng.Intn(100)) * time.Millisecond)
+	return out
 }

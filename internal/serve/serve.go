@@ -146,7 +146,7 @@ func (s *Server) Submit(req Request) Response {
 	s.admitMu.RLock()
 	if s.draining.Load() {
 		s.admitMu.RUnlock()
-		sh.counter("serve_shed_draining_total").Inc()
+		sh.ctr.shedDraining.Inc()
 		return Response{ID: req.ID, OK: false, Code: CodeDraining, Shard: sh.idx, Detail: "server is draining"}
 	}
 	p := &pending{req: req, admitted: time.Now(), reply: make(chan Response, 1)}
@@ -234,7 +234,7 @@ func (s *Server) submitBatch(req Request) Response {
 	if s.draining.Load() {
 		s.admitMu.RUnlock()
 		for _, g := range groups {
-			g.sh.counter("serve_shed_draining_total").Add(int64(len(g.steps)))
+			g.sh.ctr.shedDraining.Add(int64(len(g.steps)))
 		}
 		return Response{ID: req.ID, OK: false, Code: CodeDraining, Shard: -1, Detail: "server is draining"}
 	}

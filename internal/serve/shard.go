@@ -53,6 +53,7 @@ type shard struct {
 	queue  chan *pending
 	brk    breaker
 	sh     *obs.Shard
+	ctr    counters
 	seed   *sweep.SeedObs
 	canary sweep.ObsRunner
 	// devices mirrors len(sessions) for off-goroutine health reads.
@@ -62,34 +63,49 @@ type shard struct {
 	sessions map[string]*session
 }
 
+// counters are a shard's wall-domain serve counters, resolved once when
+// the shard is built so the request path takes no registry lock and
+// does no lookup.
+type counters struct {
+	requests, shedOverload, shedQuarantined, shedDraining, shedDeadline *obs.Counter
+	devicePanics, deviceRespawns, bootFailures, breakerOpens            *obs.Counter
+	deadlineOverruns, batches, batchSteps                               *obs.Counter
+	guardQuarantines, guardRecoveries, guardBreakerOpens                *obs.Counter
+}
+
 func newShard(idx int, srv *Server) *shard {
 	sh := srv.reg.Shard()
-	s := &shard{
-		idx:      idx,
-		srv:      srv,
-		queue:    make(chan *pending, srv.cfg.queueDepth()),
-		brk:      breaker{cfg: srv.cfg.Breaker},
-		sh:       sh,
+	// Defining the counters up front also makes an idle shard dump them
+	// at zero: absence and "nothing happened" must render differently.
+	// Help strings key off the name.
+	counter := func(name string) *obs.Counter { return sh.Counter(name, "serve: "+name, obs.Wall) }
+	return &shard{
+		idx:   idx,
+		srv:   srv,
+		queue: make(chan *pending, srv.cfg.queueDepth()),
+		brk:   breaker{cfg: srv.cfg.Breaker},
+		sh:    sh,
+		ctr: counters{
+			requests:          counter("serve_requests_total"),
+			shedOverload:      counter("serve_shed_overload_total"),
+			shedQuarantined:   counter("serve_shed_quarantined_total"),
+			shedDraining:      counter("serve_shed_draining_total"),
+			shedDeadline:      counter("serve_shed_deadline_total"),
+			devicePanics:      counter("serve_device_panics_total"),
+			deviceRespawns:    counter("serve_device_respawns_total"),
+			bootFailures:      counter("serve_boot_failures_total"),
+			breakerOpens:      counter("serve_breaker_opens_total"),
+			deadlineOverruns:  counter("serve_deadline_overruns_total"),
+			batches:           counter("serve_batches_total"),
+			batchSteps:        counter("serve_batch_steps_total"),
+			guardQuarantines:  counter("serve_guard_quarantines_total"),
+			guardRecoveries:   counter("serve_guard_recoveries_total"),
+			guardBreakerOpens: counter("serve_guard_breaker_opens_total"),
+		},
 		seed:     sweep.NewSeedObs(sh),
 		canary:   sweep.OracleRunner(),
 		sessions: make(map[string]*session),
 	}
-	// Define the wall-domain serve counters up front so an idle shard
-	// still dumps them at zero — absence and "nothing happened" must
-	// render differently.
-	for _, name := range []string{
-		"serve_requests_total", "serve_shed_overload_total",
-		"serve_shed_quarantined_total", "serve_shed_draining_total",
-		"serve_shed_deadline_total", "serve_device_panics_total",
-		"serve_device_respawns_total", "serve_boot_failures_total",
-		"serve_breaker_opens_total", "serve_deadline_overruns_total",
-		"serve_batches_total", "serve_batch_steps_total",
-		"serve_guard_quarantines_total", "serve_guard_recoveries_total",
-		"serve_guard_breaker_opens_total",
-	} {
-		s.counter(name)
-	}
-	return s
 }
 
 // admit is the admission gate for a request of n steps: the breaker
@@ -98,22 +114,16 @@ func newShard(idx int, srv *Server) *shard {
 // empty code means p is queued.
 func (s *shard) admit(p *pending, n int) (ErrCode, string) {
 	if !s.brk.allow(time.Now()) {
-		s.counter("serve_shed_quarantined_total").Add(int64(n))
+		s.ctr.shedQuarantined.Add(int64(n))
 		return CodeQuarantined, "shard quarantined by its circuit breaker"
 	}
 	select {
 	case s.queue <- p:
 		return "", ""
 	default:
-		s.counter("serve_shed_overload_total").Add(int64(n))
+		s.ctr.shedOverload.Add(int64(n))
 		return CodeOverloaded, "shard queue full; request shed"
 	}
-}
-
-// counter returns the shard's wall-domain serve counter. Help strings
-// key off the name suffix so call sites stay one-liners.
-func (s *shard) counter(name string) *obs.Counter {
-	return s.sh.Counter(name, "serve: "+name, obs.Wall)
 }
 
 // loop is the shard goroutine: it drains the queue until the server
@@ -121,13 +131,13 @@ func (s *shard) counter(name string) *obs.Counter {
 func (s *shard) loop() {
 	defer s.srv.wg.Done()
 	for p := range s.queue {
-		s.counter("serve_requests_total").Inc()
+		s.ctr.requests.Inc()
 		if d := s.srv.cfg.RequestDeadline; d > 0 && time.Since(p.admitted) > d {
 			// The wall deadline expired while the request sat in the
 			// queue: shed it now rather than serve a reply nobody is
 			// waiting for. This is the wall-clock complement of the
 			// guard's sim-clock watchdog.
-			s.counter("serve_shed_deadline_total").Inc()
+			s.ctr.shedDeadline.Inc()
 			p.reply <- Response{ID: p.req.ID, OK: false, Code: CodeDeadline, Shard: s.idx,
 				Detail: fmt.Sprintf("queued past the %v request deadline", d)}
 			continue
@@ -142,7 +152,7 @@ func (s *shard) loop() {
 			// A goroutine cannot be preempted mid-run; overruns are
 			// counted so operators see deadline pressure even when
 			// nothing was shed.
-			s.counter("serve_deadline_overruns_total").Inc()
+			s.ctr.deadlineOverruns.Inc()
 		}
 	}
 }
@@ -157,7 +167,7 @@ func (s *shard) dispatchContained(req Request) (resp Response) {
 		if r == nil {
 			return
 		}
-		s.counter("serve_device_panics_total").Inc()
+		s.ctr.devicePanics.Inc()
 		s.deviceFailure()
 		detail := fmt.Sprintf("panic: %v", r)
 		if req.Op == OpCanary {
@@ -175,7 +185,7 @@ func (s *shard) dispatchContained(req Request) (resp Response) {
 				if w, g, ok := s.bootWorld(sess.spec, sess.handler, req.Seed); ok {
 					s.sessions[sess.name] = &session{name: sess.name, spec: sess.spec, handler: sess.handler, world: w, guard: g}
 					s.devices.Store(int64(len(s.sessions)))
-					s.counter("serve_device_respawns_total").Inc()
+					s.ctr.deviceRespawns.Inc()
 					detail += " (device torn down and respawned)"
 				} else {
 					detail += " (device torn down; respawn failed)"
@@ -195,10 +205,10 @@ func (s *shard) dispatchContained(req Request) (resp Response) {
 // step indices so the server can merge sub-batches from several shards
 // back into request order.
 func (s *shard) dispatchBatch(p *pending) Response {
-	s.counter("serve_batches_total").Inc()
+	s.ctr.batches.Inc()
 	results := make([]BatchResult, 0, len(p.req.Batch))
 	for j, st := range p.req.Batch {
-		s.counter("serve_batch_steps_total").Inc()
+		s.ctr.batchSteps.Inc()
 		r := s.dispatchContained(Request{
 			ID: p.req.ID, Op: OpDrive,
 			Device: st.Device, Kind: st.Kind,
@@ -232,7 +242,7 @@ func (s *shard) boot(req Request) Response {
 		return Response{ID: req.ID, OK: false, Code: CodeBadRequest, Shard: s.idx, Detail: "boot needs a device name"}
 	}
 	if max := s.srv.cfg.maxDevices(); len(s.sessions) >= max {
-		s.counter("serve_shed_overload_total").Inc()
+		s.ctr.shedOverload.Inc()
 		return Response{ID: req.ID, OK: false, Code: CodeOverloaded, Shard: s.idx,
 			Detail: fmt.Sprintf("shard at its %d-device limit", max)}
 	}
@@ -275,7 +285,7 @@ func (s *shard) bootWorld(specName, handler string, seed uint64) (*device.World,
 		}
 	})
 	if w.Proc.Crashed() || w.Proc.Thread().ForegroundActivity() == nil {
-		s.counter("serve_boot_failures_total").Inc()
+		s.ctr.bootFailures.Inc()
 		return nil, nil, false
 	}
 	return w, inst.Guard, true
@@ -362,17 +372,17 @@ func (s *shard) noteGuard(sess *session) {
 	}
 	g := sess.guard()
 	folds := [...]struct {
-		kind   guard.Kind
-		metric string
+		kind guard.Kind
+		ctr  *obs.Counter
 	}{
-		{guard.KindQuarantine, "serve_guard_quarantines_total"},
-		{guard.KindRecover, "serve_guard_recoveries_total"},
-		{guard.KindBreakerOpen, "serve_guard_breaker_opens_total"},
+		{guard.KindQuarantine, s.ctr.guardQuarantines},
+		{guard.KindRecover, s.ctr.guardRecoveries},
+		{guard.KindBreakerOpen, s.ctr.guardBreakerOpens},
 	}
 	for _, f := range folds {
 		n := g.Count(f.kind)
 		if d := n - sess.guardSeen[f.kind]; d > 0 {
-			s.counter(f.metric).Add(int64(d))
+			f.ctr.Add(int64(d))
 		}
 		sess.guardSeen[f.kind] = n
 	}
@@ -396,7 +406,7 @@ func (s *shard) runCanary(req Request) Response {
 // to the breaker, counting the open transition when it happens.
 func (s *shard) deviceFailure() {
 	if s.brk.onFailure(time.Now()) {
-		s.counter("serve_breaker_opens_total").Inc()
+		s.ctr.breakerOpens.Inc()
 	}
 }
 

@@ -34,11 +34,13 @@ const maxLine = 1 << 20
 // serveConn handles one client. Requests on a connection run serially;
 // clients that want parallelism open more connections — each in-flight
 // request costs one parked goroutine here, and real concurrency is the
-// shard pool's business.
+// shard pool's business. Lines go through the wire codec (codec.go); a
+// reply it declines is written by json.Encoder.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, 64*1024)
 	enc := json.NewEncoder(conn)
+	var out []byte
 	for {
 		line, tooLong, err := readLine(r)
 		if err != nil {
@@ -52,12 +54,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		if tooLong {
 			resp = Response{OK: false, Code: CodeBadRequest, Shard: -1,
 				Detail: fmt.Sprintf("bad request line: longer than %d bytes", maxLine)}
-		} else if err := json.Unmarshal(line, &req); err != nil {
+		} else if err := DecodeRequest(line, &req); err != nil {
 			resp = Response{OK: false, Code: CodeBadRequest, Shard: -1, Detail: "bad request line: " + err.Error()}
 		} else {
 			resp = s.Submit(req)
 		}
-		if err := enc.Encode(&resp); err != nil {
+		if reply, ok := AppendResponse(out[:0], &resp); ok {
+			out = reply
+			_, err = conn.Write(reply)
+		} else {
+			err = enc.Encode(&resp)
+		}
+		if err != nil {
 			return
 		}
 	}

@@ -6,14 +6,27 @@ import "rchdroid/internal/bundle"
 // and the decor view are all ViewGroups; the reproduction does not model
 // layout geometry, so one concrete group type with a TypeName suffices.
 // The dispatch functions are the RCHDroid additions (Table 2, 12 LoC).
+//
+// A group keeps the census of its subtree, itself included: how many
+// views it holds and how many of them are media views. AddChild,
+// RemoveChild and Inflate keep it current along the parent chain, so
+// Count, Census and the cost model's memory charge read it instead of
+// walking the tree.
 type ViewGroup struct {
 	BaseView
 	children []View
+	views    int
+	media    int
 }
+
+// grouper is implemented by *ViewGroup and every type embedding it.
+type grouper interface{ group() *ViewGroup }
+
+func (g *ViewGroup) group() *ViewGroup { return g }
 
 // NewGroup returns an empty view group with the given type name and id.
 func NewGroup(typeName string, id ID) *ViewGroup {
-	g := &ViewGroup{}
+	g := &ViewGroup{views: 1}
 	g.init(g, typeName, id)
 	return g
 }
@@ -35,6 +48,7 @@ func (g *ViewGroup) AddChild(child View) {
 	cb.parent = g
 	g.children = append(g.children, child)
 	attachSubtree(child, g.attach)
+	g.tally(child, 1)
 	g.Invalidate()
 }
 
@@ -46,9 +60,19 @@ func (g *ViewGroup) RemoveChild(child View) {
 			g.children = append(g.children[:i], g.children[i+1:]...)
 			child.Base().parent = nil
 			attachSubtree(child, nil)
+			g.tally(child, -1)
 			g.Invalidate()
 			return
 		}
+	}
+}
+
+// tally adds sign times child's census to g and every group above it.
+func (g *ViewGroup) tally(child View, sign int) {
+	views, media := Census(child)
+	for p := g; p != nil; p = p.parent {
+		p.views += sign * views
+		p.media += sign * media
 	}
 }
 
@@ -115,6 +139,7 @@ type DecorView struct {
 // NewDecorView returns a decor view owning a fresh AttachInfo.
 func NewDecorView(id ID) *DecorView {
 	d := &DecorView{}
+	d.views = 1
 	d.init(d, "DecorView", id)
 	d.attach = &d.attachInfo
 	return d
@@ -147,5 +172,6 @@ func (d *DecorView) AddChild(child View) {
 	cb.parent = &d.ViewGroup
 	d.children = append(d.children, child)
 	attachSubtree(child, &d.attachInfo)
+	d.tally(child, 1)
 	d.Invalidate()
 }

@@ -76,7 +76,7 @@ type View interface {
 type BaseView struct {
 	id       ID
 	typeName string
-	key      string // saved-state section key, "view:<id>"; "" for NoID
+	key      string // saved-state section key, "view:<id>"; see sectionKey
 	parent   *ViewGroup
 	attach   *AttachInfo
 	self     View // the embedding widget, for callbacks and peers
@@ -95,10 +95,19 @@ func (b *BaseView) init(self View, typeName string, id ID) {
 	b.self = self
 	b.typeName = typeName
 	b.id = id
-	if id != NoID {
-		b.key = "view:" + strconv.Itoa(int(id))
-	}
 	b.visible = true
+}
+
+// sectionKey returns the view's saved-state section key, "view:<id>".
+// An inflated view takes it from its layout node, which builds it once
+// for every inflation (Spec.sectionKey); a view constructed in code
+// builds it here, on its first save or restore. Views without an ID
+// have no section and never ask.
+func (b *BaseView) sectionKey() string {
+	if b.key == "" {
+		b.key = "view:" + strconv.Itoa(int(b.id))
+	}
+	return b.key
 }
 
 // ID implements View.
@@ -197,7 +206,7 @@ func (b *BaseView) saveSection(out *bundle.Bundle, n int) *bundle.Bundle {
 	if b.id == NoID {
 		return nil
 	}
-	return out.Section(b.key, n)
+	return out.Section(b.sectionKey(), n)
 }
 
 // restoreSection fetches this view's nested bundle from in, or nil.
@@ -205,7 +214,7 @@ func (b *BaseView) restoreSection(in *bundle.Bundle) *bundle.Bundle {
 	if b.id == NoID || in == nil {
 		return nil
 	}
-	return in.GetBundle(b.key)
+	return in.GetBundle(b.sectionKey())
 }
 
 // SaveState implements View for widgets with no extra state.
@@ -249,11 +258,27 @@ func Walk(v View, fn func(View) bool) bool {
 	return true
 }
 
-// Count returns the number of views in the tree rooted at v.
+// Count returns the number of views in the tree rooted at v, read from
+// its census.
 func Count(v View) int {
-	n := 0
-	Walk(v, func(View) bool { n++; return true })
-	return n
+	views, _ := Census(v)
+	return views
+}
+
+// Census returns how many views the tree rooted at v holds and how many
+// of them are media views (ImageView or VideoView, whose decoded frames
+// the cost model charges apart), without walking it: a group keeps both
+// counts up to date as its subtree changes, and a leaf counts itself.
+func Census(v View) (views, media int) {
+	if g, ok := v.(grouper); ok {
+		g := g.group()
+		return g.views, g.media
+	}
+	switch v.(type) {
+	case *ImageView, *VideoView:
+		return 1, 1
+	}
+	return 1, 0
 }
 
 // CountByType returns a map of TypeName → count for the tree rooted at v.

@@ -273,21 +273,25 @@ func (v *ImageView) RestoreState(in *bundle.Bundle) {
 // per-item checked state.
 type AbsListView struct {
 	BaseView
-	items        []string
-	selectorPos  int
+	// items is the adapter content. The widget never writes into it, so
+	// it keeps the slice it was built with (an inflated list shares its
+	// layout node's items); SetItems installs a copy.
+	items       []string
+	selectorPos int
+	// checkedItems is made on the first check.
 	checkedItems map[int]bool
 	scrollOffset int
 }
 
 func newListLike(self View, typeName string, id ID, items []string) AbsListView {
-	cp := make([]string, len(items))
-	copy(cp, items)
-	l := AbsListView{items: cp, selectorPos: -1, checkedItems: make(map[int]bool)}
+	l := AbsListView{items: items, selectorPos: -1}
 	l.init(self, typeName, id)
 	return l
 }
 
 // NewAbsListView returns a plain AbsListView (usually use ListView etc.).
+// The list widgets keep items without copying; the caller must not
+// modify it afterwards.
 func NewAbsListView(id ID, items []string) *AbsListView {
 	l := &AbsListView{}
 	*l = newListLike(l, "AbsListView", id, items)
@@ -337,6 +341,9 @@ func (l *AbsListView) ItemChecked(pos int) bool { return l.checkedItems[pos] }
 func (l *AbsListView) SetItemChecked(pos int, on bool) {
 	l.checkAlive("setItemChecked")
 	if on {
+		if l.checkedItems == nil {
+			l.checkedItems = make(map[int]bool)
+		}
 		l.checkedItems[pos] = true
 	} else {
 		delete(l.checkedItems, pos)

@@ -42,14 +42,24 @@ func TCPDialer(addr string) Dialer {
 	}
 }
 
+// tcpCaller speaks through serve's wire codec; a request the codec
+// declines is written by json.Encoder.
 type tcpCaller struct {
 	conn net.Conn
 	enc  *json.Encoder
 	sc   *bufio.Scanner
+	out  []byte
 }
 
 func (c *tcpCaller) Call(req serve.Request) (serve.Response, error) {
-	if err := c.enc.Encode(req); err != nil {
+	var err error
+	if line, ok := serve.AppendRequest(c.out[:0], &req); ok {
+		c.out = line
+		_, err = c.conn.Write(line)
+	} else {
+		err = c.enc.Encode(req)
+	}
+	if err != nil {
 		return serve.Response{}, fmt.Errorf("send: %w", err)
 	}
 	if !c.sc.Scan() {
@@ -59,7 +69,7 @@ func (c *tcpCaller) Call(req serve.Request) (serve.Response, error) {
 		return serve.Response{}, fmt.Errorf("recv: connection closed")
 	}
 	var resp serve.Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := serve.DecodeResponse(c.sc.Bytes(), &resp); err != nil {
 		return serve.Response{}, fmt.Errorf("recv: %w", err)
 	}
 	return resp, nil

@@ -24,11 +24,15 @@
 #                      snapshot (clean, and with three corrupted
 #                      attempts), one simulated runtime change,
 #                      unguarded and guarded, one judged depth-3
-#                      explorer schedule, and one judged Light and one
+#                      explorer schedule, one judged Light and one
 #                      judged Guarded oracle seed (the sampled path the
-#                      sweeps run), each run 200x with -benchmem:
-#                      allocs/op (deterministic, unlike ns/op) must stay
-#                      at or under its ceiling in ALLOC_CEILINGS below
+#                      sweeps run), one 64-view layout inflation, one
+#                      wire round trip through the serve codec (a flip,
+#                      and a 3-step batch) and one 14-event monkey burst
+#                      on a resident RCHDroid device (the fleet's event
+#                      path), each run 200x with -benchmem: allocs/op
+#                      (deterministic, unlike ns/op) must stay at or
+#                      under its ceiling in ALLOC_CEILINGS below
 #   9. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
 #                      the parallel sweep engine (GOMAXPROCS workers)
 #                      with the metrics registry armed: the canonical
@@ -112,7 +116,7 @@ go test ./internal/experiments -run TestTraceOverheadGuard -count=1
 echo "==> guard idle anchor"
 go test ./internal/experiments -run TestGuardIdleAnchor -count=1
 
-echo "==> allocs/op gate (bundle save/restore, save + checksums, guard transfer, runtime change, guarded change, explore schedule, oracle seed)"
+echo "==> allocs/op gate (bundle save/restore, save + checksums, guard transfer, runtime change, guarded change, explore schedule, oracle seed, inflation, wire round trip, monkey burst)"
 # Ceilings are the allocs/op measured when each benchmark's last saving
 # landed; lower one when a change saves allocations, never raise one to
 # pass.
@@ -122,10 +126,14 @@ BenchmarkGuardTransfer64Views/clean=67
 BenchmarkGuardTransfer64Views/corrupt3=280
 BenchmarkSimulatedRuntimeChange=33
 BenchmarkGuardedRuntimeChange=35
-BenchmarkExploreSchedule=765
-BenchmarkOracleSeed=1710"
+BenchmarkExploreSchedule=672
+BenchmarkOracleSeed=1518
+BenchmarkViewTreeInflate64=66
+BenchmarkWireRoundTrip/flip=4
+BenchmarkWireRoundTrip/batch3=10
+BenchmarkMonkeyBurst=219"
 mkdir -p artifacts
-go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|GuardTransfer64Views|SimulatedRuntimeChange|GuardedRuntimeChange|ExploreSchedule|OracleSeed)$' \
+go test -run '^$' -bench '^Benchmark(BundleSaveRestore64Views|BundleTransferChecksum64Views|GuardTransfer64Views|SimulatedRuntimeChange|GuardedRuntimeChange|ExploreSchedule|OracleSeed|ViewTreeInflate64|WireRoundTrip|MonkeyBurst)$' \
     -benchtime=200x -benchmem . > artifacts/bench.allocs.txt
 cat artifacts/bench.allocs.txt
 for pair in $ALLOC_CEILINGS; do
