@@ -13,11 +13,18 @@
 //	rchsim -trace run.json           # write a Chrome/Perfetto trace
 //	rchsim -script demo.rch          # drive the device from a script file
 //	rchsim -profile-cpu=run.cpu.pprof -profile-heap=run.heap.pprof
+//
+// Both the built-in run and a -script file are .rch scenarios, run once
+// through oracle.Run on a world device.New builds. The tracer, the
+// logcat and the chaos plan arm at the world's post-settle point, after
+// the cold launch.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,330 +39,317 @@ import (
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/cliflags"
 	"rchdroid/internal/core"
-	"rchdroid/internal/costmodel"
+	"rchdroid/internal/device"
 	"rchdroid/internal/guard"
 	"rchdroid/internal/logcat"
 	"rchdroid/internal/metrics"
-	"rchdroid/internal/script"
-	"rchdroid/internal/sim"
+	"rchdroid/internal/oracle"
 	"rchdroid/internal/trace"
 	"rchdroid/internal/view"
 )
 
 func main() {
-	mode := flag.String("mode", "rchdroid", "handling scheme: rchdroid | stock")
-	appRef := flag.String("app", "", "drive a modeled app instead of the benchmark: tp27:<row> | top100:<row>")
-	images := flag.Int("images", 4, "ImageViews in the benchmark app")
-	changes := flag.Int("changes", 3, "number of runtime changes")
-	touch := flag.Bool("touch", true, "touch the button (starts the AsyncTask) before the first change")
-	taskMS := flag.Int("task-ms", 400, "AsyncTask duration in ms")
-	traceFile := flag.String("trace", "", "write a Chrome/Perfetto trace_event JSON file (\"-\" for stdout)")
-	showLog := flag.Bool("logcat", false, "dump the system log (grep zizhan for handling times); with -trace, log lines also land on the trace timeline")
-	dump := flag.Bool("dump", false, "dump the foreground view tree after each change")
-	scriptPath := flag.String("script", "", "run a scenario script instead of the built-in rotation loop")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "arm the fault-injection layer with this seed (0 = off)")
-	chaosProfile := flag.String("chaos", "light", "chaos preset when -chaos-seed is set: light | heavy | guarded")
-	guarded := flag.Bool("guard", false, "arm the supervision layer: ANR watchdogs, checksummed state transfer with retry, per-activity stock fallback")
-	shared := cliflags.RegisterProfiles(flag.CommandLine, "rchsim")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	stopCPU, ok := shared.StartCPUProfile(os.Stderr)
-	if !ok {
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rchsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "rchdroid", "handling scheme: rchdroid | stock")
+	appRef := fs.String("app", "", "drive a modeled app instead of the benchmark: tp27:<row> | top100:<row>")
+	images := fs.Int("images", 4, "ImageViews in the benchmark app")
+	changes := fs.Int("changes", 3, "number of runtime changes")
+	touch := fs.Bool("touch", true, "touch the button (starts the AsyncTask) before the first change")
+	taskMS := fs.Int("task-ms", 400, "AsyncTask duration in ms")
+	traceFile := fs.String("trace", "", "write a Chrome/Perfetto trace_event JSON file (\"-\" for stdout)")
+	showLog := fs.Bool("logcat", false, "dump the system log (grep zizhan for handling times); with -trace, log lines also land on the trace timeline")
+	dump := fs.Bool("dump", false, "dump the foreground view tree after each change")
+	scriptPath := fs.String("script", "", "run a scenario script instead of the built-in rotation loop")
+	chaosSeed := fs.Uint64("chaos-seed", 0, "arm the fault-injection layer with this seed (0 = off)")
+	chaosProfile := fs.String("chaos", "light", "chaos preset when -chaos-seed is set: light | heavy | guarded")
+	guarded := fs.Bool("guard", false, "arm the supervision layer: ANR watchdogs, checksummed state transfer with retry, per-activity stock fallback")
+	shared := cliflags.RegisterProfiles(fs, "rchsim")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "rchsim: %v\n", err)
+		return code
 	}
 
-	sched := sim.NewScheduler()
-	var tracer *trace.Tracer
-	if *traceFile != "" {
-		tracer = trace.New(sched)
+	// The built-in run is a script too: touch, then -changes rotations.
+	src := strings.Repeat("rotate\n", max(*changes, 0))
+	if *touch {
+		src = "touch\n" + src
 	}
-	model := costmodel.Default()
-	sys := atms.New(sched, model)
-	sys.SetTracer(tracer) // registers system_server first: pid 1
-	lc := logcat.New(sched, 4096)
-	sys.SetLogcat(lc)
-	application := benchapp.New(benchapp.Config{
-		Images:    *images,
-		TaskDelay: time.Duration(*taskMS) * time.Millisecond,
-	})
+	scripted := *scriptPath != ""
+	if scripted {
+		raw, err := os.ReadFile(*scriptPath)
+		if err != nil {
+			return fail(1, err)
+		}
+		src = string(raw)
+	}
+	lines, err := oracle.ParseScript(src)
+	if err != nil {
+		return fail(2, err)
+	}
+	def := benchapp.New(benchapp.Config{Images: *images, TaskDelay: time.Duration(*taskMS) * time.Millisecond})
 	if *appRef != "" {
 		m, err := resolveModel(*appRef)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rchsim: %v\n", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
-		fmt.Printf("driving %v (%s)\n", m, m.Issue)
-		application = m.Build()
+		fmt.Fprintf(stdout, "driving %v (%s)\n", m, m.Issue)
+		def = m.Build()
 	}
-	proc := app.NewProcess(sched, model, application)
-	proc.SetTracer(tracer)
-
-	var plan *chaos.Plan
+	var opts chaos.Options // no seed: a plan that injects nothing
 	if *chaosSeed != 0 {
-		var opts chaos.Options
-		switch *chaosProfile {
-		case "light":
-			opts = chaos.Light()
-		case "heavy":
-			opts = chaos.Heavy()
-		case "guarded":
-			opts = chaos.Guarded()
+		preset, ok := map[string]func() chaos.Options{"light": chaos.Light, "heavy": chaos.Heavy, "guarded": chaos.Guarded}[*chaosProfile]
+		if !ok {
+			return fail(2, fmt.Errorf("unknown chaos profile %q", *chaosProfile))
+		}
+		opts = preset()
+	}
+	switch {
+	case *mode != "rchdroid" && *mode != "stock":
+		return fail(2, fmt.Errorf("unknown mode %q", *mode))
+	case *mode == "stock" && *guarded:
+		return fail(2, fmt.Errorf("-guard supervises RCHDroid; it has no effect in stock mode"))
+	}
+
+	stopCPU, ok := shared.StartCPUProfile(stderr)
+	if !ok {
+		return 1
+	}
+	defer stopCPU()
+	var tracer *trace.Tracer
+	if *traceFile != "" {
+		tracer = trace.New(nil)
+	}
+	plan := chaos.NewPlan(*chaosSeed, opts)
+	var (
+		sys    *atms.ATMS
+		proc   *app.Process
+		rch    *core.RCHDroid
+		lc     *logcat.Log
+		next   int    // the step under way
+		head   string // its block's header, taken at its start
+		failed error  // the first failed expect line
+	)
+	// begin takes step i's header as it starts: the time and, for a
+	// built-in rotation, the configuration it pushes.
+	begin := func(i int) {
+		next = i
+		if i == len(lines) {
+			return
+		}
+		now := sys.Scheduler().Now()
+		switch {
+		case scripted:
+			head = fmt.Sprintf("\n[%v] $ %s\n", now, lines[i].Text)
+		case lines[i].Step.Kind == oracle.StepClick:
+			head = fmt.Sprintf("\n[%v] touch button → AsyncTask (%d ms) in flight\n", now, *taskMS)
 		default:
-			fmt.Fprintf(os.Stderr, "rchsim: unknown chaos profile %q\n", *chaosProfile)
-			os.Exit(2)
+			cfg := sys.GlobalConfig().Rotated()
+			head = fmt.Sprintf("\n[%v] wm size %dx%d (%s)\n", now, cfg.ScreenWidth, cfg.ScreenHeight, cfg.Orientation)
 		}
-		plan = chaos.NewPlan(*chaosSeed, opts)
-		plan.BindClock(sched)
-		plan.SetTracer(tracer)
 	}
-	if *showLog {
-		// Interleave: every logcat line also lands on the trace timeline
-		// (its own process row), lined up with the structured spans.
-		lc.SetTracer(tracer)
-	}
-
-	var rch *core.RCHDroid
-	switch *mode {
-	case "rchdroid":
-		coreOpts := core.DefaultOptions()
-		coreOpts.Chaos = plan
-		if *guarded {
-			cfg := guard.DefaultConfig()
-			coreOpts.Guard = &cfg
+	// block prints step i's block once it has settled or crashed; a
+	// failed check ends the output.
+	block := func(i int) {
+		fmt.Fprint(stdout, head)
+		if failed = lines[i].Check(sys, proc); failed != nil {
+			return
 		}
-		rch = core.Install(sys, proc, coreOpts)
-	case "stock":
-		if *guarded {
-			fmt.Fprintln(os.Stderr, "rchsim: -guard supervises RCHDroid; it has no effect in stock mode")
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "rchsim: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
-	if plan != nil {
-		plan.Install(sys, proc)
-		fmt.Printf("chaos armed: profile %s, seed %d (replay with -chaos-seed=%d -chaos=%s)\n",
-			*chaosProfile, *chaosSeed, *chaosSeed, *chaosProfile)
-	}
-
-	handlerName := proc.Thread().Handler().Name()
-	if *appRef != "" {
-		fmt.Printf("booting %s under %s\n", application.Name, handlerName)
-	} else {
-		fmt.Printf("booting %s under %s (%d ImageViews)\n", application.Name, handlerName, *images)
-	}
-	sys.LaunchApp(proc)
-	sched.Advance(2 * time.Second)
-	report(proc)
-
-	if *scriptPath != "" {
-		src, err := os.ReadFile(*scriptPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rchsim: %v\n", err)
-			os.Exit(1)
-		}
-		steps, err := script.Parse(string(src))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rchsim: %v\n", err)
-			os.Exit(2)
-		}
-		env := &script.Env{
-			Sched:   sched,
-			Sys:     sys,
-			Procs:   map[string]*app.Process{application.Name: proc},
-			Default: proc,
-		}
-		for _, st := range steps {
-			fmt.Printf("\n[%v] $ %s\n", sched.Now(), st.Text)
-			if err := script.Run(env, []script.Step{st}); err != nil {
-				fmt.Fprintf(os.Stderr, "rchsim: %v\n", err)
-				os.Exit(3)
+		switch {
+		case scripted:
+			report(stdout, proc)
+		case lines[i].Step.Kind == oracle.StepRotate:
+			if d := sys.LastHandlingTime(); d > 0 && !proc.Crashed() {
+				fmt.Fprintf(stdout, "  handled in %.2f ms\n", float64(d)/float64(time.Millisecond))
 			}
-			report(proc)
+			report(stdout, proc)
+			if proc.Crashed() {
+				fmt.Fprintf(stdout, "  FATAL: %v\n", proc.CrashCause())
+			} else if *dump {
+				if fg := proc.Thread().ForegroundActivity(); fg != nil {
+					fmt.Fprint(stdout, indent(view.Dump(fg.Decor())))
+				}
+				fmt.Fprint(stdout, indent(sys.DumpStack()))
+			}
 		}
-		if rch != nil {
-			reportGuard(rch.Guard)
-		}
-		reportChaos(plan)
-		writeTrace(tracer, *traceFile)
+	}
+	inst := oracle.Installer{Name: *mode, Install: func(s *atms.ATMS, p *app.Process, plan *chaos.Plan) {
+		sys, proc = s, p
+		lc = logcat.New(s.Scheduler(), 4096)
+		s.SetLogcat(lc)
 		if *showLog {
-			fmt.Println("\nlogcat:")
-			fmt.Print(indent(lc.Dump()))
+			// Interleave: every logcat line also lands on the trace
+			// timeline (its own process row), lined up with the spans.
+			lc.SetTracer(tracer)
 		}
-		stopCPU()
-		if !shared.WriteHeapProfile(os.Stderr) {
-			os.Exit(1)
-		}
-		exitCrashed(proc, *mode)
-		return
-	}
-
-	if *touch {
-		fmt.Printf("\n[%v] touch button → AsyncTask (%d ms) in flight\n", sched.Now(), *taskMS)
-		benchapp.TouchButton(proc)
-		sched.Advance(50 * time.Millisecond)
-	}
-
-	for i := 0; i < *changes; i++ {
-		cfg := sys.GlobalConfig().Rotated()
-		fmt.Printf("\n[%v] wm size %dx%d (%s)\n", sched.Now(), cfg.ScreenWidth, cfg.ScreenHeight, cfg.Orientation)
-		sys.PushConfiguration(cfg)
-		sched.Advance(2 * time.Second)
-		if d := sys.LastHandlingTime(); d > 0 && !proc.Crashed() {
-			fmt.Printf("  handled in %.2f ms\n", float64(d)/float64(time.Millisecond))
-		}
-		report(proc)
-		if *dump && !proc.Crashed() {
-			if fg := proc.Thread().ForegroundActivity(); fg != nil {
-				fmt.Print(indent(view.Dump(fg.Decor())))
+		if *mode == "rchdroid" {
+			coreOpts := core.DefaultOptions()
+			coreOpts.Chaos = plan
+			if *guarded {
+				cfg := guard.DefaultConfig()
+				coreOpts.Guard = &cfg
 			}
-			fmt.Print(indent(sys.DumpStack()))
+			rch = core.Install(s, p, coreOpts)
 		}
-		if proc.Crashed() {
-			fmt.Printf("  FATAL: %v\n", proc.CrashCause())
-			break
+		if *chaosSeed != 0 {
+			fmt.Fprintf(stdout, "chaos armed: profile %s, seed %d (replay with -chaos-seed=%d -chaos=%s)\n",
+				*chaosProfile, *chaosSeed, *chaosSeed, *chaosProfile)
+		}
+		fmt.Fprintf(stdout, "booting %s under %s", def.Name, p.Thread().Handler().Name())
+		if *appRef == "" {
+			fmt.Fprintf(stdout, " (%d ImageViews)", *images)
+		}
+		fmt.Fprintln(stdout)
+		report(stdout, p)
+		begin(0)
+	}}
+	sc := oracle.Scenario{Name: "rchsim", Probe: func(_ *app.Activity, fs []oracle.Field) []oracle.Field { return fs }}
+	for _, l := range lines {
+		sc.Steps = append(sc.Steps, l.Step)
+	}
+	res := oracle.Run(&sc, device.Shared(def), plan, inst, tracer, func(e *oracle.Edge) {
+		if failed == nil {
+			block(e.Index)
+			begin(e.Index + 1)
+		}
+	})
+	if res.Crashed && failed == nil && next < len(lines) {
+		// The run stopped at the crash, before the step's edge; later
+		// expect lines are checked against the end state.
+		block(next)
+		for i := next + 1; i < len(lines) && failed == nil; i++ {
+			failed = lines[i].Check(sys, proc)
 		}
 	}
 
-	if rch != nil {
-		fmt.Printf("\nRCHDroid stats: %d init launches, %d coin flips, %d migrations (%d views), %d stock-routed, %d zombies reaped (%d pending)\n",
+	if failed != nil {
+		return fail(3, failed)
+	}
+
+	if rch != nil && !scripted {
+		fmt.Fprintf(stdout, "\nRCHDroid stats: %d init launches, %d coin flips, %d migrations (%d views), %d stock-routed, %d zombies reaped (%d pending)\n",
 			rch.Handler.InitLaunches(), rch.Handler.Flips(),
 			rch.Migrator.Migrations(), rch.Migrator.ViewsMigrated(),
 			rch.Handler.StockRouted(), rch.Handler.ZombiesReaped(), rch.Handler.Zombies())
-		reportGuard(rch.Guard)
 	}
-	reportChaos(plan)
-	writeTrace(tracer, *traceFile)
+	if rch != nil {
+		reportGuard(stdout, rch.Guard)
+	}
+	if *chaosSeed != 0 {
+		reportChaos(stdout, plan)
+	}
+	if err := writeTrace(stdout, tracer, *traceFile); err != nil {
+		return fail(1, fmt.Errorf("writing trace: %w", err))
+	}
 	if *showLog {
-		fmt.Println("\nlogcat:")
-		fmt.Print(indent(lc.Dump()))
+		fmt.Fprintln(stdout, "\nlogcat:")
+		fmt.Fprint(stdout, indent(lc.Dump()))
 	}
-	stopCPU()
-	if !shared.WriteHeapProfile(os.Stderr) {
-		os.Exit(1)
+	if !shared.WriteHeapProfile(stderr) {
+		return 1
 	}
-	exitCrashed(proc, *mode)
-}
-
-// exitCrashed makes a crash under RCHDroid a non-zero exit: stock mode
-// crashing is the demo (that is what the paper fixes), but the RCHDroid
-// handler dying is a harness failure scripts must be able to detect.
-func exitCrashed(proc *app.Process, mode string) {
-	if mode == "rchdroid" && proc.Crashed() {
-		fmt.Fprintf(os.Stderr, "rchsim: app crashed under RCHDroid: %v\n", proc.CrashCause())
-		os.Exit(1)
+	if *mode == "rchdroid" && proc.Crashed() {
+		// Stock mode crashing is the demo (that is what the paper
+		// fixes), but the RCHDroid handler dying is a harness failure
+		// scripts must be able to detect.
+		return fail(1, fmt.Errorf("app crashed under RCHDroid: %v", proc.CrashCause()))
 	}
+	return 0
 }
 
 // writeTrace exports the structured trace as Chrome trace_event JSON
 // (load it in chrome://tracing or https://ui.perfetto.dev) and prints
-// the derived summary.
-func writeTrace(tracer *trace.Tracer, path string) {
-	if tracer == nil || path == "" {
-		return
+// the derived summary; path "-" writes the JSON to stdout instead.
+func writeTrace(stdout io.Writer, tracer *trace.Tracer, path string) error {
+	if tracer == nil {
+		return nil
 	}
-	out := os.Stdout
-	if path != "-" {
-		if dir := filepath.Dir(path); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "rchsim: creating trace directory: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rchsim: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = f
+	var buf bytes.Buffer
+	if err := tracer.WriteJSON(&buf); err != nil {
+		return err
 	}
-	if err := tracer.WriteJSON(out); err != nil {
-		fmt.Fprintf(os.Stderr, "rchsim: writing trace: %v\n", err)
-		os.Exit(1)
+	if path == "-" {
+		_, err := stdout.Write(buf.Bytes())
+		return err
 	}
-	if path != "-" {
-		shown := path
-		if abs, err := filepath.Abs(path); err == nil {
-			shown = abs
-		}
-		fmt.Printf("\ntrace written to %s (%d events", shown, tracer.Len())
-		if n := tracer.Dropped(); n > 0 {
-			fmt.Printf(", %d dropped by ring", n)
-		}
-		fmt.Println(")")
-		fmt.Print(indent(metrics.AnalyzeTrace(tracer.Events()).Render(12)))
+	if err := cliflags.WriteFileMaybeMkdir(path, buf.Bytes()); err != nil {
+		return err
 	}
+	if abs, err := filepath.Abs(path); err == nil {
+		path = abs
+	}
+	fmt.Fprintf(stdout, "\ntrace written to %s (%d events", path, tracer.Len())
+	if n := tracer.Dropped(); n > 0 {
+		fmt.Fprintf(stdout, ", %d dropped by ring", n)
+	}
+	fmt.Fprintln(stdout, ")")
+	fmt.Fprint(stdout, indent(metrics.AnalyzeTrace(tracer.Events()).Render(12)))
+	return nil
 }
 
 // resolveModel parses "tp27:<row>" / "top100:<row>" into an app model.
 func resolveModel(ref string) (appset.Model, error) {
-	parts := strings.SplitN(ref, ":", 2)
-	if len(parts) != 2 {
+	set, row, _ := strings.Cut(ref, ":")
+	models, ok := map[string]func() []appset.Model{"tp27": appset.TP27, "top100": appset.Top100}[set]
+	if !ok {
 		return appset.Model{}, fmt.Errorf("bad -app %q (want tp27:<row> or top100:<row>)", ref)
 	}
-	var models []appset.Model
-	switch parts[0] {
-	case "tp27":
-		models = appset.TP27()
-	case "top100":
-		models = appset.Top100()
-	default:
-		return appset.Model{}, fmt.Errorf("unknown set %q", parts[0])
+	all := models()
+	n, err := strconv.Atoi(row)
+	if err != nil || n < 1 || n > len(all) {
+		return appset.Model{}, fmt.Errorf("bad row %q (1..%d)", row, len(all))
 	}
-	row, err := strconv.Atoi(parts[1])
-	if err != nil || row < 1 || row > len(models) {
-		return appset.Model{}, fmt.Errorf("bad row %q (1..%d)", parts[1], len(models))
-	}
-	return models[row-1], nil
+	return all[n-1], nil
 }
 
 func indent(s string) string {
-	out := ""
-	for _, line := range strings.Split(strings.TrimRight(s, "\n"), "\n") {
-		out += "    " + line + "\n"
-	}
-	return out
+	return "    " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n    ") + "\n"
 }
 
 // reportGuard prints the supervision summary and the escalation log (a
 // no-op when the guard was not armed).
-func reportGuard(g *guard.Guard) {
+func reportGuard(w io.Writer, g *guard.Guard) {
 	if !g.Enabled() {
 		return
 	}
-	fmt.Println()
-	fmt.Print(g.Report())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, g.Report())
 	ds := g.Decisions()
 	if len(ds) > 0 {
-		fmt.Println("guard decisions:")
+		fmt.Fprintln(w, "guard decisions:")
 	}
 	for _, d := range ds {
-		fmt.Printf("  %s\n", d)
+		fmt.Fprintf(w, "  %s\n", d)
 	}
 }
 
 // reportChaos prints what the fault-injection layer actually did, so a
 // surprising run can be understood and replayed from the seed alone.
-func reportChaos(plan *chaos.Plan) {
-	if plan == nil {
-		return
-	}
+func reportChaos(w io.Writer, plan *chaos.Plan) {
 	inj := plan.Injections()
-	fmt.Printf("\nchaos report: %d injections, %d async results dropped (seed %d)\n",
+	fmt.Fprintf(w, "\nchaos report: %d injections, %d async results dropped (seed %d)\n",
 		len(inj), plan.TotalAsyncDropped(), plan.Seed())
 	for _, in := range inj {
-		fmt.Printf("  %s\n", in)
+		fmt.Fprintf(w, "  %s\n", in)
 	}
 	if n := plan.Truncated(); n > 0 {
-		fmt.Printf("  ... %d more injections truncated\n", n)
+		fmt.Fprintf(w, "  ... %d more injections truncated\n", n)
 	}
 }
 
-func report(proc *app.Process) {
+func report(w io.Writer, proc *app.Process) {
 	if proc.Crashed() {
-		fmt.Printf("  process CRASHED; memory %.2f MB\n", proc.Memory().CurrentMB())
+		fmt.Fprintf(w, "  process CRASHED; memory %.2f MB\n", proc.Memory().CurrentMB())
 		return
 	}
 	acts := proc.Thread().Activities()
@@ -366,8 +360,8 @@ func report(proc *app.Process) {
 	sort.Ints(tokens)
 	for _, tok := range tokens {
 		a := acts[tok]
-		fmt.Printf("  activity #%d: %-9v views=%d loaded=%d\n",
+		fmt.Fprintf(w, "  activity #%d: %-9v views=%d loaded=%d\n",
 			a.Token(), a.State(), a.ViewCount(), benchapp.ImagesLoaded(a))
 	}
-	fmt.Printf("  memory %.2f MB\n", proc.Memory().CurrentMB())
+	fmt.Fprintf(w, "  memory %.2f MB\n", proc.Memory().CurrentMB())
 }

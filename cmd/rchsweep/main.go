@@ -225,17 +225,16 @@ func writeFailureTrace(stderr io.Writer, mode string, seed uint64) {
 	default:
 		return // monkey runs have no single-seed trace replay (yet)
 	}
+	path := filepath.Join("artifacts", name)
 	if err == nil {
-		if err = os.MkdirAll("artifacts", 0o755); err == nil {
-			path := filepath.Join("artifacts", name)
-			if err = os.WriteFile(path, raw, 0o644); err == nil {
-				if abs, aerr := filepath.Abs(path); aerr == nil {
-					path = abs
-				}
-				fmt.Fprintf(stderr, "rchsweep: trace for seed %d: %s\n", seed, path)
-				return
-			}
-		}
+		err = cliflags.WriteFileMaybeMkdir(path, raw)
 	}
-	fmt.Fprintf(stderr, "rchsweep: trace-on-fail seed %d: %v\n", seed, err)
+	if err != nil {
+		fmt.Fprintf(stderr, "rchsweep: trace-on-fail seed %d: %v\n", seed, err)
+		return
+	}
+	if abs, err := filepath.Abs(path); err == nil {
+		path = abs
+	}
+	fmt.Fprintf(stderr, "rchsweep: trace for seed %d: %s\n", seed, path)
 }

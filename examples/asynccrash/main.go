@@ -13,12 +13,10 @@ import (
 	"time"
 
 	"rchdroid/internal/app"
-	"rchdroid/internal/atms"
 	"rchdroid/internal/benchapp"
 	"rchdroid/internal/config"
 	"rchdroid/internal/core"
-	"rchdroid/internal/costmodel"
-	"rchdroid/internal/sim"
+	"rchdroid/internal/device"
 )
 
 func main() {
@@ -30,18 +28,20 @@ func main() {
 }
 
 func runScenario(label string, installRCHDroid bool) {
-	sched := sim.NewScheduler()
-	model := costmodel.Default()
-	system := atms.New(sched, model)
-	proc := app.NewProcess(sched, model, benchapp.New(benchapp.Config{
-		Images:    4,
-		TaskDelay: 400 * time.Millisecond, // "loads an image from the network"
-	}))
-	if installRCHDroid {
-		core.Install(system, proc, core.DefaultOptions())
-	}
-	system.LaunchApp(proc)
-	sched.Advance(time.Second)
+	w := device.New(device.Spec{
+		App: func() *app.App {
+			return benchapp.New(benchapp.Config{
+				Images:    4,
+				TaskDelay: 400 * time.Millisecond, // "loads an image from the network"
+			})
+		},
+		Settle: time.Second,
+	}, 0, func(w *device.World) {
+		if installRCHDroid {
+			core.Install(w.Sys, w.Proc, core.DefaultOptions())
+		}
+	})
+	sched, system, proc := w.Sched, w.Sys, w.Proc
 
 	fmt.Printf("── %s ──\n", label)
 	fmt.Println("user taps the refresh button; AsyncTask starts (400 ms)")

@@ -9,22 +9,19 @@ import (
 	"fmt"
 	"time"
 
-	"rchdroid/internal/app"
-	"rchdroid/internal/atms"
 	"rchdroid/internal/benchapp"
 	"rchdroid/internal/core"
-	"rchdroid/internal/costmodel"
-	"rchdroid/internal/sim"
+	"rchdroid/internal/device"
 )
 
 func main() {
-	sched := sim.NewScheduler()
-	model := costmodel.Default()
-	system := atms.New(sched, model)
-	proc := app.NewProcess(sched, model, benchapp.New(benchapp.Config{Images: 16}))
-	rch := core.Install(system, proc, core.DefaultOptions())
-	system.LaunchApp(proc)
-	sched.Advance(time.Second)
+	var rch *core.RCHDroid
+	spec := device.Shared(benchapp.New(benchapp.Config{Images: 16}))
+	spec.Settle = time.Second
+	w := device.New(spec, 0, func(w *device.World) {
+		rch = core.Install(w.Sys, w.Proc, core.DefaultOptions())
+	})
+	sched, system, proc := w.Sched, w.Sys, w.Proc
 
 	fmt.Println("rotating eight times; watch the first change pay for instance")
 	fmt.Println("creation (RCHDroid-init) and every later one ride the coin flip:")

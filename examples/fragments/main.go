@@ -10,13 +10,11 @@ import (
 	"time"
 
 	"rchdroid/internal/app"
-	"rchdroid/internal/atms"
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/config"
 	"rchdroid/internal/core"
-	"rchdroid/internal/costmodel"
+	"rchdroid/internal/device"
 	"rchdroid/internal/resources"
-	"rchdroid/internal/sim"
 	"rchdroid/internal/view"
 )
 
@@ -52,15 +50,12 @@ func buildApp() *app.App {
 }
 
 func run(label string, install bool) {
-	sched := sim.NewScheduler()
-	model := costmodel.Default()
-	system := atms.New(sched, model)
-	proc := app.NewProcess(sched, model, buildApp())
-	if install {
-		core.Install(system, proc, core.DefaultOptions())
-	}
-	system.LaunchApp(proc)
-	sched.Advance(time.Second)
+	w := device.New(device.Spec{App: buildApp, Settle: time.Second}, 0, func(w *device.World) {
+		if install {
+			core.Install(w.Sys, w.Proc, core.DefaultOptions())
+		}
+	})
+	sched, system, proc := w.Sched, w.Sys, w.Proc
 
 	fg := proc.Thread().ForegroundActivity()
 	proc.PostApp("compose", 2*time.Millisecond, func() {

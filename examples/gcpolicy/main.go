@@ -9,29 +9,27 @@ import (
 	"time"
 
 	"rchdroid/internal/app"
-	"rchdroid/internal/atms"
 	"rchdroid/internal/benchapp"
 	"rchdroid/internal/core"
-	"rchdroid/internal/costmodel"
+	"rchdroid/internal/device"
 	"rchdroid/internal/experiments"
-	"rchdroid/internal/sim"
 )
 
 func main() {
 	fmt.Println(experiments.FormatResult(experiments.Fig11()))
 
 	fmt.Println("live demonstration of one collection (THRESH_T = 50 s):")
-	sched := sim.NewScheduler()
-	model := costmodel.Default()
-	system := atms.New(sched, model)
-	proc := app.NewProcess(sched, model, benchapp.New(benchapp.Config{Images: 8}))
-	rch := core.Install(system, proc, core.DefaultOptions())
-	rch.GC.OnCollected = func(a *app.Activity) {
-		fmt.Printf("  [%v] GC reclaimed shadow activity #%d (%d sweeps so far)\n",
-			sched.Now(), a.Token(), rch.GC.Sweeps())
-	}
-	system.LaunchApp(proc)
-	sched.Advance(time.Second)
+	var rch *core.RCHDroid
+	spec := device.Shared(benchapp.New(benchapp.Config{Images: 8}))
+	spec.Settle = time.Second
+	w := device.New(spec, 0, func(w *device.World) {
+		rch = core.Install(w.Sys, w.Proc, core.DefaultOptions())
+		rch.GC.OnCollected = func(a *app.Activity) {
+			fmt.Printf("  [%v] GC reclaimed shadow activity #%d (%d sweeps so far)\n",
+				w.Sched.Now(), a.Token(), rch.GC.Sweeps())
+		}
+	})
+	sched, system, proc := w.Sched, w.Sys, w.Proc
 
 	system.PushConfiguration(system.GlobalConfig().Rotated())
 	sched.Advance(time.Second)

@@ -9,13 +9,11 @@ import (
 	"time"
 
 	"rchdroid/internal/app"
-	"rchdroid/internal/atms"
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/config"
 	"rchdroid/internal/core"
-	"rchdroid/internal/costmodel"
+	"rchdroid/internal/device"
 	"rchdroid/internal/resources"
-	"rchdroid/internal/sim"
 	"rchdroid/internal/view"
 )
 
@@ -52,20 +50,15 @@ func buildNotesApp() *app.App {
 }
 
 func main() {
-	// 1. Boot a simulated device: scheduler (virtual clock), system
-	//    server, app process.
-	sched := sim.NewScheduler()
-	model := costmodel.Default()
-	system := atms.New(sched, model)
-	proc := app.NewProcess(sched, model, buildNotesApp())
+	// 1. Boot a simulated device (virtual clock, system server, app
+	//    process), launch the app and let it settle; 2. install RCHDroid
+	//    at that point — the only line that differs from stock.
+	w := device.New(device.Spec{App: buildNotesApp, Settle: time.Second}, 0, func(w *device.World) {
+		core.Install(w.Sys, w.Proc, core.DefaultOptions())
+	})
+	sched, system, proc := w.Sched, w.Sys, w.Proc
 
-	// 2. Install RCHDroid — the only line that differs from stock.
-	core.Install(system, proc, core.DefaultOptions())
-
-	// 3. Launch and let the user type a note.
-	system.LaunchApp(proc)
-	sched.Advance(time.Second)
-
+	// 3. Let the user type a note.
 	fg := proc.Thread().ForegroundActivity()
 	proc.PostApp("user types", 2*time.Millisecond, func() {
 		fg.FindViewByID(idNote).(*view.CustomTextView).SetText("buy milk, call mom")

@@ -15,11 +15,12 @@
 //   - the activity thread's GC routine (doGcForShadowIfNeeded) —
 //     ThresholdGC here.
 //
-// Install wires all four onto a process and its system server:
+// Install wires all four onto a process and its system server, at the
+// post-settle arming point of a world device.New builds:
 //
-//	sys := atms.New(sched, costmodel.Default())
-//	proc := app.NewProcess(sched, model, myApp)
-//	rch := core.Install(sys, proc, core.DefaultOptions())
-//	sys.LaunchApp(proc)
-//	sys.PushConfiguration(config.Portrait()) // no restart, no state loss
+//	var rch *core.RCHDroid
+//	w := device.New(device.Shared(myApp), 0, func(w *device.World) {
+//		rch = core.Install(w.Sys, w.Proc, core.DefaultOptions())
+//	})
+//	w.Sys.PushConfiguration(config.Portrait()) // no restart, no state loss
 package core

@@ -39,8 +39,8 @@ type Spec struct {
 	Settle time.Duration
 	// Profile attaches the process's profiler meters (app.Process.Profile)
 	// before the launch, so the CPU and memory series cover the boot.
-	// Only rigs that read those series set it; a process Relaunch boots
-	// after a kill is not profiled.
+	// Only rigs that read those series set it; a process Launch boots
+	// later is not profiled.
 	Profile bool
 }
 
@@ -103,15 +103,16 @@ func New(spec Spec, seed uint64, arm ArmFunc) *World {
 	return w
 }
 
-// Relaunch boots a fresh process for the world's app after a kill and
-// schedules its launch with the system-held instance state (nil = cold
-// start). rearm runs before the launch is scheduled — the same point the
-// kill paths re-install handlers and fault injectors today. The world's
-// Proc is updated to the new process.
-func (w *World) Relaunch(saved *bundle.Bundle, rearm func(*app.Process)) *app.Process {
-	p := app.NewProcess(w.Sched, w.Model, w.Proc.App())
-	if rearm != nil {
-		rearm(p)
+// Launch boots a fresh process for def and schedules its launch with the
+// system-held instance state (nil = cold start): a relaunch after a kill
+// passes the killed process's own app, a second app on the device its
+// definition. arm runs before the launch is scheduled — the same point
+// the kill paths re-install handlers and fault injectors. The world's
+// Proc becomes the new process.
+func (w *World) Launch(def *app.App, saved *bundle.Bundle, arm func(*app.Process)) *app.Process {
+	p := app.NewProcess(w.Sched, w.Model, def)
+	if arm != nil {
+		arm(p)
 	}
 	w.Sys.LaunchAppWithState(p, saved)
 	w.Proc = p

@@ -6,9 +6,8 @@ import (
 
 	"rchdroid/internal/app"
 	"rchdroid/internal/appset"
-	"rchdroid/internal/atms"
 	"rchdroid/internal/core"
-	"rchdroid/internal/costmodel"
+	"rchdroid/internal/device"
 	"rchdroid/internal/sim"
 )
 
@@ -34,29 +33,35 @@ type DailyResult struct {
 func Daily() *DailyResult {
 	res := &DailyResult{Hours: 8}
 	run := func(install bool) (frozen float64, crashes, losses int) {
-		sched := sim.NewScheduler()
-		model := costmodel.Default()
-		sys := atms.New(sched, model)
 		rng := sim.NewRNG(20260705)
 
 		// Three apps of different weight classes, drawn from the
-		// populations. Crashed processes are replaced on relaunch, as the
-		// user would restart the app.
+		// populations, on one device. Crashed processes are replaced on
+		// relaunch, as the user would restart the app.
 		models := []appset.Model{appset.TP27()[12], appset.Top100()[27], appset.TP27()[22]}
 		procs := make([]*app.Process, len(models))
-		boot := func(i int) {
-			procs[i] = app.NewProcess(sched, model, models[i].Build())
+		var w *device.World
+		arm := func(p *app.Process) {
 			if install {
-				core.Install(sys, procs[i], core.DefaultOptions())
+				core.Install(w.Sys, p, core.DefaultOptions())
 			}
-			sys.LaunchApp(procs[i])
-			sched.Advance(2 * time.Second)
-			models[i].PlantState(procs[i], 600*time.Millisecond)
-			sched.Advance(100 * time.Millisecond)
 		}
-		for i := range models {
+		plant := func(i int) {
+			models[i].PlantState(procs[i], 600*time.Millisecond)
+			w.Sched.Advance(100 * time.Millisecond)
+		}
+		boot := func(i int) {
+			procs[i] = w.Launch(models[i].Build(), nil, arm)
+			w.Sched.Advance(2 * time.Second)
+			plant(i)
+		}
+		device.New(device.Spec{App: models[0].Build}, 0, func(dw *device.World) { w = dw; arm(dw.Proc) })
+		procs[0] = w.Proc
+		plant(0)
+		for i := 1; i < len(models); i++ {
 			boot(i)
 		}
+		sched, sys := w.Sched, w.Sys
 
 		current := len(models) - 1
 		end := sched.Now().Add(8 * time.Hour)

@@ -1,12 +1,13 @@
 // Package forksafety statically enforces the precondition the parallel
 // sweeps, the explorer and the sharded server rely on: a simulated
-// device's state lives entirely inside the world device.New builds. A
-// package-level mutable var in one of the world packages would be
-// shared by every world that sweep workers, explorer workers or fleet
-// shards run at once — a data race, and a determinism leak the
-// byte-identity gates might only catch long after the var landed. This
-// test fails the moment such a var appears, pointing at the allowlist
-// below so the author has to argue the var is genuinely immutable.
+// device's state lives entirely inside the world device.New builds, and
+// device.New is the only code that builds one. A package-level mutable
+// var in one of the world packages would be shared by every world that
+// sweep workers, explorer workers or fleet shards run at once — a data
+// race, and a determinism leak the byte-identity gates might only catch
+// long after the var landed. This test fails the moment such a var
+// appears, pointing at the allowlist below so the author has to argue
+// the var is genuinely immutable.
 package forksafety
 
 import (
@@ -14,7 +15,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -98,6 +101,67 @@ func TestNoPackageLevelMutableState(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// worldBuilders maps each package that builds part of a world to the
+// constructor only device.New may call.
+var worldBuilders = map[string]string{
+	"rchdroid/internal/sim":  "NewScheduler",
+	"rchdroid/internal/atms": "New",
+	"rchdroid/internal/app":  "NewProcess",
+}
+
+// TestWorldsComeFromDeviceNew parses every non-test Go file of the
+// module and fails on a call to a world constructor outside
+// internal/device. A world assembled by hand skips the one post-settle
+// arming point every runner shares.
+func TestWorldsComeFromDeviceNew(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, top := range []string{"cmd", "examples", "internal", "scripts"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(file string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if file == filepath.Join(root, "internal", "device") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+				return nil
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				return err
+			}
+			builders := map[string]string{} // import name → constructor
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if fn, ok := worldBuilders[p]; ok {
+					name := path.Base(p)
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+					builders[name] = fn
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && builders[x.Name] == sel.Sel.Name {
+						t.Errorf("%s: %s.%s builds a world by hand; build it with device.New (World.Launch for a later process)",
+							fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -109,7 +109,7 @@ func Stress(m appset.Model, seed uint64, opts StressOptions) StressResult {
 			}
 			// The user reopens the app after the LMK kill (cold start: the
 			// monkey run holds no instance state worth restoring).
-			proc = w.Relaunch(nil, install)
+			proc = w.Launch(w.Proc.App(), nil, install)
 			sched.Advance(2 * time.Second)
 		case chaos.ProcTrim:
 			res.Trims++

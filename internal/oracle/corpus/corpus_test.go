@@ -105,6 +105,7 @@ func TestStepKindStrings(t *testing.T) {
 		oracle.StepKill:       "kill",
 		oracle.StepQuarantine: "quarantine",
 		oracle.StepIdle:       "idle",
+		oracle.StepClick:      "click",
 	}
 	for k, s := range want {
 		if got := k.String(); got != s {

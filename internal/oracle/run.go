@@ -267,6 +267,10 @@ func (r *runner) apply(i, task int, st *Step, fg *app.Activity) {
 		if lv, ok := fg.FindViewByID(st.ID).(*view.ListView); ok {
 			lv.PositionSelector(st.N)
 		}
+	case StepClick:
+		if b, ok := fg.FindViewByID(st.ID).(*view.Button); ok {
+			b.Click()
+		}
 	case StepBump:
 		c, ok := fg.Extra(st.Text).(int64)
 		if !ok && r.res.Invariant == "" {
@@ -366,7 +370,7 @@ func (r *runner) kill() {
 	r.proc.Crash(chaos.ErrKilled)
 	r.res.Kills++
 	r.res.Tasks = r.res.Tasks[:0]
-	r.proc = r.w.Relaunch(saved, r.relaunch)
+	r.proc = r.w.Launch(r.proc.App(), saved, r.relaunch)
 	r.w.Sched.Advance(2 * time.Second)
 	fg := r.fg()
 	if fg == nil {

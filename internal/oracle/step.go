@@ -9,9 +9,10 @@ import (
 )
 
 // StepKind enumerates the scripted interactions and runtime changes of
-// the one scenario language both harnesses speak: the seeded oracle
-// generates scripts in it (GenScenario) and the data-loss corpus
-// (internal/oracle/corpus) writes them by hand.
+// the one scenario language every harness speaks: the seeded oracle
+// generates scripts in it (GenScenario), the data-loss corpus
+// (internal/oracle/corpus) writes them by hand, and rchsim parses them
+// from .rch text (ParseScript).
 type StepKind int
 
 const (
@@ -77,6 +78,8 @@ const (
 	StepQuarantine
 	// StepIdle advances virtual time only.
 	StepIdle
+	// StepClick clicks the Button with ID (a .rch script's touch).
+	StepClick
 
 	numStepKinds
 )
@@ -103,6 +106,7 @@ var stepKindNames = [numStepKinds]string{
 	StepKill:       "kill",
 	StepQuarantine: "quarantine",
 	StepIdle:       "idle",
+	StepClick:      "click",
 }
 
 // stepMessages names the UI-looper message each kind posts, built once:

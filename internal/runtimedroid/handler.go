@@ -1,6 +1,7 @@
 package runtimedroid
 
 import (
+	"slices"
 	"time"
 
 	"rchdroid/internal/app"
@@ -62,9 +63,10 @@ func (h *PatchedHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activ
 		saved := a.SaveInstanceState()
 
 		// 2. Detach the old content into the off-screen holder so
-		//    in-flight closures stay safe.
+		//    in-flight closures stay safe. RemoveChild shifts the
+		//    decor's slice, so walk a copy.
 		oldHolder := view.NewDecorView(-9999)
-		for _, c := range a.Decor().Children() {
+		for _, c := range slices.Clone(a.Decor().Children()) {
 			a.Decor().RemoveChild(c)
 			oldHolder.AddChild(c)
 		}

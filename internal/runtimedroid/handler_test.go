@@ -1,6 +1,7 @@
 package runtimedroid
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -73,6 +74,35 @@ func TestHotSwapKeepsInstanceAndState(t *testing.T) {
 	}
 	if fg.Config().Orientation != config.OrientationPortrait {
 		t.Fatal("configuration not applied")
+	}
+}
+
+// TestHotSwapMovesEveryDecorChild rotates an activity whose decor holds
+// three children: the off-screen holder must take all three, in order,
+// each once, and the rebuilt decor none of them.
+func TestHotSwapMovesEveryDecorChild(t *testing.T) {
+	sched, sys, proc, h := bootPatched(t, simpleApp())
+	fg := proc.Thread().ForegroundActivity()
+	proc.PostApp("addViews", time.Millisecond, func() {
+		fg.Decor().AddChild(view.NewTextView(20, "banner"))
+		fg.Decor().AddChild(view.NewImageView(21, "drawable/init"))
+	})
+	sched.Advance(10 * time.Millisecond)
+	old := slices.Clone(fg.Decor().Children())
+	if len(old) != 3 {
+		t.Fatalf("decor holds %d children, want 3", len(old))
+	}
+
+	sys.PushConfiguration(config.Portrait())
+	sched.Advance(2 * time.Second)
+
+	if got := h.holder.Children(); !slices.Equal(got, old) {
+		t.Errorf("holder holds %v, want the old children %v in order", got, old)
+	}
+	for _, c := range fg.Decor().Children() {
+		if slices.Contains(old, c) {
+			t.Errorf("old view %v stayed in the rebuilt decor", c)
+		}
 	}
 }
 

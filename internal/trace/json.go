@@ -101,21 +101,20 @@ func (t *Tracer) metadataEvents() []jsonEvent {
 }
 
 // WriteJSON renders the trace as Chrome trace_event JSON — the format
-// chrome://tracing and https://ui.perfetto.dev load directly. The
-// output is deterministic: identical runs produce byte-identical files.
+// chrome://tracing and https://ui.perfetto.dev load directly — followed
+// by a newline. The output is deterministic: identical runs produce
+// byte-identical files.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	events := t.Events()
-	all := make([]jsonEvent, 0, len(events)+8)
-	all = append(all, t.metadataEvents()...)
-	for _, e := range events {
-		all = append(all, toJSON(e))
+	b, err := t.MarshalJSON()
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(jsonTrace{TraceEvents: all, DisplayTimeUnit: "ms"})
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
-// MarshalJSON returns the WriteJSON bytes (without the trailing newline
-// the stream encoder adds).
+// MarshalJSON returns the trace as Chrome trace_event JSON, without
+// WriteJSON's trailing newline.
 func (t *Tracer) MarshalJSON() ([]byte, error) {
 	events := t.Events()
 	all := make([]jsonEvent, 0, len(events)+8)

@@ -80,6 +80,10 @@
 #                      (p50/p95/p99 per op class, machine-readable shed
 #                      map + rate, breaker/guard counters) and the
 #                      replay's canonical metrics dump must be non-empty
+#  17. examples      — every examples/<name> (built once into
+#                      ./artifacts/examples/) prints byte-for-byte its
+#                      committed output.txt: the examples hold no
+#                      tests, so nothing else runs them
 #
 # Wall-clock performance is perfbench/'s job (BENCHMARK.json), not this
 # gate's. The sweeps run on cmd/rchsweep, built once into ./artifacts/:
@@ -270,5 +274,17 @@ for field in '"p50_ms"' '"p95_ms"' '"p99_ms"' '"shed"' '"shed_rate"' \
 done
 grep -q '"replay_log_events_total"' artifacts/ci.replay.metrics.json \
     || { echo "ci: replay canonical metrics missing the log-derived counters" >&2; exit 1; }
+
+echo "==> examples (each run's stdout byte-compared with its output.txt)"
+go build -o artifacts/examples/ ./examples/...
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    artifacts/examples/"$name" > "artifacts/examples/$name.txt"
+    if ! cmp "artifacts/examples/$name.txt" "examples/$name/output.txt"; then
+        echo "ci: examples/$name no longer prints its output.txt" >&2
+        diff "examples/$name/output.txt" "artifacts/examples/$name.txt" >&2 || true
+        exit 1
+    fi
+done
 
 echo "ci: all green"
