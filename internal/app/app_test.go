@@ -1,15 +1,16 @@
 package app
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/config"
 	"rchdroid/internal/costmodel"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/resources"
 	"rchdroid/internal/sim"
+	"rchdroid/internal/trace"
 	"rchdroid/internal/view"
 )
 
@@ -252,14 +253,15 @@ func npe() *view.NullPointerError {
 // and the phase charges nothing: its cost was to be the body's result.
 func TestRunChargedNPECrashesAndChargesNothing(t *testing.T) {
 	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
-	busy := proc.UILooper().TotalBusy()
+	proc.Profile()
 	proc.Thread().RunCharged("bad", func() time.Duration { panic(npe()) })
 	sched.Advance(time.Second)
 	if !proc.Crashed() {
 		t.Fatal("NPE in a charged phase did not crash the process")
 	}
-	if got := proc.UILooper().TotalBusy(); got != busy {
-		t.Fatalf("crashed phase charged %v", got-busy)
+	work := looper.Work(proc.Thread().Trace())
+	if len(work) != 1 || work[0].Name != "bad" || work[0].Dur != 0 {
+		t.Fatalf("crashed phase recorded %+v, want one zero-cost dispatch", work)
 	}
 }
 
@@ -513,15 +515,16 @@ func TestAccessorsAndHelpers(t *testing.T) {
 	if proc.Scheduler() != sched || proc.Model() == nil {
 		t.Fatal("process accessors wrong")
 	}
-	// The CPU meter exists only once the process is profiled.
-	if proc.CPU() != nil {
-		t.Fatal("unprofiled process has a CPU meter")
+	// The profiler's tracer exists only once the process is profiled,
+	// and a second Profile keeps it.
+	if tr, _ := proc.Thread().Trace(); tr != nil {
+		t.Fatal("unprofiled process is traced")
 	}
 	proc.Profile()
-	cpu := proc.CPU()
+	tr, _ := proc.Thread().Trace()
 	proc.Profile()
-	if cpu == nil || proc.CPU() != cpu {
-		t.Fatal("Profile did not attach one CPU meter")
+	if again, _ := proc.Thread().Trace(); tr == nil || again != tr {
+		t.Fatal("Profile did not arm one tracer")
 	}
 	if proc.Endpoint() == nil || proc.Endpoint() != proc.Endpoint() {
 		t.Fatal("endpoint not cached")
@@ -546,27 +549,34 @@ func TestAccessorsAndHelpers(t *testing.T) {
 	}
 }
 
-func TestBusyLogAndMatching(t *testing.T) {
+// A profiled process records its UI-thread work from the call on: a
+// message posted afterwards is one work event with its start and cost.
+func TestProfiledProcessTracesUIWork(t *testing.T) {
 	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
 	proc.Profile()
-	proc.EnableBusyLog()
+	at := sched.Now()
 	proc.PostApp("special:probe", 3*time.Millisecond, func() {})
 	sched.Advance(time.Second)
-	log := proc.BusyLog()
-	found := false
-	for _, l := range log {
-		if strings.Contains(l, "special:probe") {
-			found = true
-		}
+	work := looper.Work(proc.Thread().Trace())
+	if len(work) != 1 {
+		t.Fatalf("work = %+v, want the probe alone", work)
 	}
-	if !found {
-		t.Fatalf("busy log missing entry: %v", log)
+	if e := work[0]; e.Name != "special:probe" || e.TS != at || e.Dur != 3*time.Millisecond {
+		t.Fatalf("probe recorded as %q at %v for %v", e.Name, e.TS, e.Dur)
 	}
-	if proc.BusyMatching("special:probe") != 3*time.Millisecond {
-		t.Fatalf("BusyMatching = %v", proc.BusyMatching("special:probe"))
+}
+
+// Profile keeps a tracer the process already has: its work lands there.
+func TestProfileKeepsExistingTracer(t *testing.T) {
+	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
+	tr := trace.NewRing(sched, 64)
+	proc.SetTracer(tr)
+	proc.Profile()
+	if got, _ := proc.Thread().Trace(); got != tr {
+		t.Fatal("Profile replaced the process's tracer")
 	}
-	if proc.BusyMatching("nonexistent") != 0 {
-		t.Fatal("BusyMatching should be zero for unknown names")
+	if pts := proc.Memory().TraceSeries().Points; len(pts) != 1 {
+		t.Fatalf("memory series = %v, want it started", pts)
 	}
 }
 

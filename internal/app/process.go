@@ -2,7 +2,6 @@ package app
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"rchdroid/internal/costmodel"
@@ -68,13 +67,6 @@ type Process struct {
 	crashed  bool
 	crashErr *CrashError
 
-	// cpu and busyByName are the profiler meters Profile attaches; both
-	// stay nil in an unprofiled process.
-	cpu        *metrics.CPUMeter
-	busyByName map[string]time.Duration
-	busyLog    []string
-	logBusy    bool
-
 	services map[string]*Service
 
 	asyncInFlight int
@@ -108,7 +100,7 @@ func (p *Process) SetAsyncFaultInjector(fn AsyncFaultInjector) { p.asyncFault = 
 // NewProcess boots a process for app on the given scheduler and cost
 // model. The activity thread is created alongside; wire it to a system
 // server before launching activities. The process keeps only its current
-// memory count; Profile attaches the profiler meters.
+// memory count; Profile arms the profiler records.
 func NewProcess(sched *sim.Scheduler, model *costmodel.Model, app *App) *Process {
 	p := &Process{
 		app:      app,
@@ -123,32 +115,18 @@ func NewProcess(sched *sim.Scheduler, model *costmodel.Model, app *App) *Process
 	return p
 }
 
-// Profile attaches the profiler meters that Fig 9 and Fig 11 read: the
-// 10 ms UI-thread CPU meter, the per-name busy totals behind
-// BusyMatching, and the memory step series, which starts at the current
-// level. Only what runs after the call is metered, so profile before
-// launching (device.New does when its Spec sets Profile). A second call
-// is a no-op.
+// Profile arms the profiler records that Fig 9, Fig 11 and the Anatomy
+// table read: an unbounded tracer on the process, unless it is already
+// traced, whose UI-thread work (looper.Work over Thread().Trace()) gives
+// the CPU windows and busy times, and the memory step series, which
+// starts at the current level. Only what runs after the call is
+// recorded, so profile before launching (device.New does when its Spec
+// sets Profile). A second call is a no-op.
 func (p *Process) Profile() {
-	if p.cpu != nil {
-		return
+	if p.tracer == nil {
+		p.SetTracer(trace.New(p.sched))
 	}
-	p.cpu = metrics.NewCPUMeter(10 * time.Millisecond)
-	p.busyByName = make(map[string]time.Duration)
 	p.mem.Record()
-	p.uiLooper.SetBusyObserver(p.onBusy)
-}
-
-// onBusy is the UI looper's busy observer, installed only once Profile
-// or EnableBusyLog needs it.
-func (p *Process) onBusy(start sim.Time, cost time.Duration, name string) {
-	if p.cpu != nil {
-		p.cpu.OnBusy(start, cost, name)
-		p.busyByName[name] += cost
-	}
-	if p.logBusy {
-		p.busyLog = append(p.busyLog, start.String()+" "+name)
-	}
 }
 
 // App returns the installed application.
@@ -193,39 +171,6 @@ func (p *Process) SetTracer(tr *trace.Tracer) {
 // Memory returns the memory meter. Its series records only in a
 // profiled process.
 func (p *Process) Memory() *metrics.MemoryMeter { return p.mem }
-
-// CPU returns the UI-thread CPU meter, or nil unless the process is
-// profiled.
-func (p *Process) CPU() *metrics.CPUMeter { return p.cpu }
-
-// EnableBusyLog starts recording an ordered log of every UI-thread
-// message (timestamp + name) — the message-level trace used by the
-// determinism and causal-ordering tests.
-func (p *Process) EnableBusyLog() {
-	p.logBusy = true
-	p.uiLooper.SetBusyObserver(p.onBusy)
-}
-
-// BusyLog returns the ordered message log recorded since EnableBusyLog.
-func (p *Process) BusyLog() []string {
-	out := make([]string, len(p.busyLog))
-	copy(out, p.busyLog)
-	return out
-}
-
-// BusyMatching sums UI-thread busy time across messages whose name
-// contains substr — used to attribute CPU to RCHDroid machinery
-// ("rch:" messages) separately from app and framework work. It is zero
-// unless the process is profiled.
-func (p *Process) BusyMatching(substr string) time.Duration {
-	var total time.Duration
-	for name, d := range p.busyByName {
-		if strings.Contains(name, substr) {
-			total += d
-		}
-	}
-	return total
-}
 
 // Crashed reports whether the process has died.
 func (p *Process) Crashed() bool { return p.crashed }

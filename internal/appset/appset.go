@@ -95,6 +95,9 @@ const (
 	imageIDBase       view.ID = 2000
 )
 
+// serverService names the background service of a KindServiceState app.
+const serverService = "server"
+
 // Sentinel state values the scenarios plant and verify.
 const (
 	plantedSecondary = "second field"
@@ -245,18 +248,16 @@ func (m Model) Build() *app.App {
 		a.SetContentView("layout/main")
 	}
 	if m.Kind == KindServiceState {
-		server := &app.ServiceClass{Name: "server"}
-		serviceRegistry[m.Name] = server
 		// The developer stops the server in onDestroy, assuming the
 		// activity only dies when the user leaves — the BlueNET bug. A
 		// restart therefore silently turns the server off; RCHDroid never
 		// destroys the instance, so the server keeps running.
 		cls.Callbacks.OnDestroy = func(a *app.Activity) {
-			a.Process().StopService(server.Name)
+			a.Process().StopService(serverService)
 		}
 		cls.Callbacks.OnResume = func(a *app.Activity) {
 			if tv, ok := a.FindViewByID(stateWidgetID).(*view.TextView); ok {
-				if a.Process().ServiceRunning(server.Name) {
+				if a.Process().ServiceRunning(serverService) {
 					tv.SetText("server: running")
 				} else {
 					tv.SetText("server: stopped")
@@ -330,11 +331,12 @@ func (m Model) PlantState(proc *app.Process, asyncDelay time.Duration) {
 		case KindExtras:
 			fg.PutExtra("appstate", plantedExtra)
 		case KindServiceState:
-			if cls := serviceRegistry[m.Name]; cls != nil {
-				proc.StartService(cls)
-				if w, ok := fg.FindViewByID(stateWidgetID).(*view.TextView); ok {
-					w.SetText("server: running")
-				}
+			// The server has no callbacks, and a process keys its
+			// services by name: this class is the one Build's callbacks
+			// stop and query.
+			proc.StartService(&app.ServiceClass{Name: serverService})
+			if w, ok := fg.FindViewByID(stateWidgetID).(*view.TextView); ok {
+				w.SetText("server: running")
 			}
 		}
 		if w, ok := fg.FindViewByID(secondaryWidgetID).(*view.EditText); ok {
@@ -419,7 +421,3 @@ func (m Model) VerifySecondary(proc *app.Process) bool {
 	w, ok := fg.FindViewByID(secondaryWidgetID).(*view.EditText)
 	return ok && w.Text() == plantedSecondary
 }
-
-// serviceRegistry maps app names to the service class their Build wired
-// in, so PlantState can start the same instance the callbacks reference.
-var serviceRegistry = map[string]*app.ServiceClass{}

@@ -1,6 +1,7 @@
 package appset
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -242,5 +243,29 @@ func TestAllGeneratedLayoutsValidate(t *testing.T) {
 				t.Errorf("%v (%v): %v", m, cfg.Orientation, errs)
 			}
 		}
+	}
+}
+
+// Building a model writes nothing shared: rchsweep -mode=monkey builds
+// TP-27 models on parallel workers, so two builds of one model may run at
+// once. BlueNET wires a background service; go test -race fails here on
+// any package-level state its build writes.
+func TestConcurrentBuildsShareNothing(t *testing.T) {
+	m := TP27()[3]
+	if m.Name != "BlueNET" || m.Kind != KindServiceState {
+		t.Fatalf("row 4 is %v, want BlueNET's service state", m)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.Build()
+		}()
+	}
+	wg.Wait()
+	// Each build's service still starts and is stopped by the restart.
+	if runScenario(t, m, false) || !runScenario(t, m, true) {
+		t.Fatal("BlueNET's server no longer behaves as Table 3 says")
 	}
 }

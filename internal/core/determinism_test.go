@@ -8,26 +8,27 @@ import (
 	"rchdroid/internal/atms"
 	"rchdroid/internal/config"
 	"rchdroid/internal/costmodel"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/sim"
+	"rchdroid/internal/trace"
 	"rchdroid/internal/view"
 )
 
-// runScripted executes a fixed scenario and returns the full event trace
+// runScripted executes a fixed scenario and returns the full event log
 // plus the final UI dump — the reproducibility contract: two runs must be
 // byte-identical.
-func runScripted(t *testing.T) (trace []string, dump string, handling []time.Duration) {
+func runScripted(t *testing.T) (log []string, dump string, handling []time.Duration) {
 	t.Helper()
 	sched := sim.NewScheduler()
-	tracer := &sim.RecordingTracer{}
-	sched.SetTracer(tracer)
+	recorder := &sim.RecordingTracer{}
+	sched.SetTracer(recorder)
 	model := costmodel.Default()
 	sys := atms.New(sched, model)
 	proc := app.NewProcess(sched, model, benchApp(4, 300*time.Millisecond))
-	proc.EnableBusyLog()
-	var serverLog []string
-	sys.ServerLooper().SetBusyObserver(func(at sim.Time, _ time.Duration, name string) {
-		serverLog = append(serverLog, at.String()+" "+name)
-	})
+	// One tracer records the work of both loopers.
+	tr := trace.New(sched)
+	sys.SetTracer(tr)
+	proc.SetTracer(tr)
 	Install(sys, proc, DefaultOptions())
 	sys.LaunchApp(proc)
 	sched.Advance(time.Second)
@@ -42,18 +43,22 @@ func runScripted(t *testing.T) (trace []string, dump string, handling []time.Dur
 	sys.PushConfiguration(config.Default())
 	sched.Advance(2 * time.Second)
 
-	// Merge the scheduler event trace with the message-level logs of both
-	// loopers; the simulation is single-threaded, so each log is
+	// Merge the scheduler's raw events with the message-level work of
+	// both loopers; the simulation is single-threaded, so each record is
 	// individually deterministic and concatenation preserves that.
-	for _, e := range tracer.Entries {
-		trace = append(trace, e.At.String()+" "+e.Name)
+	for _, e := range recorder.Entries {
+		log = append(log, e.At.String()+" "+e.Name)
 	}
-	trace = append(trace, proc.BusyLog()...)
-	trace = append(trace, serverLog...)
+	for _, e := range looper.Work(proc.Thread().Trace()) {
+		log = append(log, e.TS.String()+" "+e.Name)
+	}
+	for _, e := range looper.Work(sys.Tracer(), sys.Track()) {
+		log = append(log, e.TS.String()+" "+e.Name)
+	}
 	if s := proc.Thread().CurrentSunny(); s != nil {
 		dump = view.Dump(s.Decor())
 	}
-	return trace, dump, sys.HandlingTimes()
+	return log, dump, sys.HandlingTimes()
 }
 
 func TestScenarioIsFullyDeterministic(t *testing.T) {

@@ -37,10 +37,11 @@ type Spec struct {
 	// Settle is how long to advance the clock after the cold launch
 	// (default 2s — launch plus drain for every app in the repo).
 	Settle time.Duration
-	// Profile attaches the process's profiler meters (app.Process.Profile)
-	// before the launch, so the CPU and memory series cover the boot.
-	// Only rigs that read those series set it; a process Launch boots
-	// later is not profiled.
+	// Profile arms the process's profiler records (app.Process.Profile):
+	// a tracer whose UI-thread work gives the CPU series, and the memory
+	// series. It runs before the launch, so both cover the boot. Only
+	// rigs that read those records set it; a process Launch boots later
+	// is not profiled.
 	Profile bool
 }
 

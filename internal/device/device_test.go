@@ -8,6 +8,7 @@ import (
 	"rchdroid/internal/app"
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/device"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/view"
 )
@@ -60,20 +61,21 @@ func TestNewDeterministic(t *testing.T) {
 }
 
 // TestProfiledWorldMetersFromBoot pins the profiler's contract: a
-// profiled world has its meters from boot, so the memory series starts
-// at t=0, and an unprofiled world carries none.
+// profiled world records from boot, so its UI-thread work starts with
+// the cold launch's transaction and its memory series at t=0, and an
+// unprofiled world records neither.
 func TestProfiledWorldMetersFromBoot(t *testing.T) {
 	spec := probeSpec()
 	spec.Profile = true
 	w := device.New(spec, 0, nil)
-	if w.Proc.CPU() == nil {
-		t.Fatal("profiled world has no CPU meter")
+	if work := looper.Work(w.Proc.Thread().Trace()); len(work) == 0 || work[0].Name != "binder:oracleapp:scheduleLaunch" {
+		t.Fatalf("UI-thread work does not start at boot: %+v", work)
 	}
 	if pts := w.Proc.Memory().TraceSeries().Points; len(pts) < 2 || pts[0].At != 0 {
 		t.Fatalf("memory series does not start at boot: %v", pts)
 	}
 	plain := device.New(probeSpec(), 0, nil)
-	if plain.Proc.CPU() != nil || len(plain.Proc.Memory().TraceSeries().Points) != 0 {
-		t.Fatal("unprofiled world carries profiler meters")
+	if tr, _ := plain.Proc.Thread().Trace(); tr != nil || len(plain.Proc.Memory().TraceSeries().Points) != 0 {
+		t.Fatal("unprofiled world carries profiler records")
 	}
 }

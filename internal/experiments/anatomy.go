@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"rchdroid/internal/benchapp"
+	"rchdroid/internal/looper"
+	"rchdroid/internal/trace"
 )
 
 // AnatomyPhase is one named slice of a handling's critical path.
@@ -16,8 +18,8 @@ type AnatomyPhase struct {
 }
 
 // AnatomyResult decomposes one restart, one RCHDroid-init and one coin
-// flip into their UI-thread phases, taken from the message-level busy
-// log. It is the explanatory companion to the cost model: every headline
+// flip into their UI-thread phases, taken from the profiled process's
+// trace. It is the explanatory companion to the cost model: every headline
 // number in Fig 10a is the sum of the rows shown here.
 type AnatomyResult struct {
 	Stock []AnatomyPhase
@@ -31,14 +33,14 @@ func Anatomy() *AnatomyResult {
 
 	capture := func(mode Mode, changes int) [][]AnatomyPhase {
 		rig := NewRig(benchapp.New(benchapp.Config{Images: 4, TaskDelay: time.Hour}), mode)
-		rig.Proc.EnableBusyLog()
-		baseline := len(rig.Proc.BusyLog())
+		rig.Proc.Profile()
+		seen := 0
 		var out [][]AnatomyPhase
 		for i := 0; i < changes; i++ {
 			rig.Rotate()
-			log := rig.Proc.BusyLog()
-			out = append(out, foldPhases(log[baseline:]))
-			baseline = len(log)
+			work := looper.Work(rig.Proc.Thread().Trace())
+			out = append(out, foldPhases(work[seen:]))
+			seen = len(work)
 		}
 		return out
 	}
@@ -50,47 +52,31 @@ func Anatomy() *AnatomyResult {
 	return res
 }
 
-// foldPhases aggregates busy-log lines ("<time> <name>") into named phase
-// durations. Costs are recovered by re-measuring each named message's
-// charge via the per-name totals embedded in the log ordering; since the
-// log carries only start stamps, durations are derived from consecutive
-// starts, with the final entry bounded by the resume acknowledgement.
-func foldPhases(lines []string) []AnatomyPhase {
-	type ev struct {
-		at   time.Duration
-		name string
-	}
-	var evs []ev
-	for _, l := range lines {
-		parts := strings.SplitN(l, " ", 2)
-		if len(parts) != 2 {
-			continue
-		}
-		d, err := time.ParseDuration(parts[0])
-		if err != nil {
-			continue
-		}
-		evs = append(evs, ev{at: d, name: canonicalPhase(parts[1])})
-	}
-	if len(evs) == 0 {
+// foldPhases aggregates one handling's UI-thread work events into named
+// phase durations. An event's phase time runs from its start to the next
+// event's start, so a phase also holds the wait that follows it inside
+// the handling; the final event adds nothing.
+func foldPhases(work []trace.Event) []AnatomyPhase {
+	if len(work) == 0 {
 		return nil
 	}
 	totals := map[string]time.Duration{}
 	order := []string{}
-	for i, e := range evs {
+	for i, e := range work {
 		var dur time.Duration
-		if i+1 < len(evs) {
-			dur = evs[i+1].at - e.at
+		if i+1 < len(work) {
+			dur = work[i+1].TS.Sub(e.TS)
 		}
 		// Idle gaps (the settle between the handling and unrelated later
 		// messages such as GC sweeps) are not phase time.
 		if dur > 500*time.Millisecond {
 			dur = 0
 		}
-		if _, ok := totals[e.name]; !ok {
-			order = append(order, e.name)
+		name := canonicalPhase(e.Name)
+		if _, ok := totals[name]; !ok {
+			order = append(order, name)
 		}
-		totals[e.name] += dur
+		totals[name] += dur
 	}
 	out := make([]AnatomyPhase, 0, len(order))
 	for _, name := range order {
@@ -110,9 +96,6 @@ func canonicalPhase(name string) string {
 	}
 	for _, prefix := range []string{"relaunch:", "launch:", "rch:", "binder:", "moveTo"} {
 		if strings.HasPrefix(name, prefix) {
-			if j := strings.IndexByte(name, ':'); j > 0 && prefix != "binder:" {
-				return name
-			}
 			return name
 		}
 	}

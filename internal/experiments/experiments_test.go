@@ -86,14 +86,20 @@ func TestFig9TracePinned(t *testing.T) {
 			t.Errorf("row %d = %q, want %q", i, got, strings.Join(want, " "))
 		}
 	}
+	const want = "441467c6b36db897e7983da17467450f9457bbff4dd3fcce42431e38c089228c"
+	if got := rowsDigest(rows); got != want {
+		t.Errorf("trace digest = %s, want %s", got, want)
+	}
+}
+
+// rowsDigest hashes a result's rows, one comma-joined line each, so a
+// pinned digest catches a change to any printed number.
+func rowsDigest(rows [][]string) string {
 	h := sha256.New()
 	for _, row := range rows {
 		fmt.Fprintln(h, strings.Join(row, ","))
 	}
-	const want = "441467c6b36db897e7983da17467450f9457bbff4dd3fcce42431e38c089228c"
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Errorf("trace digest = %s, want %s", got, want)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestFig10MatchesPaper(t *testing.T) {
@@ -163,6 +169,15 @@ func TestFig11MatchesPaper(t *testing.T) {
 	}
 	if !strings.Contains(r.Summary(), "50 s") {
 		t.Errorf("summary should identify the 50 s knee: %s", r.Summary())
+	}
+}
+
+// TestFig11RowsPinned pins every printed Fig 11 row: the monotone-trend
+// checks above would pass a CPU-overhead sum that moved by 0.1 %.
+func TestFig11RowsPinned(t *testing.T) {
+	const want = "47ac65d7b4400f8a5dcc58af3ebf84952c4c97e85468f5a814fe13219917171f"
+	if got := rowsDigest(Fig11().Rows()); got != want {
+		t.Errorf("Fig 11 digest = %s, want %s", got, want)
 	}
 }
 
@@ -500,6 +515,16 @@ func TestAnatomyDecomposition(t *testing.T) {
 	}
 	if ts := total(r.Stock); ts < 130 || ts > 145 {
 		t.Fatalf("stock on-thread total = %.1f ms", ts)
+	}
+}
+
+// TestAnatomyRowsPinned pins every printed Anatomy row: the phase-name
+// and total-range checks above would pass a fold that moved a phase by
+// 0.1 ms.
+func TestAnatomyRowsPinned(t *testing.T) {
+	const want = "63c7f250009c90ec0b4ccc0efdf193a6ed770484976a3b0644d1ab86e4c8ccaf"
+	if got := rowsDigest(Anatomy().Rows()); got != want {
+		t.Errorf("Anatomy digest = %s, want %s", got, want)
 	}
 }
 

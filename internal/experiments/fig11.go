@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"rchdroid/internal/benchapp"
 	"rchdroid/internal/core"
+	"rchdroid/internal/looper"
+	"rchdroid/internal/trace"
 )
 
 // Fig11Row is one THRESH_T setting of the GC trade-off sweep.
@@ -42,10 +45,12 @@ func Fig11() *Fig11Result {
 	)
 	res := &Fig11Result{}
 
-	// Stock baseline busy time for the CPU overhead comparison.
-	stock := NewRig(benchapp.New(benchapp.Config{Images: images, TaskDelay: time.Hour}), ModeStock)
+	// Stock baseline busy time for the CPU overhead comparison: all of
+	// the UI thread's work, profiled from boot.
+	stock := BootRig(RigSpec{App: benchapp.New(benchapp.Config{Images: images, TaskDelay: time.Hour}),
+		Mode: ModeStock, Profile: true})
 	runBurstMinutes(stock, minutes)
-	res.StockBusyMS = float64(stock.Proc.UILooper().TotalBusy()) / float64(time.Millisecond)
+	res.StockBusyMS = float64(busyMatching(looper.Work(stock.Proc.Thread().Trace()), "")) / float64(time.Millisecond)
 
 	for _, tSec := range []int{10, 20, 30, 40, 50, 60, 70, 80} {
 		opts := core.DefaultOptions()
@@ -63,9 +68,10 @@ func Fig11() *Fig11Result {
 		// Overhead counts only RCHDroid's *extra* machinery — shadow
 		// transitions, mapping builds, migrations and GC sweeps — not the
 		// flip's resume work, which replaces work stock would do anyway.
+		work := looper.Work(rig.Proc.Thread().Trace())
 		rchWork := 0.0
 		for _, tag := range []string{"rch:enterShadow", "rch:buildMapping", "rch:lazyMigrate", "rch:doGcForShadowIfNeeded", "rch:requestSunny"} {
-			rchWork += float64(rig.Proc.BusyMatching(tag)) / float64(time.Millisecond)
+			rchWork += float64(busyMatching(work, tag)) / float64(time.Millisecond)
 		}
 		row := Fig11Row{
 			ThreshTSec:    tSec,
@@ -85,6 +91,19 @@ func Fig11() *Fig11Result {
 		res.Sweep = append(res.Sweep, row)
 	}
 	return res
+}
+
+// busyMatching sums the costs of the work events whose names contain
+// substr ("" matches every event) — how RCHDroid machinery ("rch:"
+// messages) is told apart from app and framework work.
+func busyMatching(work []trace.Event, substr string) time.Duration {
+	var total time.Duration
+	for _, e := range work {
+		if strings.Contains(e.Name, substr) {
+			total += e.Dur
+		}
+	}
+	return total
 }
 
 // runBurstMinutes drives the paper's §5.5 workload: each minute carries

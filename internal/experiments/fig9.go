@@ -6,7 +6,9 @@ import (
 
 	"rchdroid/internal/benchapp"
 	"rchdroid/internal/config"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/metrics"
+	"rchdroid/internal/trace"
 )
 
 // Fig9Result is the CPU/memory trace comparison of Fig 9: the benchmark
@@ -72,7 +74,8 @@ func Fig9() *Fig9Result {
 		})
 		rig.Sched.Advance(10 * time.Second)
 
-		cpu := rig.Proc.CPU().TraceSeries(mode.String() + " cpu")
+		busy := cpuWindows(looper.Work(rig.Proc.Thread().Trace()))
+		cpu := cpuSeries(mode.String()+" cpu", busy)
 		mem := rig.Proc.Memory().TraceSeries()
 		migrations := 0
 		if rig.RCH != nil {
@@ -80,8 +83,8 @@ func Fig9() *Fig9Result {
 		}
 		// Utilisation of the windows containing each change, relative to
 		// a 1-second profiler window.
-		first := busyPct(rig, start.Duration()+res.FirstChangeAt)
-		second := busyPct(rig, start.Duration()+res.SecondChangeAt)
+		first := busyPct(busy, start.Duration()+res.FirstChangeAt)
+		second := busyPct(busy, start.Duration()+res.SecondChangeAt)
 		return cpu, mem, rig.Proc.Crashed(), migrations, first, second
 	}
 
@@ -92,14 +95,57 @@ func Fig9() *Fig9Result {
 	return res
 }
 
-// busyPct sums UI-thread busy time over the second following t and
-// reports it as a percentage — the profiler-style CPU number.
-func busyPct(r *Rig, t time.Duration) float64 {
-	meter := r.Proc.CPU()
+// cpuWindow is the profiler's CPU sampling window.
+const cpuWindow = 10 * time.Millisecond
+
+// cpuWindows bins UI-thread work events into consecutive cpuWindow-long
+// windows from time zero, splitting an event at each window edge it
+// crosses: the busy time of every window up to the last one touched,
+// and at least the first.
+func cpuWindows(work []trace.Event) []time.Duration {
+	busy := make([]time.Duration, 1)
+	for _, e := range work {
+		t, cost := e.TS.Duration(), e.Dur
+		for cost > 0 {
+			slot := int(t / cpuWindow)
+			chunk := min(cost, time.Duration(slot+1)*cpuWindow-t)
+			for len(busy) <= slot {
+				busy = append(busy, 0)
+			}
+			busy[slot] += chunk
+			t += chunk
+			cost -= chunk
+		}
+	}
+	return busy
+}
+
+// usageAt returns the utilisation percentage of the window containing t.
+func usageAt(busy []time.Duration, t time.Duration) float64 {
+	if slot := int(t / cpuWindow); slot < len(busy) {
+		return 100 * float64(busy[slot]) / float64(cpuWindow)
+	}
+	return 0
+}
+
+// cpuSeries renders the windows as a step series of utilisation
+// percentages, the profiler's CPU track.
+func cpuSeries(name string, busy []time.Duration) *metrics.Series {
+	s := &metrics.Series{Name: name}
+	for slot := range busy {
+		at := time.Duration(slot) * cpuWindow
+		s.Add(simTime(at), usageAt(busy, at))
+	}
+	return s
+}
+
+// busyPct averages UI-thread utilisation over the second following t —
+// the profiler-style CPU number.
+func busyPct(busy []time.Duration, t time.Duration) float64 {
 	total := 0.0
-	windows := int(time.Second / meter.Window())
+	windows := int(time.Second / cpuWindow)
 	for i := 0; i < windows; i++ {
-		total += meter.UsageAt(simTime(t + time.Duration(i)*meter.Window()))
+		total += usageAt(busy, t+time.Duration(i)*cpuWindow)
 	}
 	return total / float64(windows)
 }

@@ -50,9 +50,10 @@ type RigSpec struct {
 	// Core overrides RCHDroid's options (nil uses core.DefaultOptions());
 	// only consulted in ModeRCHDroid.
 	Core *core.Options
-	// Profile attaches the profiler meters from boot (device.Spec.Profile):
-	// the CPU and memory series and the per-name busy totals. Only the
-	// figures that read them set it.
+	// Profile arms the profiler records from boot (device.Spec.Profile):
+	// the process's trace, whose UI-thread work (looper.Work) gives the
+	// CPU windows and busy times, and the memory series. Only the figures
+	// that read them set it.
 	Profile bool
 }
 

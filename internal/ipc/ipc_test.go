@@ -6,6 +6,7 @@ import (
 
 	"rchdroid/internal/looper"
 	"rchdroid/internal/sim"
+	"rchdroid/internal/trace"
 )
 
 func setup() (*sim.Scheduler, *Endpoint, *Bus) {
@@ -101,14 +102,17 @@ func TestTransactAtInPastBehavesLikeTransact(t *testing.T) {
 // builds once per transaction code rather than on every call.
 func TestTransactNameBuiltOnce(t *testing.T) {
 	s, ep, bus := setup()
-	var got string
-	ep.Looper.SetBusyObserver(func(_ sim.Time, _ time.Duration, name string) { got = name })
+	tr := trace.New(s)
+	ep.Looper.SetTracer(tr, trace.TrackID{})
 	noop := func() {}
 	bus.Transact(ep, StartActivity, 0, 0, noop)
 	s.Run()
-	if got != "binder:atms:startActivity" {
-		t.Fatalf("message name = %q, want binder:atms:startActivity", got)
+	work := looper.Work(tr, trace.TrackID{})
+	if len(work) != 1 || work[0].Name != "binder:atms:startActivity" {
+		t.Fatalf("work = %+v, want one binder:atms:startActivity message", work)
 	}
+	// Measured untraced: a tracer appends an event per message.
+	ep.Looper.SetTracer(nil, trace.TrackID{})
 	allocs := testing.AllocsPerRun(100, func() {
 		bus.Transact(ep, StartActivity, 0, 0, noop)
 		s.Run()

@@ -38,21 +38,17 @@ func TestInjectedStallShiftsAllMessagesUniformly(t *testing.T) {
 }
 
 func TestInjectedStallIsInvisibleToBusyAccounting(t *testing.T) {
-	s, l := newTestLooper()
+	s, l, tr := newTracedLooper()
 	l.SetFaultInjector(func(string, time.Duration) Fault {
 		return Fault{Stall: 25 * time.Millisecond}
 	})
-	var observed []time.Duration
-	l.SetBusyObserver(func(_ sim.Time, cost time.Duration, _ string) { observed = append(observed, cost) })
 	l.Post("m", 5*time.Millisecond, func() {})
 	s.Run()
-	// The stall occupies the thread but is not message work: TotalBusy
-	// and the busy observer see only the message's own cost.
-	if l.TotalBusy() != 5*time.Millisecond {
-		t.Fatalf("TotalBusy = %v, want 5ms", l.TotalBusy())
-	}
-	if len(observed) != 1 || observed[0] != 5*time.Millisecond {
-		t.Fatalf("busy observer saw %v, want [5ms]", observed)
+	// The stall occupies the thread but is not message work: the work
+	// record holds only the message's own cost, starting after the stall.
+	work := Work(tr, testTrack)
+	if len(work) != 1 || work[0].Dur != 5*time.Millisecond || work[0].TS != sim.Time(25*time.Millisecond) {
+		t.Fatalf("work = %+v, want one 5ms message at 25ms", work)
 	}
 }
 
@@ -89,7 +85,7 @@ func TestInjectedDelayAddsToTimerDelay(t *testing.T) {
 }
 
 func TestInjectedDropNeverRunsAndReportsCancelled(t *testing.T) {
-	s, l := newTestLooper()
+	s, l, tr := newTracedLooper()
 	l.SetFaultInjector(func(name string, cost time.Duration) Fault {
 		return Fault{Drop: name == "doomed"}
 	})
@@ -107,13 +103,14 @@ func TestInjectedDropNeverRunsAndReportsCancelled(t *testing.T) {
 	if !survived {
 		t.Fatal("drop of one message lost another")
 	}
-	if l.Processed() != 1 {
-		t.Fatalf("Processed = %d, want 1 (drops are not processed)", l.Processed())
+	// A dropped message leaves no work event.
+	if work := Work(tr, testTrack); len(work) != 1 || work[0].Name != "other" {
+		t.Fatalf("work = %+v, want only other (drops are not processed)", work)
 	}
 }
 
 func TestStallExtendsOccupancyFromNow(t *testing.T) {
-	s, l := newTestLooper()
+	s, l, tr := newTracedLooper()
 	l.Stall(20 * time.Millisecond)
 	var at sim.Time
 	l.Post("m", time.Millisecond, func() { at = s.Now() })
@@ -121,8 +118,8 @@ func TestStallExtendsOccupancyFromNow(t *testing.T) {
 	if at != sim.Time(20*time.Millisecond) {
 		t.Fatalf("message started at %v, want 20ms (behind the stall)", at)
 	}
-	if l.TotalBusy() != time.Millisecond {
-		t.Fatalf("TotalBusy = %v, want 1ms (stall not counted as work)", l.TotalBusy())
+	if busy := busyTime(Work(tr, testTrack)); busy != time.Millisecond {
+		t.Fatalf("busy = %v, want 1ms (stall not counted as work)", busy)
 	}
 }
 

@@ -8,7 +8,9 @@
 // Messages carry an execution cost. The looper serialises them: a message
 // begins no earlier than its delivery time and no earlier than the end of
 // the previous message, and occupies the (virtual) thread for its cost.
-// The accumulated busy time drives the CPU-usage traces of Fig 9.
+// A traced looper records that work on its track, and Work reads it back:
+// the one record of UI-thread time that Fig 9, Fig 11 and the Anatomy
+// table fold.
 package looper
 
 import (
@@ -77,8 +79,6 @@ type Looper struct {
 	queue     []message
 	seq       uint64
 	busyUntil sim.Time
-	totalBusy time.Duration
-	processed uint64
 	quit      bool
 	fault     FaultInjector
 
@@ -101,14 +101,33 @@ type Looper struct {
 	// ANR-style watchdog hangs off this seam.
 	onDispatch func(name string, start sim.Time, occupancy time.Duration)
 
-	// onBusy, if set, observes every executed message and charge (the
-	// profiler meters of a profiled process hang off it).
-	onBusy func(start sim.Time, cost time.Duration, name string)
-
 	// tracer, if set, records every dispatch, charge, stall and drop on
 	// track as structured trace events. A nil tracer costs one branch.
 	tracer *trace.Tracer
 	track  trace.TrackID
+}
+
+// traceCat is the category of every event a looper writes.
+const traceCat = "looper"
+
+// Work returns the work events a looper wrote on track, in record
+// order: a span per dispatched message with a cost, a zero-length
+// instant per zero-cost dispatch, and a span per charge, named as
+// charged. Each carries its start (TS), its cost (Dur) and its name.
+// Stall, drop and delay instants carry arguments and are not work, nor
+// is anything else on the track. It is the one decoder of the encoding
+// dispatch and ChargeNamed write.
+func Work(tr *trace.Tracer, track trace.TrackID) []trace.Event {
+	var work []trace.Event
+	for _, e := range tr.Events() {
+		if e.Track != track || e.Cat != traceCat {
+			continue
+		}
+		if e.Ph == trace.PhaseComplete || (e.Ph == trace.PhaseInstant && len(e.Args) == 0) {
+			work = append(work, e)
+		}
+	}
+	return work
 }
 
 // New returns a looper named name driving its messages on sched.
@@ -126,7 +145,8 @@ func (l *Looper) Scheduler() *sim.Scheduler { return l.sched }
 // SetTracer points the looper's structured instrumentation at tr,
 // emitting onto track: executed messages become spans (instants when
 // zero-cost), charges become spans under their attributed name, and
-// stalls and drops become instants. A nil tracer disables it.
+// stalls, drops and delays become instants with an argument. Work reads
+// the work back. A nil tracer disables it.
 func (l *Looper) SetTracer(tr *trace.Tracer, track trace.TrackID) {
 	l.tracer = tr
 	l.track = track
@@ -138,18 +158,6 @@ func (l *Looper) SetTracer(tr *trace.Tracer, track trace.TrackID) {
 // handle. Without a handler a caught message runs like any other and
 // its panic propagates.
 func (l *Looper) SetUncaughtHandler(fn func(r any)) { l.uncaught = fn }
-
-// SetBusyObserver installs (or, with nil, removes) a callback invoked
-// for each executed message and each charge with its start time and cost.
-func (l *Looper) SetBusyObserver(fn func(start sim.Time, cost time.Duration, name string)) {
-	l.onBusy = fn
-}
-
-// TotalBusy returns the cumulative virtual time spent executing messages.
-func (l *Looper) TotalBusy() time.Duration { return l.totalBusy }
-
-// Processed returns how many messages have been executed.
-func (l *Looper) Processed() uint64 { return l.processed }
 
 // QueueLen returns the number of queued (not yet executed) messages.
 func (l *Looper) QueueLen() int { return len(l.queue) }
@@ -206,13 +214,13 @@ func (l *Looper) post(delay time.Duration, m message) bool {
 		f := l.fault(m.name, m.cost)
 		if f.Drop {
 			if l.tracer.Enabled() {
-				l.tracer.Instant(l.track, m.name, "looper", trace.Arg{Key: "dropped", Val: true})
+				l.tracer.Instant(l.track, m.name, traceCat, trace.Arg{Key: "dropped", Val: true})
 			}
 			return false
 		}
 		if f.Delay > 0 {
 			if l.tracer.Enabled() {
-				l.tracer.Instant(l.track, m.name, "looper", trace.Arg{Key: "delayed", Val: f.Delay})
+				l.tracer.Instant(l.track, m.name, traceCat, trace.Arg{Key: "delayed", Val: f.Delay})
 			}
 			delay += f.Delay
 		}
@@ -229,15 +237,16 @@ func (l *Looper) post(delay time.Duration, m message) bool {
 }
 
 // Stall occupies the thread for d without doing work: queued messages keep
-// their relative order but everything runs later. Unlike Charge it adds
-// nothing to TotalBusy and is invisible to the busy observer — a stall
-// models lost time (GC pause, preemption), not attributed work.
+// their relative order but everything runs later. Unlike Charge it
+// records no work (its trace instant carries d as an argument, and Work
+// skips it): a stall models lost time (GC pause, preemption), not
+// attributed work.
 func (l *Looper) Stall(d time.Duration) {
 	if d <= 0 || l.quit {
 		return
 	}
 	if l.tracer.Enabled() {
-		l.tracer.Instant(l.track, "stall", "looper", trace.Arg{Key: "dur", Val: d})
+		l.tracer.Instant(l.track, "stall", traceCat, trace.Arg{Key: "dur", Val: d})
 	}
 	start := l.busyUntil
 	if now := l.sched.Now(); start < now {
@@ -299,20 +308,15 @@ func (l *Looper) dispatch() {
 	l.queue[n] = message{}
 	l.queue = l.queue[:n]
 	l.busyUntil = now.Add(m.cost)
-	l.totalBusy += m.cost
-	l.processed++
-	if l.onBusy != nil {
-		l.onBusy(now, m.cost, m.name)
-	}
 	if l.tracer.Enabled() {
 		// Dispatch with a real cost is a span; a zero-cost control
 		// message is a point on the timeline. The wait argument is the
 		// queueing delay past the message's earliest runnable time.
 		if m.cost > 0 {
-			l.tracer.Complete(l.track, m.name, "looper", now, m.cost,
+			l.tracer.Complete(l.track, m.name, traceCat, now, m.cost,
 				trace.Arg{Key: "wait", Val: now.Sub(m.when)})
 		} else {
-			l.tracer.Instant(l.track, m.name, "looper")
+			l.tracer.Instant(l.track, m.name, traceCat)
 		}
 	}
 	l.dispatching, l.running = true, m.name
@@ -363,10 +367,9 @@ func (l *Looper) Charge(cost time.Duration) {
 	l.ChargeNamed(cost, name)
 }
 
-// ChargeNamed is Charge with an explicit name reported to the busy
-// observer — used when one message performs work that should be
-// attributed under a more specific label (e.g. the launch pipeline's
-// pluggable extra phase).
+// ChargeNamed is Charge with an explicit name for its trace span — used
+// when one message performs work that should be attributed under a more
+// specific label (e.g. the launch pipeline's pluggable extra phase).
 func (l *Looper) ChargeNamed(cost time.Duration, name string) {
 	if cost <= 0 || l.quit {
 		return
@@ -376,13 +379,9 @@ func (l *Looper) ChargeNamed(cost time.Duration, name string) {
 		start = now
 	}
 	l.busyUntil = start.Add(cost)
-	l.totalBusy += cost
-	if l.onBusy != nil {
-		l.onBusy(start, cost, name)
-	}
-	l.tracer.Complete(l.track, name, "looper", start, cost)
+	l.tracer.Complete(l.track, name, traceCat, start, cost)
 }
 
 func (l *Looper) String() string {
-	return fmt.Sprintf("looper(%s, queued=%d, busy=%v)", l.name, len(l.queue), l.totalBusy)
+	return fmt.Sprintf("looper(%s, queued=%d)", l.name, len(l.queue))
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rchdroid/internal/sim"
+	"rchdroid/internal/trace"
 )
 
 func newTestLooper() (*sim.Scheduler, *Looper) {
@@ -13,19 +14,38 @@ func newTestLooper() (*sim.Scheduler, *Looper) {
 	return s, New(s, "ui")
 }
 
-func TestPostRunsMessage(t *testing.T) {
+// testTrack is the track a traced test looper writes on.
+var testTrack = trace.TrackID{Pid: 1, Tid: 1}
+
+// newTracedLooper returns a looper recording on an unbounded tracer, as
+// a profiled process's UI looper does.
+func newTracedLooper() (*sim.Scheduler, *Looper, *trace.Tracer) {
 	s, l := newTestLooper()
+	tr := trace.New(s)
+	l.SetTracer(tr, testTrack)
+	return s, l, tr
+}
+
+// busyTime sums the costs of work events.
+func busyTime(work []trace.Event) time.Duration {
+	var total time.Duration
+	for _, e := range work {
+		total += e.Dur
+	}
+	return total
+}
+
+func TestPostRunsMessage(t *testing.T) {
+	s, l, tr := newTracedLooper()
 	ran := false
 	l.Post("m", time.Millisecond, func() { ran = true })
 	s.Run()
 	if !ran {
 		t.Fatal("message did not run")
 	}
-	if l.Processed() != 1 {
-		t.Fatalf("Processed = %d", l.Processed())
-	}
-	if l.TotalBusy() != time.Millisecond {
-		t.Fatalf("TotalBusy = %v", l.TotalBusy())
+	work := Work(tr, testTrack)
+	if len(work) != 1 || work[0].Name != "m" || work[0].Dur != time.Millisecond {
+		t.Fatalf("work = %+v, want one 1ms dispatch of m", work)
 	}
 }
 
@@ -118,21 +138,21 @@ func TestQuitDropsQueueAndRejectsPosts(t *testing.T) {
 	}
 }
 
+// The trace, the looper's one record of work, sees every dispatched
+// message in dispatch order.
 func TestBusyObserverSeesEveryMessage(t *testing.T) {
-	s, l := newTestLooper()
-	var seen []string
-	var total time.Duration
-	l.SetBusyObserver(func(_ sim.Time, cost time.Duration, name string) {
-		seen = append(seen, name)
-		total += cost
-	})
+	s, l, tr := newTracedLooper()
 	l.Post("a", time.Millisecond, func() {})
 	l.Post("b", 2*time.Millisecond, func() {})
 	s.Run()
-	if len(seen) != 2 || seen[0] != "a" || seen[1] != "b" {
-		t.Fatalf("seen = %v", seen)
+	work := Work(tr, testTrack)
+	if len(work) != 2 || work[0].Name != "a" || work[1].Name != "b" {
+		t.Fatalf("work = %+v", work)
 	}
-	if total != 3*time.Millisecond {
+	if work[0].TS != 0 || work[1].TS != sim.Time(time.Millisecond) {
+		t.Fatalf("starts = %v, %v; want 0, 1ms", work[0].TS, work[1].TS)
+	}
+	if total := busyTime(work); total != 3*time.Millisecond {
 		t.Fatalf("total = %v", total)
 	}
 }
@@ -149,7 +169,8 @@ func TestNegativeDelayClamped(t *testing.T) {
 
 func TestStringDescribes(t *testing.T) {
 	_, l := newTestLooper()
-	if got := l.String(); got == "" || l.Name() != "ui" {
+	l.Post("m", 0, func() {})
+	if got := l.String(); got != "looper(ui, queued=1)" || l.Name() != "ui" {
 		t.Fatalf("String/Name wrong: %q %q", got, l.Name())
 	}
 }
@@ -160,7 +181,7 @@ func TestSerializationProperty(t *testing.T) {
 	f := func(k, cMicros uint8) bool {
 		n := int(k%16) + 1
 		c := time.Duration(int(cMicros)+1) * time.Microsecond
-		s, l := newTestLooper()
+		s, l, tr := newTracedLooper()
 		var starts []sim.Time
 		for i := 0; i < n; i++ {
 			l.Post("m", c, func() { starts = append(starts, s.Now()) })
@@ -174,7 +195,7 @@ func TestSerializationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return l.TotalBusy() == time.Duration(n)*c
+		return busyTime(Work(tr, testTrack)) == time.Duration(n)*c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -204,7 +225,7 @@ func TestDeliveryTimeProperty(t *testing.T) {
 }
 
 func TestChargeExtendsCurrentMessage(t *testing.T) {
-	s, l := newTestLooper()
+	s, l, tr := newTracedLooper()
 	var second sim.Time
 	l.Post("first", 0, func() { l.Charge(8 * time.Millisecond) })
 	l.Post("second", 0, func() { second = s.Now() })
@@ -212,25 +233,21 @@ func TestChargeExtendsCurrentMessage(t *testing.T) {
 	if second != sim.Time(8*time.Millisecond) {
 		t.Fatalf("second ran at %v, want 8ms (after charge)", second)
 	}
-	if l.TotalBusy() != 8*time.Millisecond {
-		t.Fatalf("TotalBusy = %v", l.TotalBusy())
+	if busy := busyTime(Work(tr, testTrack)); busy != 8*time.Millisecond {
+		t.Fatalf("busy = %v", busy)
 	}
 }
 
 func TestChargeObservedByBusyObserver(t *testing.T) {
-	s, l := newTestLooper()
-	var names []string
-	var costs []time.Duration
-	l.SetBusyObserver(func(_ sim.Time, c time.Duration, n string) {
-		names = append(names, n)
-		costs = append(costs, c)
-	})
+	s, l, tr := newTracedLooper()
 	l.Post("phase", 0, func() { l.Charge(3 * time.Millisecond) })
 	s.Run()
-	// The zero-cost dispatch and the charge both report under the
+	// The zero-cost dispatch and the charge both record under the
 	// message's name.
-	if len(names) != 2 || names[1] != "phase" || costs[1] != 3*time.Millisecond {
-		t.Fatalf("observer saw %v %v", names, costs)
+	work := Work(tr, testTrack)
+	if len(work) != 2 || work[0].Name != "phase" || work[0].Dur != 0 ||
+		work[1].Name != "phase" || work[1].Dur != 3*time.Millisecond {
+		t.Fatalf("work = %+v", work)
 	}
 }
 
@@ -246,15 +263,15 @@ func TestChargeOutsideMessageOccupiesFromNow(t *testing.T) {
 }
 
 func TestChargeIgnoredWhenQuitOrNonPositive(t *testing.T) {
-	_, l := newTestLooper()
+	_, l, tr := newTracedLooper()
 	l.Charge(-time.Second)
-	if l.TotalBusy() != 0 {
-		t.Fatal("negative charge recorded")
+	if work := Work(tr, testTrack); len(work) != 0 {
+		t.Fatalf("negative charge recorded: %+v", work)
 	}
 	l.Quit()
 	l.Charge(time.Second)
-	if l.TotalBusy() != 0 {
-		t.Fatal("charge after quit recorded")
+	if work := Work(tr, testTrack); len(work) != 0 {
+		t.Fatalf("charge after quit recorded: %+v", work)
 	}
 }
 
@@ -279,12 +296,14 @@ func TestPumpRearmAllocatesNothing(t *testing.T) {
 
 // Posting and dispatching allocate nothing: the queue holds messages by
 // value and reuses the slots it pops, and a charged message carries its
-// cost function itself, not a wrapper closure.
+// cost function itself, not a wrapper closure. The looper is untraced,
+// as on every unprofiled process: a tracer appends an event per message.
 func TestQueuePopKeepsCapacity(t *testing.T) {
 	s, l := newTestLooper()
 	l.SetUncaughtHandler(func(r any) { panic(r) })
 	noop := func() {}
-	charge := func() time.Duration { return time.Millisecond }
+	charges := 0
+	charge := func() time.Duration { charges++; return time.Millisecond }
 	l.Post("warm", 0, noop)
 	l.PostCharged("warm", charge)
 	s.Run()
@@ -297,8 +316,8 @@ func TestQueuePopKeepsCapacity(t *testing.T) {
 		t.Fatalf("post+dispatch made %.0f allocations, want 0", allocs)
 	}
 	// The warm-up, AllocsPerRun's own warm-up run and the 100 measured
-	// runs each charged 1ms.
-	if l.TotalBusy() != 102*time.Millisecond {
-		t.Fatalf("TotalBusy = %v, want 102ms of charges", l.TotalBusy())
+	// runs each charged once.
+	if charges != 102 {
+		t.Fatalf("charged %d times, want 102", charges)
 	}
 }

@@ -1,16 +1,15 @@
 // Package metrics provides the measurement machinery of the evaluation:
-// the Android-Studio-profiler stand-ins for Fig 9 (a CPU meter fed by
-// looper busy time and a memory meter fed by the app process model, whose
-// history is kept only for processes that profile), the summary
-// statistics the paper reports (means over ≥5 runs with σ < 5%), and the
-// per-phase statistics derived from structured traces.
+// the time series the figures plot, the memory meter fed by the app
+// process model (whose history is kept only for processes that profile;
+// Fig 9's CPU track is binned from the profiled process's trace instead),
+// the summary statistics the paper reports (means over ≥5 runs with
+// σ < 5%), and the per-phase statistics derived from structured traces.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"rchdroid/internal/sim"
 )
@@ -51,62 +50,6 @@ func (s *Series) At(t sim.Time, def float64) float64 {
 		v = p.Value
 	}
 	return v
-}
-
-// CPUMeter aggregates looper busy time into fixed windows and reports the
-// per-window utilisation percentage, reproducing the profiler's CPU trace.
-type CPUMeter struct {
-	window  time.Duration
-	busy    map[int64]time.Duration
-	maxSlot int64
-}
-
-// NewCPUMeter returns a meter with the given window size.
-func NewCPUMeter(window time.Duration) *CPUMeter {
-	if window <= 0 {
-		window = 10 * time.Millisecond
-	}
-	return &CPUMeter{window: window, busy: make(map[int64]time.Duration)}
-}
-
-// Window returns the configured window size.
-func (c *CPUMeter) Window() time.Duration { return c.window }
-
-// OnBusy records a busy interval [start, start+cost), splitting it across
-// windows. Wire it to Looper.SetBusyObserver.
-func (c *CPUMeter) OnBusy(start sim.Time, cost time.Duration, _ string) {
-	t := start.Duration()
-	for cost > 0 {
-		slot := int64(t / c.window)
-		slotEnd := time.Duration(slot+1) * c.window
-		chunk := cost
-		if t+chunk > slotEnd {
-			chunk = slotEnd - t
-		}
-		c.busy[slot] += chunk
-		if slot > c.maxSlot {
-			c.maxSlot = slot
-		}
-		t += chunk
-		cost -= chunk
-	}
-}
-
-// UsageAt returns the utilisation percentage of the window containing t.
-func (c *CPUMeter) UsageAt(t sim.Time) float64 {
-	slot := int64(t.Duration() / c.window)
-	return 100 * float64(c.busy[slot]) / float64(c.window)
-}
-
-// TraceSeries renders the usage as a step series from time zero to the
-// last busy window.
-func (c *CPUMeter) TraceSeries(name string) *Series {
-	s := &Series{Name: name}
-	for slot := int64(0); slot <= c.maxSlot; slot++ {
-		at := sim.Time(time.Duration(slot) * c.window)
-		s.Add(at, 100*float64(c.busy[slot])/float64(c.window))
-	}
-	return s
 }
 
 // MemoryMeter tracks a byte count. Once Record is called it also keeps

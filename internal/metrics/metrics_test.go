@@ -33,43 +33,6 @@ func TestEmptySeries(t *testing.T) {
 	}
 }
 
-func TestCPUMeterSingleWindow(t *testing.T) {
-	m := NewCPUMeter(10 * time.Millisecond)
-	m.OnBusy(sim.Time(2*time.Millisecond), 5*time.Millisecond, "work")
-	if got := m.UsageAt(sim.Time(5 * time.Millisecond)); got != 50 {
-		t.Fatalf("UsageAt = %v, want 50", got)
-	}
-	if got := m.UsageAt(sim.Time(15 * time.Millisecond)); got != 0 {
-		t.Fatalf("next window = %v, want 0", got)
-	}
-}
-
-func TestCPUMeterSplitsAcrossWindows(t *testing.T) {
-	m := NewCPUMeter(10 * time.Millisecond)
-	// Busy from 5ms to 25ms: 5ms in window 0, 10ms in window 1, 5ms in window 2.
-	m.OnBusy(sim.Time(5*time.Millisecond), 20*time.Millisecond, "w")
-	if m.UsageAt(0) != 50 {
-		t.Fatalf("w0 = %v", m.UsageAt(0))
-	}
-	if m.UsageAt(sim.Time(10*time.Millisecond)) != 100 {
-		t.Fatalf("w1 = %v", m.UsageAt(sim.Time(10*time.Millisecond)))
-	}
-	if m.UsageAt(sim.Time(20*time.Millisecond)) != 50 {
-		t.Fatalf("w2 = %v", m.UsageAt(sim.Time(20*time.Millisecond)))
-	}
-	tr := m.TraceSeries("cpu")
-	if len(tr.Points) != 3 {
-		t.Fatalf("trace points = %d", len(tr.Points))
-	}
-}
-
-func TestCPUMeterDefaultWindow(t *testing.T) {
-	m := NewCPUMeter(0)
-	if m.Window() != 10*time.Millisecond {
-		t.Fatalf("default window = %v", m.Window())
-	}
-}
-
 // The meter always tracks the current count, but samples it only while
 // recording: Record starts the series at the current level, and later
 // Sets append to it.
@@ -155,28 +118,6 @@ func TestPercentile(t *testing.T) {
 	// Input must not be mutated.
 	if xs[0] != 5 {
 		t.Fatal("Percentile mutated input")
-	}
-}
-
-// Property: total busy time recorded by the CPU meter is conserved across
-// window splitting.
-func TestCPUMeterConservationProperty(t *testing.T) {
-	f := func(startMicros uint16, costMicros uint16) bool {
-		m := NewCPUMeter(time.Millisecond)
-		start := sim.Time(time.Duration(startMicros) * time.Microsecond)
-		cost := time.Duration(costMicros) * time.Microsecond
-		m.OnBusy(start, cost, "w")
-		var total time.Duration
-		for slot, d := range m.busy {
-			if d < 0 || d > time.Millisecond || slot < 0 {
-				return false
-			}
-			total += d
-		}
-		return total == cost
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

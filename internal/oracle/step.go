@@ -111,13 +111,12 @@ var stepKindNames = [numStepKinds]string{
 
 // stepMessages names the UI-looper message each kind posts, built once:
 // "oracle:<kind>", a prefix the chaos layer treats as droppable input.
-var stepMessages [numStepKinds]string
-
-func init() {
+var stepMessages = func() (msgs [numStepKinds]string) {
 	for k, name := range stepKindNames {
-		stepMessages[k] = "oracle:" + name
+		msgs[k] = "oracle:" + name
 	}
-}
+	return msgs
+}()
 
 // String names the step kind for reports.
 func (k StepKind) String() string {

@@ -13,6 +13,7 @@ import (
 	"rchdroid/internal/core"
 	"rchdroid/internal/costmodel"
 	"rchdroid/internal/logcat"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/sim"
 	"rchdroid/internal/trace"
 )
@@ -20,8 +21,9 @@ import (
 // runChaoticScenario boots the full stack — system server, benchmark
 // app, RCHDroid, a seeded chaos plan, logcat — with every layer wired
 // to one tracer, runs a touch plus three rotations, and returns the
-// tracer. This is the rchsim -trace pipeline as a library call.
-func runChaoticScenario(t *testing.T, seed uint64) *trace.Tracer {
+// tracer and the app's UI track. This is the rchsim -trace pipeline as
+// a library call.
+func runChaoticScenario(t *testing.T, seed uint64) (*trace.Tracer, trace.TrackID) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	tracer := trace.New(sched)
@@ -55,7 +57,7 @@ func runChaoticScenario(t *testing.T, seed uint64) *trace.Tracer {
 	if proc.Crashed() {
 		t.Fatalf("seed %d: RCHDroid run crashed: %v", seed, proc.CrashCause())
 	}
-	return tracer
+	return proc.Thread().Trace()
 }
 
 // TestGoldenTraceDeterminism is the determinism contract: two runs of
@@ -65,8 +67,8 @@ func runChaoticScenario(t *testing.T, seed uint64) *trace.Tracer {
 // coin-flip decision and the injected chaos — on one shared timeline.
 func TestGoldenTraceDeterminism(t *testing.T) {
 	const seed = 7
-	a := runChaoticScenario(t, seed)
-	b := runChaoticScenario(t, seed)
+	a, ui := runChaoticScenario(t, seed)
+	b, _ := runChaoticScenario(t, seed)
 
 	var ja, jb bytes.Buffer
 	if err := a.WriteJSON(&ja); err != nil {
@@ -85,13 +87,15 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	spanNames := map[string]bool{}
 	var coinFlips, chaosEvents, looperSpans int
 	var handlingOpen, handlingClosed int
+	for _, e := range looper.Work(a, ui) {
+		if e.Ph == trace.PhaseComplete {
+			looperSpans++
+		}
+	}
 	for _, e := range a.Events() {
 		switch e.Ph {
 		case trace.PhaseComplete:
 			spanNames[e.Name] = true
-			if e.Cat == "looper" {
-				looperSpans++
-			}
 		case trace.PhaseInstant:
 			if e.Name == "coinFlip" {
 				coinFlips++

@@ -84,6 +84,9 @@
 #                      ./artifacts/examples/) prints byte-for-byte its
 #                      committed output.txt: the examples hold no
 #                      tests, so nothing else runs them
+#  18. report        — rchreport's output (built once into ./artifacts/)
+#                      must cmp equal to the committed REPORT.md: a change
+#                      that moves an evaluation number regenerates it
 #
 # Wall-clock performance is perfbench/'s job (BENCHMARK.json), not this
 # gate's. The sweeps run on cmd/rchsweep, built once into ./artifacts/:
@@ -286,5 +289,14 @@ for dir in examples/*/; do
         exit 1
     fi
 done
+
+echo "==> report (rchreport output byte-compared with REPORT.md)"
+go build -o artifacts/rchreport ./cmd/rchreport
+artifacts/rchreport > artifacts/REPORT.md
+if ! cmp artifacts/REPORT.md REPORT.md; then
+    echo "ci: REPORT.md is stale; regenerate it with go run ./cmd/rchreport -o REPORT.md" >&2
+    diff REPORT.md artifacts/REPORT.md >&2 || true
+    exit 1
+fi
 
 echo "ci: all green"
