@@ -15,9 +15,8 @@ func work(start, dur time.Duration) trace.Event {
 }
 
 // Fig 9's CPU track bins work as the profiler does: an interval inside
-// one window lands there whole, one crossing window edges splits at each
-// edge, and the series runs from zero to the last window touched.
-func TestCPUWindowsSplitAtEdges(t *testing.T) {
+// one window lands there whole, and busyPct reads the second after t.
+func TestCPUWindowsHoldWorkInOneWindow(t *testing.T) {
 	ms := time.Millisecond
 	busy := cpuWindows([]trace.Event{work(2*ms, 5*ms)})
 	if got := usageAt(busy, 5*ms); got != 50 {
@@ -27,9 +26,20 @@ func TestCPUWindowsSplitAtEdges(t *testing.T) {
 		t.Fatalf("next window = %v, want 0", got)
 	}
 
+	// 100 ms of work inside the second after t reads as 10 %.
+	busy = cpuWindows([]trace.Event{work(time.Second+300*ms, 100*ms)})
+	if got := busyPct(busy, time.Second); got != 10 {
+		t.Fatalf("busyPct = %v, want 10", got)
+	}
+}
+
+// An interval crossing window edges splits at each edge, and the series
+// runs from zero to the last window touched.
+func TestCPUWindowsSplitAtEdges(t *testing.T) {
+	ms := time.Millisecond
 	// Busy from 5 ms to 25 ms: 5 ms in window 0, 10 ms in window 1, 5 ms
 	// in window 2. A zero-cost dispatch adds nothing.
-	busy = cpuWindows([]trace.Event{work(5*ms, 20*ms), work(40*ms, 0)})
+	busy := cpuWindows([]trace.Event{work(5*ms, 20*ms), work(40*ms, 0)})
 	for i, want := range []float64{50, 100, 50} {
 		if got := usageAt(busy, time.Duration(i)*cpuWindow); got != want {
 			t.Fatalf("window %d = %v, want %v", i, got, want)
@@ -40,12 +50,6 @@ func TestCPUWindowsSplitAtEdges(t *testing.T) {
 	}
 	if pts := cpuSeries("cpu", cpuWindows(nil)).Points; len(pts) != 1 || pts[0].Value != 0 {
 		t.Fatalf("idle series = %v, want one empty window", pts)
-	}
-
-	// 100 ms of work inside the second after t reads as 10 %.
-	busy = cpuWindows([]trace.Event{work(time.Second+300*ms, 100*ms)})
-	if got := busyPct(busy, time.Second); got != 10 {
-		t.Fatalf("busyPct = %v, want 10", got)
 	}
 }
 
